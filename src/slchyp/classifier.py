@@ -564,16 +564,20 @@ class BoundReport:
             "k_E_le_40": self.k_e_within_40,
         }
 
+    @staticmethod
+    def of_witness(witness: DiscrepancyReport) -> "BoundReport":
+        k_e = witness.divisor.k_e
+        return BoundReport(
+            weight=tuple(witness.weight),
+            k_e=k_e,
+            blowup_bound=k_e - 2,
+            k_e_within_40=k_e <= 40,
+        )
+
 
 def check_conjecture_bounds(verdict: Verdict) -> BoundReport:
     """k_E of the verdict's witness, the derived blow-up bound
     b(E) <= k_E - 2, and the double-point budget k_E <= 40."""
     if verdict.witness is None:
         raise ValueError("verdict carries no witness")
-    k_e = verdict.witness.divisor.k_e
-    return BoundReport(
-        weight=tuple(verdict.witness.weight),
-        k_e=k_e,
-        blowup_bound=k_e - 2,
-        k_e_within_40=k_e <= 40,
-    )
+    return BoundReport.of_witness(verdict.witness)

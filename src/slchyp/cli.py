@@ -21,6 +21,7 @@ import time
 from typing import Optional
 
 from .classifier import (
+    BoundReport,
     Verdict,
     ZeroPolynomial,
     check_conjecture_bounds,
@@ -209,7 +210,8 @@ def run(argv) -> int:
 
 
 def _cmd_verify(args) -> int:
-    """Replay automorphism, initial form and discrepancy from a report."""
+    """Replay automorphism, initial form, witness discrepancy and bounds from a
+    report, and check the mld and slc claims against the witness."""
     if args.report == "-":
         text = sys.stdin.read()
     else:
@@ -233,16 +235,27 @@ def _cmd_verify(args) -> int:
         recorded = tripoly_from_json(final_ctx, verdict["initial_form_terms"])
         if initial != recorded:
             raise ValueError("initial form does not replay")
-        wit = verdict.get("witness")
-        if wit is not None:
-            rep = discrepancy(initial, tuple(wit["weight"]))
-            if rep.ord != wit["ord"] or rep.a != wit["a"]:
-                raise ValueError("witness discrepancy does not replay")
-            if rep.divisor.k_e != wit["k_E"]:
-                raise ValueError("witness k_E does not replay")
+        wit = verdict["witness"]
+        if wit is None:
+            raise ValueError("report carries no witness")
+        rep = discrepancy(initial, tuple(wit["weight"]))
+        if rep.ord != wit["ord"] or rep.a != wit["a"]:
+            raise ValueError("witness discrepancy does not replay")
+        if rep.divisor.k_e != wit["k_E"]:
+            raise ValueError("witness k_E does not replay")
         mld = verdict["mld"]
-        if mld == "-inf" and (wit is None or wit["a"] >= 0):
-            raise ValueError("negative verdict lacks a negative witness")
+        if mld == "-inf":
+            if rep.a >= 0:
+                raise ValueError("negative verdict lacks a negative witness")
+            if verdict["slc"] is True:
+                raise ValueError("slc claimed with mld -inf")
+        else:
+            if type(mld) is not int or not 0 <= mld <= rep.a:
+                raise ValueError("finite mld is not in [0, witness a]")
+            if wit["computes_mld"] and mld != rep.a:
+                raise ValueError("mld differs from the witness that computes it")
+        if verdict["bounds"] != BoundReport.of_witness(rep).to_json():
+            raise ValueError("bounds block does not replay")
     except (KeyError, ValueError, PolySyntaxError, CoefficientError) as exc:
         _emit({"verified": False, "error": str(exc)}, False)
         return EXIT_VERIFY_FAILED

@@ -6,17 +6,20 @@ Over the rationals only rational roots are ever produced; callers that need
 more raise NeedsAlgebraicExtension.
 
 Everything is deterministic.  Root lists are sorted by the canonical element
-order (lexicographic on coefficient vectors; (|x|, sign) over Q), equal-degree
-splitting scans candidate elements in canonical enumeration order instead of
-sampling, and new moduli come from a fixed enumeration of irreducibles.
+order (lexicographic on coefficient vectors; (|x|, sign) over Q), whatever
+order equal-degree splitting finds the roots in.  Splitting draws its
+candidate elements from a fixed-seed pseudo-random sequence and falls back to
+the canonical element scan, and new moduli come from a fixed enumeration of
+irreducibles.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .fields import (
     FieldContext,
@@ -28,6 +31,10 @@ from .fields import (
 )
 
 EXHAUSTIVE_ROOT_LIMIT = 64
+# equal-degree splitting: seed of its pseudo-random shifts, and how many it
+# tries on one factor before falling back to the canonical element scan
+SPLIT_SEED = 0x5EED
+SPLIT_RANDOM_TRIES = 64
 
 
 @dataclass(frozen=True)
@@ -281,37 +288,58 @@ def _roots_in_field(g: UniPoly) -> List[FieldElement]:
 
 
 def _split_linear(w: UniPoly) -> List[FieldElement]:
-    """Split a product of distinct monic linear factors into its roots."""
+    """Split a product of distinct monic linear factors into its roots.
+
+    Equal-degree splitting (Cantor-Zassenhaus): each factor is split by a gcd
+    with a polynomial built from a field element c, namely (t+c)^((q-1)/2) - 1
+    for odd q and the trace Tr(c t) for q = 2^n.  The elements c come from a
+    fixed-seed pseudo-random sequence over the whole field, which separates
+    any two roots with probability about 1/2 per try; after SPLIT_RANDOM_TRIES
+    failures on one factor the canonical element scan takes over, so splitting
+    always terminates.  The roots come back in no particular order; callers
+    sort them, so root order is canonical whatever order the splits happen in.
+    """
+    rng = random.Random(SPLIT_SEED)
+    roots: List[FieldElement] = []
+    pending = [w]
+    while pending:
+        w = pending.pop()
+        if w.degree() == 1:
+            roots.append(-w.coeffs[0] / w.coeffs[1])
+        elif w.degree() > 1:
+            h = _split_once(w, rng)
+            pending += [h, w // h]
+    return roots
+
+
+def _split_candidates(ctx: FieldContext, rng: random.Random) -> Iterator[FieldElement]:
+    """SPLIT_RANDOM_TRIES pseudo-random elements, then every element in order."""
+    p, n = ctx.characteristic, ctx.extension_degree
+    for _ in range(SPLIT_RANDOM_TRIES):
+        yield ctx.from_vector([rng.randrange(p) for _ in range(n)])
+    yield from ctx.elements()
+
+
+def _split_once(w: UniPoly, rng: random.Random) -> UniPoly:
+    """A proper monic factor of w, a product of at least two distinct linear factors."""
     ctx = w.context
-    if w.degree() <= 0:
-        return []
-    if w.degree() == 1:
-        return [-w.coeffs[0] / w.coeffs[1]]
     q = ctx.order()
-    p = ctx.characteristic
     one = UniPoly.make(ctx, [ctx.one()])
-    if p == 2:
-        # trace splitting: gcd with Tr(c t) for canonical candidates c
-        k = ctx.extension_degree
-        for c in ctx.elements():
-            if c.is_zero():
-                continue
-            ct = UniPoly.make(ctx, [ctx.zero(), c])
-            tr = UniPoly.zero(ctx)
-            term = ct % w
-            for _ in range(k):
-                tr = (tr + term) % w
+    for c in _split_candidates(ctx, rng):
+        if ctx.characteristic == 2:
+            # trace splitting: Tr(c t) = sum of (c t)^(2^i), i < n
+            splitter = UniPoly.zero(ctx)
+            term = UniPoly.make(ctx, [ctx.zero(), c]) % w
+            for _ in range(ctx.extension_degree):
+                splitter = (splitter + term) % w
                 term = (term * term) % w
-            h = w.gcd(tr)
-            if 0 < h.degree() < w.degree():
-                return _split_linear(h) + _split_linear(w // h)
-        raise RuntimeError("trace splitting failed")  # unreachable for split w
-    for a in ctx.elements():
-        shifted = UniPoly.make(ctx, [a, ctx.one()])
-        h = w.gcd(shifted.pow_mod((q - 1) // 2, w) - one)
+        else:
+            shifted = UniPoly.make(ctx, [c, ctx.one()])
+            splitter = shifted.pow_mod((q - 1) // 2, w) - one
+        h = w.gcd(splitter)
         if 0 < h.degree() < w.degree():
-            return _split_linear(h) + _split_linear(w // h)
-    raise RuntimeError("equal-degree splitting failed")  # unreachable
+            return h
+    raise RuntimeError("equal-degree splitting failed")  # unreachable for split w
 
 
 def _distinct_degree_profile(g: UniPoly) -> List[int]:

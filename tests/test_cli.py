@@ -153,3 +153,60 @@ def test_verify_reads_stdin():
     report = (GOLDEN / "slc_triangle_p5.json").read_text()
     proc = run_cli("verify", "-", stdin=report)
     assert proc.returncode == 0
+
+
+def _verify_in_process(capsys, report, tmp_path):
+    import slchyp.cli as cli_mod
+
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code = cli_mod.run(["verify", str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def _report(capsys, command, char, poly):
+    import slchyp.cli as cli_mod
+
+    assert cli_mod.run([command, "--char", str(char), "--poly", poly]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_verify_rejects_tampered_mld(capsys, tmp_path):
+    # x^2+y^2*z^2 over F_5 has mld 0, computed by the witness (2,1,1) with a = 0
+    report = _report(capsys, "mld", 5, "x^2+y^2*z^2")
+    assert _verify_in_process(capsys, report, tmp_path) == (0, {"verified": True})
+    # 3 differs from the witness that computes the mld, -1 is a negative
+    # finite mld, "1" is neither -inf nor an integer
+    for value in (3, -1, "1"):
+        bad = json.loads(json.dumps(report))
+        bad["verdict"]["mld"] = value
+        code, out = _verify_in_process(capsys, bad, tmp_path)
+        assert code == 1 and out["verified"] is False, value
+    # without computes_mld a finite mld may sit below a, never above it
+    loose = json.loads(json.dumps(report))
+    loose["verdict"]["witness"]["computes_mld"] = False
+    assert _verify_in_process(capsys, loose, tmp_path)[0] == 0
+    loose["verdict"]["mld"] = 3
+    assert _verify_in_process(capsys, loose, tmp_path)[0] == 1
+
+
+def test_verify_rejects_slc_with_negative_mld(capsys, tmp_path):
+    report = _report(capsys, "slc", 0, "x^2+y^4")
+    assert report["verdict"]["mld"] == "-inf" and report["verdict"]["slc"] is False
+    assert _verify_in_process(capsys, report, tmp_path)[0] == 0
+    report["verdict"]["slc"] = True
+    code, out = _verify_in_process(capsys, report, tmp_path)
+    assert code == 1 and out["verified"] is False
+
+
+def test_verify_recomputes_bounds_block(capsys, tmp_path):
+    report = _report(capsys, "mld", 0, "x^2+y^3")
+    assert report["verdict"]["bounds"] == {
+        "weight": [21, 14, 6], "k_E": 40, "blowup_bound": 38, "k_E_le_40": True,
+    }
+    for key, value in [("k_E", 39), ("blowup_bound", 40), ("k_E_le_40", False),
+                       ("weight", [1, 1, 1])]:
+        bad = json.loads(json.dumps(report))
+        bad["verdict"]["bounds"][key] = value
+        code, out = _verify_in_process(capsys, bad, tmp_path)
+        assert code == 1 and out["verified"] is False, key

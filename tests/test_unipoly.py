@@ -1,6 +1,11 @@
+import random
+import types
+
 import pytest
 
-from slchyp import NeedsAlgebraicExtension, RATIONALS, extension_field, prime_field
+from slchyp import NeedsAlgebraicExtension, RATIONALS, classify_mld, extension_field, prime_field
+from slchyp import unipoly
+from slchyp.parse import parse_poly
 from slchyp.unipoly import UniPoly, extend_context, find_roots, nth_root, verify_irreducible_modulus
 
 
@@ -117,3 +122,102 @@ def test_modulus_invariant_checker():
     assert verify_irreducible_modulus(extension_field(2, 4))
     assert verify_irreducible_modulus(prime_field(7))
     assert verify_irreducible_modulus(RATIONALS)
+
+
+SPLITTING_FIELDS = [(2, 6), (3, 4), (5, 3), (101, 1)]
+
+
+def _random_linear_product(ctx, rng, candidates):
+    """A seeded product of linear factors and its roots with multiplicities."""
+    picked = rng.sample(candidates, rng.randint(2, 7))
+    mults = {r: rng.randint(1, 3) for r in picked}
+    g = UniPoly.make(ctx, [ctx.one()])
+    for r, m in mults.items():
+        for _ in range(m):
+            g = g * UniPoly.make(ctx, [-r, ctx.one()])
+    return g, mults
+
+
+def _assert_brute_force_roots(g, mults, extension_modes=(False, True)):
+    ctx = g.context
+    brute = [x for x in ctx.elements() if g.evaluate(x).is_zero()]
+    for allow_extension in extension_modes:
+        res = find_roots(g, allow_extension=allow_extension)
+        assert res.context == ctx
+        assert [r for r, _ in res.roots] == brute  # canonical element order
+        assert [m for _, m in res.roots] == [mults[r] for r in brute]
+
+
+@pytest.mark.parametrize("p,n", SPLITTING_FIELDS)
+def test_splitting_matches_brute_force(monkeypatch, p, n):
+    # a low cutoff sends these small fields through equal-degree splitting
+    monkeypatch.setattr(unipoly, "EXHAUSTIVE_ROOT_LIMIT", 1)
+    ctx = extension_field(p, n) if n > 1 else prime_field(p)
+    elements = list(ctx.elements())
+    rng = random.Random(1000 * p + n)
+    for _ in range(6):
+        _assert_brute_force_roots(*_random_linear_product(ctx, rng, elements))
+
+
+class _ZeroShifts:
+    """Stands in for random.Random: every pseudo-random shift is 0."""
+
+    def __init__(self, seed):
+        pass
+
+    def randrange(self, n):
+        return 0
+
+
+@pytest.mark.parametrize("p,n", SPLITTING_FIELDS)
+def test_splitting_falls_back_to_canonical_scan(monkeypatch, p, n):
+    # With every pseudo-random shift equal to 0, no split is possible when
+    # all roots are nonzero squares (odd q), or at all (q = 2^n, where
+    # Tr(0 t) = 0), so only the canonical element scan can find the roots.
+    monkeypatch.setattr(unipoly, "EXHAUSTIVE_ROOT_LIMIT", 1)
+    monkeypatch.setattr(unipoly, "random", types.SimpleNamespace(Random=_ZeroShifts))
+    ctx = extension_field(p, n) if n > 1 else prime_field(p)
+    squares = sorted({x * x for x in ctx.elements() if not x.is_zero()},
+                     key=lambda e: e.sort_key())
+    rng = random.Random(2000 * p + n)
+    for _ in range(2):
+        g, mults = _random_linear_product(ctx, rng, squares)
+        _assert_brute_force_roots(g, mults, extension_modes=(False,))
+
+
+def _count_pow_mod(monkeypatch):
+    calls = [0]
+    original = UniPoly.pow_mod
+
+    def counted(self, e, mod):
+        calls[0] += 1
+        return original(self, e, mod)
+
+    monkeypatch.setattr(UniPoly, "pow_mod", counted)
+    return calls
+
+
+def test_nth_root_of_nonresidue_in_large_characteristic(monkeypatch):
+    # Scanning shifts in canonical order took ~800 pow_mod calls here.
+    calls = _count_pow_mod(monkeypatch)
+    p = 10007
+    a = next(k for k in range(2, p) if pow(k, (p - 1) // 2, p) == p - 1)
+    b, emb = nth_root(prime_field(p).from_int(a), 2, allow_extension=True)
+    assert emb.target == extension_field(p, 2)
+    assert b * b == emb.target.from_int(a)
+    assert calls[0] <= 16
+
+
+@pytest.mark.parametrize("poly,p,degree", [
+    ("x^2+y*z*(y+3*z)*(y+5*z)+y^2*z^3", 1009, 2),
+    ("x^2+y*z*(y+3*z)*(y+5*z)+y^2*z^3", 10007, 2),
+    ("x^2+y*(y^2+3*z^4)", 10007, 2),
+    ("x^2+y^4+z^4+x*y*z", 10009, 4),
+])
+def test_extension_classification_cost_is_polylog_in_p(monkeypatch, poly, p, degree):
+    # Scanning shifts in canonical order cost ~3p pow_mod calls per case.
+    calls = _count_pow_mod(monkeypatch)
+    verdict = classify_mld(parse_poly(poly, prime_field(p)), p)
+    assert verdict.mld.to_json() == 0
+    assert verdict.to_json()["field_extension_used"] == degree
+    assert calls[0] <= 64
