@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .fields import FieldContext
+from .fields import FieldContext, prime_field
 from .frobenius import FPurityCertificate, fedder_is_fpure
 from .parse import parse_poly
 from .poly import TriPoly, Weight, is_squarefree
@@ -151,13 +151,9 @@ class Verdict:
         }
 
 
-def _fresh_prime_context(p: int) -> FieldContext:
-    return FieldContext(p)
-
-
 def _fedder_certificate_on(model_text: str, p: int) -> Certificate:
     """Run the F-purity test on a prime-field model polynomial."""
-    ctx = _fresh_prime_context(p)
+    ctx = prime_field(p)
     model = parse_poly(model_text, ctx)
     cert = fedder_is_fpure(model)
     kind = CERT_FEDDER if cert.is_fpure else CERT_LR

@@ -21,6 +21,7 @@ import time
 from typing import Optional
 
 from .classifier import (
+    SLC_NOT_APPLICABLE,
     BoundReport,
     Verdict,
     ZeroPolynomial,
@@ -39,7 +40,7 @@ from .fields import (
 from .frobenius import CharZero, fedder_is_fpure
 from .jets import OracleOverflow, mld_profile
 from .parse import PolySyntaxError, parse_poly
-from .poly import NonLocalSubstitution, TriPoly, tripoly_from_json
+from .poly import NonLocalSubstitution, TriPoly, is_squarefree, tripoly_from_json
 from .toricdiv import discrepancy, witness_search
 from .normalize.auto import automorphism_from_json
 
@@ -130,8 +131,8 @@ def run(argv) -> int:
         p.add_argument("--max-weight", type=int, default=8,
                        help="bound for auxiliary witness searches (default 8)")
         p.add_argument("--strict-q", action="store_true",
-                       help="forbid algebraic extensions over Q (documents the "
-                            "only supported Q behaviour; always in effect)")
+                       help="deprecated, has no effect: algebraic extensions "
+                            "over Q are never made")
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", dest="pretty", action="store_false",
                          default=False, help="canonical single-line JSON (default)")
@@ -211,7 +212,8 @@ def run(argv) -> int:
 
 def _cmd_verify(args) -> int:
     """Replay automorphism, initial form, witness discrepancy and bounds from a
-    report, and check the mld and slc claims against the witness."""
+    report, check the mld claim against the witness, and recompute any slc
+    claim from is_squarefree(f) and mld."""
     if args.report == "-":
         text = sys.stdin.read()
     else:
@@ -247,8 +249,6 @@ def _cmd_verify(args) -> int:
         if mld == "-inf":
             if rep.a >= 0:
                 raise ValueError("negative verdict lacks a negative witness")
-            if verdict["slc"] is True:
-                raise ValueError("slc claimed with mld -inf")
         else:
             if type(mld) is not int or not 0 <= mld <= rep.a:
                 raise ValueError("finite mld is not in [0, witness a]")
@@ -256,6 +256,11 @@ def _cmd_verify(args) -> int:
                 raise ValueError("mld differs from the witness that computes it")
         if verdict["bounds"] != BoundReport.of_witness(rep).to_json():
             raise ValueError("bounds block does not replay")
+        slc = verdict["slc"]
+        if slc is not None:
+            expected = mld != "-inf" if is_squarefree(f) else SLC_NOT_APPLICABLE
+            if type(slc) is not type(expected) or slc != expected:
+                raise ValueError("slc claim does not replay")
     except (KeyError, ValueError, PolySyntaxError, CoefficientError) as exc:
         _emit({"verified": False, "error": str(exc)}, False)
         return EXIT_VERIFY_FAILED

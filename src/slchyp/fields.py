@@ -2,9 +2,34 @@
 
 A FieldContext is an immutable description of the ambient field.  Finite
 fields of extension degree n > 1 are represented as F_p[t]/(M) for a monic
-irreducible modulus M; elements are coefficient vectors of length n with
-entries in [0, p).  Rational elements wrap fractions.Fraction, which keeps
-them reduced with a positive denominator.
+irreducible modulus M; elements are coefficient vectors (int tuples, low
+degree first) of length n with entries in [0, p).  Prime-field elements are
+1-tuples, and rational elements wrap fractions.Fraction, which keeps them
+reduced with a positive denominator.
+
+Each field kind has one arithmetic path, chosen inline in the FieldElement
+operators:
+
+* Q: Fraction arithmetic.
+* F_p: arithmetic on the single int; the inverse is pow(a, -1, p).
+* F_{p^n}: addition is coefficientwise.  Multiplication packs both vectors
+  into ints with equal-width bit slots (Kronecker substitution), so the
+  convolution of the coefficient vectors is one int product.  The product's
+  coefficients of t^n .. t^(2n-2) are then folded back with reduction rows
+  t^(n+k) mod M, packed the same way and computed once per context, and
+  every coefficient is reduced mod p once at the end.  The slot width is
+  chosen from p and n so that no slot overflows into the next before that
+  final reduction.  The inverse is the extended Euclidean algorithm
+  against M on F_p[t] int lists.
+
+There are no log/antilog (Zech) tables: they cost memory proportional to
+the field size and would be a second multiplication path beside the packed
+product, which fields of every size need anyway.
+
+prime_field and extension_field return one shared context per (p, n), so
+elements built through them share the identical context object and the
+context checks in the arithmetic are identity tests; separately built equal
+contexts still compare equal by value.
 
 Nothing here mutates after construction, so contexts and elements can be
 shared freely between threads.
@@ -14,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Tuple, Union
 
 
 class NeedsAlgebraicExtension(Exception):
@@ -64,24 +89,14 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dense F_p[t] helpers on int tuples (low degree first), used for modulus
-# arithmetic inside extension fields and for irreducibility testing
+# dense F_p[t] helpers on int lists (low degree first), for the gcd in the
+# irreducibility test and the extension-field inverse
 
 
 def _ptrim(v: list) -> list:
     while v and v[-1] == 0:
         v.pop()
     return v
-
-
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _ptrim(out)
 
 
 def _psub(a, b, p):
@@ -94,35 +109,17 @@ def _psub(a, b, p):
     return _ptrim(out)
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _ptrim(out)
-
-
-def _pdivmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+def _pmod(a, b, p):
+    """Remainder of a modulo the nonzero, trimmed b."""
     a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b) and a:
+    inv_lead = pow(b[-1], -1, p)
+    while len(a) >= len(b):
         k = len(a) - len(b)
         c = a[-1] * inv_lead % p
-        q[k] = c
         for i, cb in enumerate(b):
             a[i + k] = (a[i + k] - c * cb) % p
         _ptrim(a)
-    return _ptrim(q), a
-
-
-def _pmod(a, b, p):
-    return _pdivmod(a, b, p)[1]
+    return a
 
 
 def _pgcd(a, b, p):
@@ -130,20 +127,9 @@ def _pgcd(a, b, p):
     while b:
         a, b = b, _pmod(a, b, p)
     if a:
-        inv = pow(a[-1], p - 2, p)
+        inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
     return a
-
-
-def _ppowmod(base, e: int, mod, p):
-    result = [1]
-    base = _pmod(base, mod, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), mod, p)
-        base = _pmod(_pmul(base, base, p), mod, p)
-        e >>= 1
-    return result
 
 
 def _prime_factors(n: int) -> list:
@@ -163,23 +149,29 @@ def _prime_factors(n: int) -> list:
 def poly_is_irreducible(coeffs: Tuple[int, ...], p: int) -> bool:
     """Rabin irreducibility test for a monic polynomial over F_p."""
     d = len(coeffs) - 1
-    if d < 1:
-        return False
-    mod = list(coeffs)
-    t = [0, 1]
-    # t^(p^d) == t (mod M)
-    h = t
-    for _ in range(d):
-        h = _ppowmod(h, p, mod, p)
-    if _ptrim(_psub(h, t, p)):
-        return False
-    for r in _prime_factors(d):
+    if d < 2:
+        return d == 1
+    mul = _reduced_product(p, coeffs)
+    one, t = (1,) + (0,) * (d - 1), (0, 1) + (0,) * (d - 2)
+
+    def frobenius_power(k):
+        """t^(p^k) mod M, as a trimmed list."""
         h = t
-        for _ in range(d // r):
-            h = _ppowmod(h, p, mod, p)
-        if len(_pgcd(_psub(h, t, p), mod, p)) != 1:
-            return False
-    return True
+        for _ in range(k):
+            base, h, e = h, one, p
+            while e:
+                if e & 1:
+                    h = mul(h, base)
+                base = mul(base, base)
+                e >>= 1
+        return _ptrim(list(h))
+
+    if _psub(frobenius_power(d), [0, 1], p):
+        return False
+    return all(
+        len(_pgcd(_psub(frobenius_power(d // r), [0, 1], p), coeffs, p)) == 1
+        for r in _prime_factors(d)
+    )
 
 
 def canonical_irreducible(p: int, d: int) -> Tuple[int, ...]:
@@ -206,12 +198,66 @@ def canonical_irreducible(p: int, d: int) -> Tuple[int, ...]:
         k += 1
 
 
+Vector = Tuple[int, ...]
+
+
+def _reduced_product(p: int, modulus: Vector) -> Callable[[Vector, Vector], Vector]:
+    """Multiplication of coefficient vectors in F_p[t]/(M), M = modulus.
+
+    Returns mul(a, b) -> a*b mod M for length-n vectors with entries in
+    [0, p).  See the module docstring for the packing and the fold.
+    """
+    n = len(modulus) - 1
+    # rows[k] = t^(n+k) mod M, from t^n = -(m_0 + ... + m_{n-1} t^{n-1})
+    rows = [[(-c) % p for c in modulus[:n]]]
+    for _ in range(n - 2):
+        prev = rows[-1]
+        top = prev[-1]
+        rows.append([(lo + top * c) % p for lo, c in zip([0] + prev[:-1], rows[0])])
+    # A product coefficient is at most n (p-1)^2; folding the n-1 high ones
+    # through the rows adds at most (n-1)(p-1) times that to a low one.
+    width = (n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))).bit_length()
+    slot = (1 << width) - 1
+    low = (1 << (width * n)) - 1
+    high_shift = width * n
+    shifts = [width * i for i in range(n)]
+    folds = [(shifts[k], sum(c << s for c, s in zip(row, shifts)))
+             for k, row in enumerate(rows)]
+
+    def mul(a: Vector, b: Vector) -> Vector:
+        x = 0
+        for c in reversed(a):
+            x = (x << width) | c
+        y = 0
+        for c in reversed(b):
+            y = (y << width) | c
+        prod = x * y
+        high = prod >> high_shift
+        acc = prod & low
+        for s, row in folds:
+            c = (high >> s) & slot
+            if c:
+                acc += c * row
+        return tuple([((acc >> s) & slot) % p for s in shifts])
+
+    return mul
+
+
+def _check(ctx: "FieldContext", other: "FieldContext") -> None:
+    if ctx is not other and ctx != other:
+        raise ValueError("field context mismatch")
+
+
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldContext:
-    """Ambient field: Q (characteristic 0) or F_{p^n}."""
+    """Ambient field: Q (characteristic 0) or F_{p^n}.
+
+    Equality is by value, tested by identity first; prime_field and
+    extension_field hand out one shared context per field.
+    """
 
     characteristic: int
     extension_degree: int = 1
@@ -222,20 +268,42 @@ class FieldContext:
         if p == 0:
             if n != 1 or self.modulus is not None:
                 raise ValueError("rational context has degree 1 and no modulus")
-            return
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
-        if n < 1:
-            raise ValueError("extension degree must be >= 1")
-        if n == 1:
-            if self.modulus is not None:
-                raise ValueError("degree-1 context uses the identity convention")
+            zero, one = 0, 1  # ints: Fraction == int is the fast comparison
         else:
-            m = self.modulus
-            if m is None or len(m) != n + 1 or m[-1] != 1:
-                raise ValueError("modulus must be monic of degree n")
-            if any(not (0 <= c < p) for c in m):
-                raise ValueError("modulus coefficients must lie in [0, p)")
+            if not is_prime(p):
+                raise ValueError(f"characteristic {p} is not prime")
+            if n < 1:
+                raise ValueError("extension degree must be >= 1")
+            if n == 1:
+                if self.modulus is not None:
+                    raise ValueError("degree-1 context uses the identity convention")
+            else:
+                m = self.modulus
+                if m is None or len(m) != n + 1 or m[-1] != 1:
+                    raise ValueError("modulus must be monic of degree n")
+                if any(not (0 <= c < p) for c in m):
+                    raise ValueError("modulus coefficients must lie in [0, p)")
+                object.__setattr__(self, "_mul", _reduced_product(p, m))
+            zero, one = (0,) * n, (1,) + (0,) * (n - 1)
+        # payloads equal to those of 0 and 1, for the is_zero/is_one tests
+        object.__setattr__(self, "_zero_payload", zero)
+        object.__setattr__(self, "_one_payload", one)
+        object.__setattr__(self, "_zero", self.from_int(0))
+        object.__setattr__(self, "_one", self.from_int(1))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.characteristic == other.characteristic
+            and self.extension_degree == other.extension_degree
+            and self.modulus == other.modulus
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.characteristic, self.extension_degree, self.modulus))
 
     @property
     def kind(self) -> str:
@@ -254,17 +322,16 @@ class FieldContext:
     # -- element constructors -------------------------------------------
 
     def zero(self) -> "FieldElement":
-        return self.from_int(0)
+        return self._zero
 
     def one(self) -> "FieldElement":
-        return self.from_int(1)
+        return self._one
 
     def from_int(self, k: int) -> "FieldElement":
-        if self.is_rational:
+        p = self.characteristic
+        if p == 0:
             return FieldElement(self, Fraction(k))
-        p, n = self.characteristic, self.extension_degree
-        vec = (k % p,) + (0,) * (n - 1)
-        return FieldElement(self, vec)
+        return FieldElement(self, (k % p,) + self._zero_payload[1:])
 
     def from_fraction(self, num: int, den: int) -> "FieldElement":
         if den == 0:
@@ -315,90 +382,109 @@ class FieldContext:
 Payload = Union[Fraction, Tuple[int, ...]]
 
 
-@dataclass(frozen=True)
 class FieldElement:
     """A value of a FieldContext; rationals carry a Fraction, finite fields
-    a coefficient vector over F_p."""
+    a coefficient vector over F_p.  Equal by value; never mutated."""
 
-    context: FieldContext
-    payload: Payload
+    __slots__ = ("context", "payload")
+
+    def __init__(self, context: FieldContext, payload: Payload) -> None:
+        self.context = context
+        self.payload = payload
+
+    def __repr__(self) -> str:
+        return f"FieldElement(context={self.context!r}, payload={self.payload!r})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.payload == other.payload and (
+            self.context is other.context or self.context == other.context
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.context, self.payload))
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.context.is_rational:
-            return self.payload == 0
-        return not any(self.payload)
+        return self.payload == self.context._zero_payload
 
     def is_one(self) -> bool:
-        if self.context.is_rational:
-            return self.payload == 1
-        return self.payload[0] == 1 and not any(self.payload[1:])
+        return self.payload == self.context._one_payload
 
     # -- arithmetic ------------------------------------------------------
 
-    def _check(self, other: "FieldElement") -> None:
-        if self.context != other.context:
-            raise ValueError("field context mismatch")
-
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
         ctx = self.context
-        if ctx.is_rational:
-            return FieldElement(ctx, self.payload + other.payload)
-        p = ctx.characteristic
-        vec = tuple((a + b) % p for a, b in zip(self.payload, other.payload))
-        return FieldElement(ctx, vec)
+        if other.context is not ctx:
+            _check(ctx, other.context)
+        a, b, p = self.payload, other.payload, ctx.characteristic
+        if p == 0:
+            return FieldElement(ctx, a + b)
+        if ctx.extension_degree == 1:
+            return FieldElement(ctx, ((a[0] + b[0]) % p,))
+        return FieldElement(ctx, tuple([(x + y) % p for x, y in zip(a, b)]))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
         ctx = self.context
-        if ctx.is_rational:
-            return FieldElement(ctx, self.payload - other.payload)
-        p = ctx.characteristic
-        vec = tuple((a - b) % p for a, b in zip(self.payload, other.payload))
-        return FieldElement(ctx, vec)
+        if other.context is not ctx:
+            _check(ctx, other.context)
+        a, b, p = self.payload, other.payload, ctx.characteristic
+        if p == 0:
+            return FieldElement(ctx, a - b)
+        if ctx.extension_degree == 1:
+            return FieldElement(ctx, ((a[0] - b[0]) % p,))
+        return FieldElement(ctx, tuple([(x - y) % p for x, y in zip(a, b)]))
 
     def __neg__(self) -> "FieldElement":
         ctx = self.context
-        if ctx.is_rational:
-            return FieldElement(ctx, -self.payload)
         p = ctx.characteristic
-        return FieldElement(ctx, tuple((-a) % p for a in self.payload))
+        if p == 0:
+            return FieldElement(ctx, -self.payload)
+        return FieldElement(ctx, tuple([(-x) % p for x in self.payload]))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
         ctx = self.context
-        if ctx.is_rational:
-            return FieldElement(ctx, self.payload * other.payload)
-        p, n = ctx.characteristic, ctx.extension_degree
-        if n == 1:
-            return FieldElement(ctx, (self.payload[0] * other.payload[0] % p,))
-        prod = _pmul(list(self.payload), list(other.payload), p)
-        rem = _pmod(prod, list(ctx.modulus), p)
-        rem = rem + [0] * (n - len(rem))
-        return FieldElement(ctx, tuple(rem))
+        if other.context is not ctx:
+            _check(ctx, other.context)
+        a, b, p = self.payload, other.payload, ctx.characteristic
+        if p == 0:
+            return FieldElement(ctx, a * b)
+        if ctx.extension_degree == 1:
+            return FieldElement(ctx, (a[0] * b[0] % p,))
+        return FieldElement(ctx, ctx._mul(a, b))
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         ctx = self.context
-        if ctx.is_rational:
+        p = ctx.characteristic
+        if p == 0:
             return FieldElement(ctx, 1 / self.payload)
-        p, n = ctx.characteristic, ctx.extension_degree
+        n = ctx.extension_degree
         if n == 1:
-            return FieldElement(ctx, (pow(self.payload[0], p - 2, p),))
-        # extended Euclid in F_p[t] against the modulus
+            return FieldElement(ctx, (pow(self.payload[0], -1, p),))
+        # Extended Euclid against the modulus, one leading term at a time,
+        # keeping s_i * self == r_i (mod M).  Every s_i has degree < n, so
+        # the cofactor update never runs past index n; its coefficients are
+        # reduced mod p only at the end.
         r0, r1 = list(ctx.modulus), _ptrim(list(self.payload))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _pdivmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-        inv_lead = pow(r0[-1], p - 2, p)
-        s0 = [c * inv_lead % p for c in s0]
-        s0 = s0 + [0] * (n - len(s0))
-        return FieldElement(ctx, tuple(s0[:n]))
+        s0, s1 = [0] * n, [1] + [0] * (n - 1)
+        while len(r1) > 1:
+            inv_lead = pow(r1[-1], -1, p)
+            d = len(r1)
+            while len(r0) >= d:
+                k = len(r0) - d
+                c = r0[-1] * inv_lead % p
+                for i in range(d):
+                    r0[i + k] = (r0[i + k] - c * r1[i]) % p
+                for i in range(n - k):
+                    s0[i + k] -= c * s1[i]
+                _ptrim(r0)
+            r0, r1, s0, s1 = r1, r0, s1, s0
+        c = pow(r1[0], -1, p)
+        return FieldElement(ctx, tuple([x * c % p for x in s1]))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -458,15 +544,27 @@ class FieldElement:
 
 RATIONALS = FieldContext(0)
 
+# the shared context of each field, keyed by (characteristic, degree)
+_CONTEXTS: Dict[Tuple[int, int], FieldContext] = {(0, 1): RATIONALS}
+
 
 def prime_field(p: int) -> FieldContext:
-    return FieldContext(p)
+    ctx = _CONTEXTS.get((p, 1))
+    if ctx is None:
+        ctx = _CONTEXTS.setdefault((p, 1), FieldContext(p))
+    return ctx
 
 
 def extension_field(p: int, degree: int) -> FieldContext:
+    """F_{p^degree} with the canonical modulus (the prime field for degree 1)."""
     if degree == 1:
-        return FieldContext(p)
-    return FieldContext(p, degree, canonical_irreducible(p, degree))
+        return prime_field(p)
+    ctx = _CONTEXTS.get((p, degree))
+    if ctx is None:
+        ctx = _CONTEXTS.setdefault(
+            (p, degree), FieldContext(p, degree, canonical_irreducible(p, degree))
+        )
+    return ctx
 
 
 @dataclass(frozen=True)
@@ -479,9 +577,9 @@ class FieldEmbedding:
     generator_image: Optional[FieldElement]  # None when source has degree 1
 
     def __call__(self, elt: FieldElement) -> FieldElement:
-        if elt.context != self.source:
+        if elt.context is not self.source and elt.context != self.source:
             raise ValueError("element does not belong to the embedding source")
-        if self.source == self.target:
+        if self.source is self.target:
             return elt
         if self.source.is_rational:
             return elt

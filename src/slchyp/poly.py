@@ -104,7 +104,7 @@ class TriPoly:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TriPoly)
-            and self.context == other.context
+            and (self.context is other.context or self.context == other.context)
             and self.terms == other.terms
         )
 
@@ -127,7 +127,7 @@ class TriPoly:
     # -- ring operations ------------------------------------------------------
 
     def _check(self, other: "TriPoly") -> None:
-        if self.context != other.context:
+        if self.context is not other.context and self.context != other.context:
             raise ValueError("polynomial context mismatch")
 
     def __add__(self, other: "TriPoly") -> "TriPoly":

@@ -115,6 +115,13 @@ def test_exit_code_oracle_overflow(monkeypatch):
     assert code == 4
 
 
+def test_deprecated_strict_q_is_accepted_and_ignored():
+    plain = run_cli("mld", "--char", "0", "--poly", "x^2+y^3")
+    strict = run_cli("mld", "--char", "0", "--poly", "x^2+y^3", "--strict-q")
+    assert plain.returncode == strict.returncode == 0
+    assert plain.stdout == strict.stdout
+
+
 def test_byte_identical_repeated_invocations():
     a = run_cli("slc", "--char", "3", "--poly", "x*y*z").stdout
     b = run_cli("slc", "--char", "3", "--poly", "x*y*z").stdout
@@ -210,3 +217,22 @@ def test_verify_recomputes_bounds_block(capsys, tmp_path):
         bad["verdict"]["bounds"][key] = value
         code, out = _verify_in_process(capsys, bad, tmp_path)
         assert code == 1 and out["verified"] is False, key
+
+
+def test_verify_recomputes_slc(capsys, tmp_path):
+    # x*y*z over F_5 is slc; before slc was recomputed, this golden report
+    # with "slc" flipped to false still verified
+    report = json.loads((GOLDEN / "slc_triangle_p5.json").read_text())
+    assert report["verdict"]["slc"] is True
+    for value in (False, "not_applicable", 1):
+        bad = json.loads(json.dumps(report))
+        bad["verdict"]["slc"] = value
+        code, out = _verify_in_process(capsys, bad, tmp_path)
+        assert code == 1 and out["verified"] is False, value
+    # a non-reduced f is not_applicable, whatever its mld
+    nonreduced = _report(capsys, "slc", 0, "x^2")
+    assert nonreduced["verdict"]["slc"] == "not_applicable"
+    assert _verify_in_process(capsys, nonreduced, tmp_path)[0] == 0
+    for value in (True, False):
+        nonreduced["verdict"]["slc"] = value
+        assert _verify_in_process(capsys, nonreduced, tmp_path)[0] == 1, value

@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from slchyp import CoefficientError, FieldContext, RATIONALS, extension_field, prime_field
-from slchyp.fields import canonical_irreducible, is_prime, poly_is_irreducible
+from slchyp.fields import FieldElement, canonical_irreducible, is_prime, poly_is_irreducible
+
+# (p, n) of the extension fields the kernel is checked on, up to F_{7^9}
+KERNEL_FIELDS = [(2, 8), (3, 5), (5, 6), (7, 9), (127, 2)]
 
 
 def test_rational_elements_are_reduced_fractions():
@@ -57,6 +61,8 @@ def test_canonical_irreducible_is_irreducible():
         m = canonical_irreducible(p, d)
         assert len(m) == d + 1 and m[-1] == 1
         assert poly_is_irreducible(m, p)
+    assert poly_is_irreducible((3, 1), 5)  # every monic linear polynomial
+    assert not poly_is_irreducible((1, 0, 1), 2)  # t^2 + 1 = (t + 1)^2
 
 
 def test_element_enumeration_is_lexicographic():
@@ -97,3 +103,101 @@ def test_is_prime_small():
     composites = [0, 1, 4, 9, 91, 561, 65536]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(c) for c in composites)
+
+
+# -- the extension-field kernel against a naive reference -----------------
+
+
+def _ref_mul(a, b, modulus, p):
+    """Naive convolution, then long division by the monic modulus."""
+    n = len(modulus) - 1
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for k in range(len(prod) - 1, n - 1, -1):
+        c = prod[k]
+        for i, m in enumerate(modulus):
+            prod[k - n + i] = (prod[k - n + i] - c * m) % p
+    return tuple(prod[:n])
+
+
+def _ref_inverse(a, modulus, p):
+    """a^(q-2) by square-and-multiply on _ref_mul."""
+    n = len(modulus) - 1
+    result, base, e = (1,) + (0,) * (n - 1), a, p ** n - 2
+    while e:
+        if e & 1:
+            result = _ref_mul(result, base, modulus, p)
+        base = _ref_mul(base, base, modulus, p)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p,n", KERNEL_FIELDS)
+def test_kernel_matches_reference(p, n):
+    F = extension_field(p, n)
+    rng = random.Random(p * 100 + n)
+    vectors = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(60)]
+    # extremes: zero, one, the generator, and the all-(p-1) vector
+    vectors += [(0,) * n, (1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2), (p - 1,) * n]
+    for a, b in zip(vectors, vectors[1:] + vectors[:1]):
+        assert (F.from_vector(a) * F.from_vector(b)).payload == _ref_mul(a, b, F.modulus, p)
+    for a in vectors[::4] + vectors[-3:]:
+        if any(a):
+            assert F.from_vector(a).inverse().payload == _ref_inverse(a, F.modulus, p)
+
+
+@st.composite
+def _kernel_elements(draw, count):
+    p, n = draw(st.sampled_from(KERNEL_FIELDS))
+    F = extension_field(p, n)
+    vec = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    return [F.from_vector(draw(vec)) for _ in range(count)]
+
+
+@given(_kernel_elements(3))
+def test_kernel_ring_laws(elts):
+    a, b, c = elts
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * b == b * a
+
+
+@given(_kernel_elements(1))
+def test_kernel_inverse(elts):
+    (a,) = elts
+    if a.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+    else:
+        assert (a * a.inverse()).is_one()
+        assert a * a.inverse() == a.context.one()
+
+
+def test_contexts_are_shared():
+    assert extension_field(5, 6) is extension_field(5, 6)
+    assert prime_field(7) is prime_field(7)
+    assert extension_field(7, 1) is prime_field(7)
+
+
+def test_distinct_moduli_of_one_degree_do_not_mix():
+    canonical = extension_field(3, 2)
+    other = FieldContext(3, 2, (2, 1, 1))  # t^2 + t + 2, also irreducible
+    assert canonical.modulus != other.modulus and poly_is_irreducible(other.modulus, 3)
+    assert canonical != other
+    a, b = canonical.generator(), other.generator()
+    assert a != b
+    for op in (lambda x, y: x * y, lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(ValueError):
+            op(a, b)
+
+
+def test_separately_built_equal_contexts_agree():
+    shared = extension_field(5, 2)
+    fresh = FieldContext(5, 2, canonical_irreducible(5, 2))
+    assert fresh is not shared and fresh == shared and hash(fresh) == hash(shared)
+    a, b = shared.from_vector((3, 4)), fresh.from_vector((3, 4))
+    assert a == b and hash(a) == hash(b)
+    assert a * b == a * a and len({a, b, FieldElement(fresh, (3, 4))}) == 1
+    assert FieldContext(11).from_int(3) == prime_field(11).from_int(3)
