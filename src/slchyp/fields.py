@@ -305,6 +305,11 @@ class FieldContext:
     def __hash__(self) -> int:
         return hash((self.characteristic, self.extension_degree, self.modulus))
 
+    def __reduce__(self):
+        # pickle the defining fields only; the multiplier is a closure
+        fields = (self.characteristic, self.extension_degree, self.modulus)
+        return (FieldContext, fields)
+
     @property
     def kind(self) -> str:
         return "rationals" if self.characteristic == 0 else "finite"

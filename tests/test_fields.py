@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -201,3 +203,4 @@ def test_separately_built_equal_contexts_agree():
     assert a == b and hash(a) == hash(b)
     assert a * b == a * a and len({a, b, FieldElement(fresh, (3, 4))}) == 1
     assert FieldContext(11).from_int(3) == prime_field(11).from_int(3)
+    assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(shared) == shared
