@@ -220,8 +220,7 @@ def test_verify_recomputes_bounds_block(capsys, tmp_path):
 
 
 def test_verify_recomputes_slc(capsys, tmp_path):
-    # x*y*z over F_5 is slc; before slc was recomputed, this golden report
-    # with "slc" flipped to false still verified
+    # x*y*z over F_5 is slc, so its report verifies with no other slc value
     report = json.loads((GOLDEN / "slc_triangle_p5.json").read_text())
     assert report["verdict"]["slc"] is True
     for value in (False, "not_applicable", 1):
