@@ -5,7 +5,8 @@ For log canonical fixtures the contact-locus formula gives, at each jet
 level m, the value height - m; the infimum over all levels is the minimal
 log discrepancy. The table below shows the oracle values next to the
 classifier's verdict: every level bounds the mld from above, and the bound
-is attained at a level governed by the witness order.
+is attained at a level governed by the witness order.  Exits 1 when any
+row prints MISMATCH (a level below the classifier's mld).
 """
 
 import sys
@@ -28,6 +29,7 @@ CASES = [
 
 def main():
     started = time.monotonic()
+    mismatches = 0
     print(f"{'polynomial':18} {'p':>2} {'classifier':>10}  contact values by level")
     print("-" * 70)
     for text, p, m_max in CASES:
@@ -37,11 +39,14 @@ def main():
         prof = mld_profile(f, m_max, expected_mld=verdict.mld.value)
         entries = "  ".join(f"m={m}:{v}" for m, v in prof.profile.contact_entries())
         marker = "ok" if prof.consistent_lower_bound else "MISMATCH"
+        if not prof.consistent_lower_bound:
+            mismatches += 1
         attained = "min attained" if prof.matches_expected else "upper bound only"
         print(f"{text:18} {p:>2} {str(verdict.mld):>10}  {entries}   [{marker}; {attained}]")
     print("-" * 70)
     print(f"done in {time.monotonic() - started:.2f}s")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

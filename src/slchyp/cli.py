@@ -15,6 +15,7 @@ Exit codes: 0 verdict, 2 input error, 3 needs an algebraic extension,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -113,7 +114,9 @@ def _verdict_payload(verdict: Verdict) -> dict:
     return data
 
 
-def run(argv) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later runs."""
     parser = argparse.ArgumentParser(
         prog="slchyp",
         description="exact semi-log canonicity and minimal log discrepancy "
@@ -148,9 +151,12 @@ def run(argv) -> int:
     vf = sub.add_parser("verify")
     vf.add_argument("report", nargs="?", default="-",
                     help="path to a report JSON, or - for stdin")
+    return parser
 
+
+def run(argv) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else 0
 
@@ -212,8 +218,9 @@ def run(argv) -> int:
 
 def _cmd_verify(args) -> int:
     """Replay automorphism, initial form, witness discrepancy and bounds from a
-    report, check the mld claim against the witness, and recompute any slc
-    claim from is_squarefree(f) and mld."""
+    report, check the mld claim against the witness, recompute any slc
+    claim from is_squarefree(f) and mld, and check each Fedder certificate
+    for consistency."""
     if args.report == "-":
         text = sys.stdin.read()
     else:
@@ -261,11 +268,37 @@ def _cmd_verify(args) -> int:
             expected = mld != "-inf" if is_squarefree(f) else SLC_NOT_APPLICABLE
             if type(slc) is not type(expected) or slc != expected:
                 raise ValueError("slc claim does not replay")
+        certs = verdict["certificates"]
+        if type(certs) is not list or any(type(c) is not dict for c in certs):
+            raise ValueError("certificates are not a list of objects")
+        for cert in certs:
+            if cert.get("fedder") is not None:
+                _check_fedder(cert["fedder"], char)
     except (KeyError, ValueError, PolySyntaxError, CoefficientError) as exc:
         _emit({"verified": False, "error": str(exc)}, False)
         return EXIT_VERIFY_FAILED
     _emit({"verified": True}, False)
     return EXIT_OK
+
+
+def _check_fedder(fedder, char: int) -> None:
+    """Consistency of a Fedder block: its prime is the report's
+    characteristic, and a witness monomial, with every exponent in
+    [0, p-1], is present exactly when the block claims F-purity."""
+    if type(fedder) is not dict:
+        raise ValueError("Fedder block is not an object")
+    p = fedder["p"]
+    if type(p) is not int or p != char:
+        raise ValueError("Fedder certificate is for another characteristic")
+    monomial = fedder["witness_monomial"]
+    if fedder["is_fpure"] is not (monomial is not None):
+        raise ValueError("Fedder verdict disagrees with its witness monomial")
+    if monomial is not None and (
+        type(monomial) is not list
+        or len(monomial) != 3
+        or any(type(e) is not int or not 0 <= e <= p - 1 for e in monomial)
+    ):
+        raise ValueError("Fedder witness is not a monomial with exponents in [0, p-1]")
 
 
 def _reconstruct_context(data) -> FieldContext:

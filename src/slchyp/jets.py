@@ -5,11 +5,19 @@ x^(j), y^(j), z^(j) for j <= m.  The Krull height of the ideal they generate
 together with the three order-zero variables, minus the level, bounds the
 minimal log discrepancy from above at every level and attains it at a level
 governed by the order of a computing divisor.  Heights come from a Groebner
-basis (graded reverse lexicographic) via a maximal-independent-set search on
-the leading monomials.
+basis (graded reverse lexicographic): the quotient's dimension is the number
+of variables minus a minimum hitting set of the leading monomials' supports
+(bitmasks, only the minimal ones kept), found by branching on the smallest
+support not yet hit and pruning at the best size found so far.
 
 The Buchberger engine is generic over the exact coefficient fields and also
-serves the cubic-cone classifier (lex order for elimination).  It never
+serves the cubic-cone classifier (lex order for elimination).  Each basis
+element's leading monomial is computed once, when it joins the basis;
+pending pairs sit in a heap keyed by the order key of their lcm (the normal
+selection strategy), and pairs with coprime leading monomials are never
+queued.  A reduction pops the remainder's leading monomial from a heap of
+reversed order keys and subtracts the divisor's multiple term by term.  The
+reduced basis is unique, so none of this changes a result.  The engine never
 truncates: if a basis exceeds the configured budget the computation aborts
 with OracleOverflow.
 """
@@ -17,7 +25,8 @@ with OracleOverflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from heapq import heapify, heappop, heappush
+from operator import add, le, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import FieldContext, FieldElement
@@ -93,6 +102,13 @@ def lex_key(m: NMonomial):
 
 ORDERS = {"grevlex": grevlex_key, "lex": lex_key}
 
+# heapq pops the smallest entry, so the reduction heap holds keys that
+# reverse each order: the popped monomial is the remainder's leading one.
+_DESCENDING = {
+    grevlex_key: lambda m: (-sum(m), m[::-1]),
+    lex_key: lambda m: tuple(-e for e in m),
+}
+
 
 def leading(a: NPoly, key) -> Tuple[NMonomial, FieldElement]:
     m = max(a, key=key)
@@ -103,25 +119,51 @@ def _divides(m: NMonomial, n: NMonomial) -> bool:
     return all(x <= y for x, y in zip(m, n))
 
 
-def np_reduce(p: NPoly, basis: List[NPoly], key) -> NPoly:
-    """Full normal form of p modulo the basis."""
-    remainder: NPoly = {}
+def np_reduce(
+    p: NPoly,
+    basis: List[NPoly],
+    key,
+    leads: Optional[List[Tuple[NMonomial, FieldElement]]] = None,
+) -> NPoly:
+    """Full normal form of p modulo the basis, with terms in descending
+    order; leads, when given, holds each basis element's leading term."""
+    if leads is None:
+        leads = [leading(g, key) for g in basis]
+    divisors = list(zip(basis, leads))
+    desc = _DESCENDING[key]
     work = dict(p)
-    lts = [leading(g, key) for g in basis]
-    while work:
-        m, c = leading(work, key)
-        hit = None
-        for g, (lm, lc) in zip(basis, lts):
-            if _divides(lm, m):
-                hit = (g, lm, lc)
+    heap = [(desc(m), m) for m in work]
+    heapify(heap)
+    remainder: NPoly = {}
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue  # cancelled, or a second entry of a term already taken
+        for g, (lm, lc) in divisors:
+            if all(map(le, lm, m)):
                 break
-        if hit is None:
+        else:
             remainder[m] = c
-            del work[m]
             continue
-        g, lm, lc = hit
-        shift = tuple(x - y for x, y in zip(m, lm))
-        work = np_add(work, np_mul_term(g, shift, -(c / lc)))
+        # work -= (c/lc) * shift * g; g's leading term cancels m
+        shift = tuple(map(sub, m, lm))
+        factor = -(c / lc)
+        for gm, gc in g.items():
+            if gm == lm:
+                continue
+            t = tuple(map(add, gm, shift))
+            v = gc * factor
+            old = work.get(t)
+            if old is None:
+                work[t] = v
+                heappush(heap, (desc(t), t))
+            else:
+                v = old + v
+                if v.is_zero():
+                    del work[t]
+                else:
+                    work[t] = v
     return remainder
 
 
@@ -134,80 +176,89 @@ def groebner_basis(
     selection strategy and the coprimality criterion."""
     key = ORDERS[order]
     basis: List[NPoly] = []
+    leads: List[Tuple[NMonomial, FieldElement]] = []
+    pairs: list = []  # heap of (key(lcm), i, j, lcm) with j < i
+
+    def join(r: NPoly) -> None:
+        lm, lc = leading(r, key)
+        g = np_scale(r, lc.inverse())
+        k = len(basis)
+        basis.append(g)
+        leads.append((lm, g[lm]))
+        if len(basis) > budget.max_basis:
+            raise OracleOverflow(f"basis exceeded {budget.max_basis} elements")
+        for j in range(k):
+            mj = leads[j][0]
+            if not any(a and b for a, b in zip(lm, mj)):
+                continue  # coprime leading monomials reduce to zero
+            lcm = tuple(map(max, lm, mj))
+            heappush(pairs, (key(lcm), k, j, lcm))
+
     for g in gens:
         if g:
-            r = np_reduce(g, basis, key) if basis else dict(g)
+            r = np_reduce(g, basis, key, leads) if basis else dict(g)
             if r:
-                _, lc = leading(r, key)
-                basis.append(np_scale(r, lc.inverse()))
-                if len(basis) > budget.max_basis:
-                    raise OracleOverflow(
-                        f"basis exceeded {budget.max_basis} elements"
-                    )
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+                join(r)
     while pairs:
         # normal strategy: smallest lcm of the leading monomials
-        def pair_key(ij):
-            i, j = ij
-            mi, _ = leading(basis[i], key)
-            mj, _ = leading(basis[j], key)
-            return key(tuple(max(a, b) for a, b in zip(mi, mj)))
-
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        mi, ci = leading(basis[i], key)
-        mj, cj = leading(basis[j], key)
-        lcm = tuple(max(a, b) for a, b in zip(mi, mj))
-        if all(a + b == l for a, b, l in zip(mi, mj, lcm)):
-            continue  # coprime leading monomials reduce to zero
-        si = np_mul_term(basis[i], tuple(l - a for l, a in zip(lcm, mi)), ci.inverse())
-        sj = np_mul_term(basis[j], tuple(l - a for l, a in zip(lcm, mj)), cj.inverse())
-        s = np_add(si, np_scale(sj, _minus_one(sj)))
-        r = np_reduce(s, basis, key)
+        _, i, j, lcm = heappop(pairs)
+        (mi, one), (mj, _) = leads[i], leads[j]  # basis elements are monic
+        si = np_mul_term(basis[i], tuple(map(sub, lcm, mi)), one)
+        sj = np_mul_term(basis[j], tuple(map(sub, lcm, mj)), -one)
+        r = np_reduce(np_add(si, sj), basis, key, leads)
         if r:
-            _, lc = leading(r, key)
-            basis.append(np_scale(r, lc.inverse()))
-            if len(basis) > budget.max_basis:
-                raise OracleOverflow(
-                    f"basis exceeded {budget.max_basis} elements"
-                )
-            k = len(basis) - 1
-            pairs.update((k, t) for t in range(k))
-    # inter-reduce for a canonical (reduced) basis
-    reduced: List[NPoly] = []
-    lts = [leading(g, key)[0] for g in basis]
-    for idx, g in enumerate(basis):
-        lm = lts[idx]
-        if any(
-            o != idx and _divides(lts[o], lm) and (lts[o] != lm or o < idx)
-            for o in range(len(basis))
-        ):
-            continue
-        r = np_reduce(g, [b for b in basis if b is not g], key)
-        if r:
-            _, lc = leading(r, key)
-            reduced.append(np_scale(r, lc.inverse()))
-    reduced.sort(key=lambda g: key(leading(g, key)[0]))
+            join(r)
+    # inter-reduce the minimal elements; the reduced basis is unique
+    lms = [lm for lm, _ in leads]
+    keep = [
+        idx for idx, lm in enumerate(lms)
+        if not any(
+            o != idx and _divides(lms[o], lm) and (lms[o] != lm or o < idx)
+            for o in range(len(lms))
+        )
+    ]
+    keep.sort(key=lambda idx: key(lms[idx]))
+    reduced = []
+    for idx in keep:
+        others = [o for o in keep if o != idx]
+        reduced.append(np_reduce(
+            basis[idx], [basis[o] for o in others], key, [leads[o] for o in others]
+        ))
     return reduced
-
-
-def _minus_one(p: NPoly) -> FieldElement:
-    c = next(iter(p.values()))
-    return -c.context.one()
 
 
 def quotient_dimension(leading_monomials: Sequence[NMonomial], nvars: int) -> int:
     """Krull dimension of k[x_1..x_n]/I from the leading-monomial ideal:
-    the largest set of variables meeting no leading monomial's support."""
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in leading_monomials]
-    if any(not s for s in supports):
+    nvars minus the fewest variables meeting every leading monomial's
+    support (a minimum hitting set), or -1 when I is the unit ideal."""
+    supports = sorted(
+        {sum(1 << i for i, e in enumerate(m) if e) for m in leading_monomials},
+        key=int.bit_count,
+    )
+    if supports and supports[0] == 0:
         return -1  # ideal contains a unit: empty spectrum
-    for size in range(nvars, -1, -1):
-        for subset in combinations(range(nvars), size):
-            sset = set(subset)
-            if all(not s <= sset for s in supports):
-                return size
-    return 0
+    minimal: List[int] = []
+    for s in supports:
+        if not any(t & s == t for t in minimal):
+            minimal.append(s)
+    best = min(len(minimal), nvars)  # one variable per support hits them all
+
+    def search(rest: List[int], size: int) -> None:
+        # rest: the supports not hit yet, smallest first
+        nonlocal best
+        if not rest:
+            best = size
+            return
+        if size + 1 >= best:
+            return
+        bits = rest[0]
+        while bits:
+            var = bits & -bits
+            bits ^= var
+            search([s for s in rest if not s & var], size + 1)
+
+    search(minimal, 0)
+    return nvars - best
 
 
 def ideal_height_of(gens: Sequence[NPoly], nvars: int,

@@ -235,3 +235,43 @@ def test_verify_recomputes_slc(capsys, tmp_path):
     for value in (True, False):
         nonreduced["verdict"]["slc"] = value
         assert _verify_in_process(capsys, nonreduced, tmp_path)[0] == 1, value
+
+
+def test_verify_checks_fedder_certificates(capsys, tmp_path):
+    report = json.loads((GOLDEN / "slc_fedder_p2.json").read_text())
+    assert report["verdict"]["certificates"][0]["fedder"] == {
+        "is_fpure": True, "p": 2, "witness_monomial": [1, 1, 1],
+    }
+    # [0, 0, 9] is no witness at p = 2: its exponent 9 exceeds p - 1
+    for key, value in [("witness_monomial", [0, 0, 9]), ("witness_monomial", None),
+                       ("is_fpure", False), ("p", 3), ("witness_monomial", [1, 1])]:
+        bad = json.loads(json.dumps(report))
+        bad["verdict"]["certificates"][0]["fedder"][key] = value
+        code, out = _verify_in_process(capsys, bad, tmp_path)
+        assert code == 1 and out["verified"] is False, (key, value)
+    # malformed certificate lists are rejected, not crashed on
+    for certs in (5, [5], [{"kind": "fedder", "fedder": 5}]):
+        bad = json.loads(json.dumps(report))
+        bad["verdict"]["certificates"] = certs
+        code, out = _verify_in_process(capsys, bad, tmp_path)
+        assert code == 1 and out["verified"] is False, certs
+
+
+def test_parser_is_built_once_on_first_use(capsys):
+    probe = ("import slchyp.cli as c; n = c._parser.cache_info().currsize; "
+             "c.run(['mld', '--char', '2', '--poly', 'x*y']); "
+             "print(n, c._parser.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.stdout.split("\n")[-2] == "0 1"
+    import slchyp.cli as cli_mod
+
+    # repeated runs through the shared parser give the same help and exit codes
+    for _ in range(2):
+        assert cli_mod.run(["--help"]) == 0
+        help_text = capsys.readouterr().out
+        assert help_text.startswith("usage: slchyp")
+        assert cli_mod.run(["mld", "--char", "7"]) == 2
+        assert cli_mod.run(["mld", "--char", "5", "--poly", "x*y*z"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"]["mld"] == 0
+    assert cli_mod.run(["--help"]) == 0
+    assert capsys.readouterr().out == help_text

@@ -14,6 +14,7 @@ from slchyp import (
     s_m,
 )
 from slchyp.jets import (
+    ORDERS,
     groebner_basis,
     grevlex_key,
     leading,
@@ -149,6 +150,31 @@ def test_budget_overflow_is_loud():
     f = poly("x^2+y^3+z^5", 7)
     with pytest.raises(OracleOverflow):
         mld_profile(f, 3, budget=GroebnerBudget(max_basis=1))
+    gens = build_jets(f, 1).generators
+    for order in ("grevlex", "lex"):
+        with pytest.raises(OracleOverflow):
+            groebner_basis(gens, order, GroebnerBudget(max_basis=1))
+
+
+# contact tables of scripts/run_jet_profiles.py and two level-6 fixtures
+PINNED_PROFILES = [
+    ("x", 0, 3, [(0, 3, 2), (1, 4, 2), (2, 5, 2)]),
+    ("x*y", 0, 3, [(0, 3, 2), (1, 3, 1), (2, 4, 1)]),
+    ("x^2+y^2", 0, 3, [(0, 3, 2), (1, 3, 1), (2, 4, 1)]),
+    ("x^2+y^2*z", 5, 3, [(0, 3, 2), (1, 3, 1), (2, 4, 1)]),
+    ("x^2+y^3+x*z^2", 5, 3, [(0, 3, 2), (1, 3, 1), (2, 4, 1)]),
+    ("x^2+y^3+z^5", 7, 2, [(0, 3, 2), (1, 3, 1)]),
+    ("x*y*z", 3, 3, [(0, 3, 2), (1, 3, 1), (2, 3, 0)]),
+    ("x*y*z", 5, 6,
+     [(0, 3, 2), (1, 3, 1), (2, 3, 0), (3, 4, 0), (4, 5, 0), (5, 6, 0)]),
+    ("y*(y^2+x*z)", 0, 6,
+     [(0, 3, 2), (1, 3, 1), (2, 3, 0), (3, 4, 0), (4, 5, 0), (5, 6, 0)]),
+]
+
+
+@pytest.mark.parametrize("text,p,m_max,entries", PINNED_PROFILES)
+def test_profiles_pinned(text, p, m_max, entries):
+    assert mld_profile(poly(text, p), m_max).profile.entries == entries
 
 
 # -- Groebner engine internals -------------------------------------------------
@@ -184,6 +210,94 @@ def test_spolynomials_of_basis_reduce_to_zero(rng):
             assert np_reduce(s, basis, key) == {}
 
 
+def reference_groebner(gens, key):
+    """Textbook Buchberger (every pair, plain division), then the reduced
+    basis sorted by leading monomial."""
+
+    def lead(p):
+        m = max(p, key=key)
+        return m, p[m]
+
+    def minus_multiple(p, g, shift, c):
+        out = dict(p)
+        for gm, gc in g.items():
+            t = tuple(a + b for a, b in zip(gm, shift))
+            v = out[t] - c * gc if t in out else -(c * gc)
+            if v.is_zero():
+                out.pop(t, None)
+            else:
+                out[t] = v
+        return out
+
+    def normal_form(p, divisors):
+        p, r = dict(p), {}
+        while p:
+            m, c = lead(p)
+            for g in divisors:
+                gm, gc = lead(g)
+                if all(a <= b for a, b in zip(gm, m)):
+                    p = minus_multiple(p, g, tuple(a - b for a, b in zip(m, gm)), c / gc)
+                    break
+            else:
+                r[m] = c
+                del p[m]
+        return r
+
+    def monic(p):
+        return np_scale(p, lead(p)[1].inverse())
+
+    basis = [monic(g) for g in gens if g]
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    while pairs:
+        i, j = pairs.pop()
+        mi, mj = lead(basis[i])[0], lead(basis[j])[0]
+        lcm = tuple(max(a, b) for a, b in zip(mi, mj))
+        one = basis[i][mi]
+        s = minus_multiple({}, basis[i], tuple(l - e for l, e in zip(lcm, mi)), -one)
+        s = minus_multiple(s, basis[j], tuple(l - e for l, e in zip(lcm, mj)), one)
+        r = normal_form(s, basis)
+        if r:
+            basis.append(monic(r))
+            pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
+    minimal = []
+    for g in basis:
+        m = lead(g)[0]
+        if not any(all(a <= b for a, b in zip(lead(h)[0], m)) for h in minimal):
+            minimal = [h for h in minimal
+                       if not all(a <= b for a, b in zip(m, lead(h)[0]))] + [g]
+    reduced = [monic(normal_form(g, [h for h in minimal if h is not g])) for g in minimal]
+    return sorted(reduced, key=lambda g: key(lead(g)[0]))
+
+
+def _random_ideal(rnd, ctx, nvars):
+    gens = []
+    for _ in range(rnd.randint(2, 3)):
+        g = {}
+        for _ in range(rnd.randint(1, 3)):
+            m = tuple(rnd.randint(0, 2) for _ in range(nvars))
+            c = ctx.from_int(rnd.randint(-4, 4))
+            if not c.is_zero():
+                g[m] = g[m] + c if m in g else c
+        gens.append({m: c for m, c in g.items() if not c.is_zero()})
+    return gens
+
+
+@pytest.mark.parametrize("p", [5, 0])
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_groebner_basis_matches_reference(rng, p, order):
+    ctx = ctx_for(p)
+    key = ORDERS[order]
+    cases = [_random_ideal(rng, ctx, rng.randint(2, 4)) for _ in range(25)]
+    cases.append(build_jets(poly("x^2+y^3+x*y*z", p), 1).generators)
+    for gens in cases:
+        basis = groebner_basis(gens, order)
+        assert basis == reference_groebner(gens, key), gens
+        for g in basis:
+            # terms in descending order, leading coefficient one
+            assert list(g) == sorted(g, key=key, reverse=True)
+            assert g[next(iter(g))] == ctx.one()
+
+
 def brute_monomial_dimension(lms, nvars):
     """Largest coordinate subspace avoiding every leading support."""
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in lms]
@@ -207,6 +321,23 @@ def test_monomial_dimension_against_brute_force(rng):
         if not lms:
             continue
         assert quotient_dimension(lms, nvars) == brute_monomial_dimension(lms, nvars)
+    # jet-shaped leading monomials on up to 12 variables (index 3j + i is the
+    # level-j coordinate of variable i): some order-zero variables, then
+    # products of two or three higher-level coordinates
+    for _ in range(30):
+        nvars = 3 * rng.randint(2, 4)
+        lms = []
+        for i in rng.sample(range(3), rng.randint(0, 3)):
+            lms.append(tuple(int(v == i) for v in range(nvars)))
+        for _ in range(rng.randint(1, 8)):
+            m = [0] * nvars
+            for v in rng.sample(range(3, nvars), rng.randint(2, 3)):
+                m[v] = rng.randint(1, 2)
+            lms.append(tuple(m))
+        assert quotient_dimension(lms, nvars) == brute_monomial_dimension(lms, nvars)
+    unit = [(0,) * 12, (1,) + (0,) * 11]
+    assert quotient_dimension(unit, 12) == brute_monomial_dimension(unit, 12) == -1
+    assert quotient_dimension([], 12) == 12
 
 
 def test_oracle_classifier_agreement():
