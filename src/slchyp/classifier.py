@@ -6,6 +6,10 @@ E_(1,1,1) as witness.  Multiplicity 3 reduces to the projective type of the
 degree-3 cone.  Multiplicity 2 runs the weighted normalization chain, whose
 terminal branches carry one of finitely many witness weights.
 
+The tree code only chooses a terminal label.  Each label is one entry of the
+BRANCHES table: its mld, witness weight, initial weight and certificate
+recipe.  `slchyp verify` checks reports against the same table.
+
 Verdicts are certificate-shaped: nonnegative mld values come from an
 F-purity witness, a simple-elliptic or rational-double-point identification,
 or a cited table entry, always squeezed against the explicit toric upper
@@ -16,7 +20,7 @@ discrepancy is recomputed, never trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .fields import FieldContext, prime_field
 from .frobenius import FPurityCertificate, fedder_is_fpure
@@ -26,7 +30,7 @@ from .toricdiv import DiscrepancyReport, discrepancy
 from .normalize.auto import Automorphism, Normalizer
 from .normalize.cubiccone import classify_cubic_cone
 from .normalize.quadric import normalize_quadric
-from .normalize.quartic import stage_quartic
+from .normalize.quartic import W211, stage_quartic
 from .normalize.steps import (
     W1,
     W2,
@@ -45,27 +49,12 @@ from .normalize.steps import (
 NEG_INF = "neg_infinity"
 FINITE = "finite"
 
-W211_W = (2, 1, 1)
-
 CERT_FEDDER = "fedder"
 CERT_ELLIPTIC = "simple_elliptic"
 CERT_RDP = "rational_double_point"
 CERT_TORIC = "toric_witness"
 CERT_LR = "lr_table_char0"
 CERT_MONO = "monotonicity"
-
-DOUBLE_POINT_WEIGHTS = (
-    (1, 1, 1),
-    (3, 2, 2),
-    (2, 1, 1),
-    (6, 4, 3),
-    (9, 6, 4),
-    (15, 10, 6),
-    (3, 2, 1),
-    (10, 5, 4),
-    (15, 8, 6),
-    (21, 14, 6),
-)
 
 
 class ZeroPolynomial(ValueError):
@@ -151,59 +140,178 @@ class Verdict:
         }
 
 
-def _fedder_certificate_on(model_text: str, p: int) -> Certificate:
-    """Run the F-purity test on a prime-field model polynomial."""
-    ctx = prime_field(p)
-    model = parse_poly(model_text, ctx)
-    cert = fedder_is_fpure(model)
-    kind = CERT_FEDDER if cert.is_fpure else CERT_LR
-    detail = (
-        f"splitting witness for {model_text} at p={p}"
-        if cert.is_fpure
-        else f"{model_text} is not F-pure at p={p}; citing the table verdict"
+# ---------------------------------------------------------------------------
+# the terminal branches
+
+
+@dataclass(frozen=True)
+class Fedder:
+    """Certificate recipe: Fedder's F-purity test on `model`, parsed over
+    F_p, or on the initial form when `model` is None."""
+
+    model: Optional[str] = None
+
+
+def _fedder_certificate(model: Optional[str], p: int, initial_form: TriPoly) -> Certificate:
+    """A splitting witness when the model is F-pure; otherwise the test
+    result backs a citation of the table verdict."""
+    cert = fedder_is_fpure(
+        initial_form if model is None else parse_poly(model, prime_field(p))
     )
-    return Certificate(kind, detail, fedder=cert)
+    name = model or "the initial form"
+    if cert.is_fpure:
+        return Certificate(CERT_FEDDER, f"splitting witness for {name} at p={p}", cert)
+    return Certificate(
+        CERT_LR, f"{name} is not F-pure at p={p}; citing the table verdict", cert
+    )
 
 
-def _witness(nz_f: TriPoly, w, computes: bool) -> DiscrepancyReport:
-    rep = discrepancy(nz_f, w)
-    return DiscrepancyReport(rep.divisor, rep.ord, rep.a, computes)
+@dataclass(frozen=True)
+class Branch:
+    """One terminal branch of the classification tree.
+
+    `mld` is None for -inf.  The witness E_w is evaluated on the initial form
+    at weight `initial` (the witness weight when None).  `recipe` lists the
+    certificates in order, each a fixed (kind, detail) pair or a Fedder test;
+    `by_char` replaces the recipe in the characteristics it names.  Details
+    are format strings over the parameters the tree reports with the label.
+    """
+
+    mld: Optional[int]
+    witness: Tuple[int, int, int]
+    recipe: tuple
+    by_char: Dict[int, tuple] = field(default_factory=dict)
+    initial: Optional[Tuple[int, int, int]] = None
+    computes_mld: bool = True
+
+    @property
+    def initial_weight(self) -> Weight:
+        return Weight.of(self.initial or self.witness)
+
+    def certificates(self, p: int, initial_form: TriPoly, params) -> List[Certificate]:
+        """The recipe for characteristic p, expanded on the initial form."""
+        return [
+            _fedder_certificate(step.model, p, initial_form)
+            if isinstance(step, Fedder)
+            else Certificate(step[0], step[1].format_map(params))
+            for step in self.by_char.get(p, self.recipe)
+        ]
 
 
-@dataclass
-class _TreeState:
-    nz: Normalizer
-    trace: List[str] = field(default_factory=list)
+# the (2,1,1)-initial form xy (or yz) has mld 1: F-pure for every p
+_NORMAL_CROSSING = (
+    Fedder("x*y"),
+    (CERT_MONO, "a(E_(1,1,1)) = 1 bounds above; the normal-crossing initial "
+                "form bounds below"),
+)
+_RDP = (CERT_RDP, "the initial form defines a rational double point; "
+                  "adjunction gives mld 1 and the toric bound matches")
+_CONE = (CERT_MONO, "order 3: the mld of f equals the mld of its degree-3 initial form")
+_Y2Z_Y_PLUS_Z = (CERT_MONO, "the (3,2,1)-initial form of x^2+y^2z(y+z) is x^2+y^2z^2")
+_Y2Z2_CITED = (CERT_LR, "x^2+y^2*z^2: cited characteristic-0 verdict")
 
-    def final(
-        self,
-        mld: MldValue,
-        weight,
-        certs: List[Certificate],
-        computes: bool = True,
-        initial_weight=None,
-    ) -> Verdict:
-        nz = self.nz
-        iw = Weight.of(initial_weight if initial_weight is not None else weight)
-        initial_form = nz.f.in_w(iw)
-        wit = _witness(initial_form, weight, computes)
-        if mld.is_neg_infinity and wit.a >= 0:
-            raise AssertionError("negative verdict without a negative witness")
-        if (not mld.is_neg_infinity) and computes and wit.a != mld.value:
-            raise AssertionError("witness does not compute the claimed mld")
-        return Verdict(
-            mld=mld,
-            slc=None,
-            witness=wit,
-            automorphism=Automorphism(tuple(nz.steps)),
-            initial_form=initial_form,
-            initial_weight=iw,
-            branch_trace=list(self.trace),
-            certificates=certs,
-            field_extension_used=nz.extension_degree_over_base,
-            context=nz.context,
-            transformed=nz.f,
-        )
+
+def _lc_cone(name: str, model: str) -> Branch:
+    return Branch(0, W1, (_CONE, Fedder(model)),
+                  {0: (_CONE, (CERT_LR, f"{name} cubic cone is semi-log canonical"))})
+
+
+def _negative_cone(w: Tuple[int, int, int]) -> Branch:
+    # the witness certifies the initial form; for f itself the equality of
+    # mlds is the cited order-3 reduction, so the witness does not compute it
+    toric = (CERT_TORIC, f"origin-centered witness {w} with negative discrepancy "
+                         "against the initial form")
+    return Branch(None, w, (_CONE, toric), initial=W1, computes_mld=False)
+
+
+BRANCHES: Dict[str, Branch] = {
+    "unit": Branch(3, W1, ((CERT_MONO, "unit ideal: every divisor has a = k_E + 1"),)),
+    "smooth": Branch(2, W1, ((CERT_MONO, "smooth hypersurface germ"),)),
+    "multiplicity>=": Branch(None, W1, (
+        (CERT_TORIC, "a(E_(1,1,1)) = 3 - {o} < 0 at an origin-centered divisor"),)),
+    "quadric:rank2": Branch(1, W1, _NORMAL_CROSSING, {
+        0: ((CERT_MONO, "normal-crossing pair x*y has mld 1"),)}),
+    "quadric:rank3": Branch(1, W1, (
+        (CERT_RDP, "x^2+y^2+z^2 is an A_1 rational double point"),), {
+        2: _NORMAL_CROSSING}),
+    "w2:y2z": Branch(1, W2, ((
+        CERT_MONO, "cited mld(x^2 + y^2 z) = 1 transfers through the initial-form "
+                   "inequality; a(E_(3,2,2)) = 1 matches it"),)),
+    "w2:yz-distinct": Branch(1, W2, ((
+        CERT_MONO, "the (2,1,2)-initial form of x^2+yz(y+az) is x^2+y^2z with "
+                   "cited mld 1; a(E_(3,2,2)) = 1 matches it"),)),
+    "w3:rdp-xz2": Branch(1, W3, (_RDP,)),
+    "w4:rdp-yz3": Branch(1, W4, (_RDP,)),
+    "w5:rdp-z5": Branch(1, W5, (_RDP,)),
+    "w6:pass": Branch(None, W7, ((
+        CERT_TORIC, "all deeper initial forms reduce to x^2 + y^3; "
+                    "a(E_(21,14,6)) = 41 - 42 = -1"),)),
+    "w6:fpure": Branch(0, W6, (Fedder(),)),
+    "w6:elliptic": Branch(0, W6, ((
+        CERT_ELLIPTIC, "weighted-homogeneous form x^2+y^3+a*x*z^3+d*y^2*z^2 with "
+                       "a != 0 defines a simple elliptic singularity"),)),
+    "w6:delta-generic": Branch(0, W6, ((
+        CERT_ELLIPTIC, "x^2+y(y-z^2)(y-{delta}z^2) with delta outside {{0,1}} is "
+                       "simple elliptic"),)),
+    "w6:delta-special": Branch(0, W6, (Fedder(),), {
+        0: ((CERT_LR, "delta = {delta}: cited characteristic-0 classification"),)}),
+    "q:deep": Branch(None, (10, 5, 4), ((
+        CERT_TORIC, "the weight-(2,1,1) tail has order >= 5, so "
+                    "a(E_(10,5,4)) = 19 - 20 = -1"),)),
+    "q:y4": Branch(None, (10, 5, 4), ((
+        CERT_TORIC, "a(E_(10,5,4)) = 19 - 20 = -1 on x^2+y^4"),)),
+    "q:y3z": Branch(None, (15, 8, 6), ((
+        CERT_TORIC, "a(E_(15,8,6)) = 29 - 30 = -1 on x^2+e*y^3*z"),)),
+    "q:fpure": Branch(0, W211, (Fedder(),)),
+    "q:elliptic2": Branch(0, W211, ((
+        CERT_ELLIPTIC, "x^2+x*y^2+y^3*z+... is simple elliptic in characteristic 2"),)),
+    "q:4lines": Branch(0, W211, ((
+        CERT_ELLIPTIC, "x^2 + product of four distinct lines is simple elliptic"),)),
+    "q:y2z2": Branch(0, W211, (Fedder("x^2+y^2*z^2"),), {0: (_Y2Z2_CITED,)}),
+    "q:y2z-y+z": Branch(0, W211, (_Y2Z_Y_PLUS_Z, Fedder("x^2+y^2*z^2")), {
+        0: (_Y2Z_Y_PLUS_Z, _Y2Z2_CITED)}),
+    "cone:smooth": Branch(0, W1, (
+        _CONE, (CERT_ELLIPTIC, "smooth plane cubic cone: simple elliptic"))),
+    "cone:nodal": _lc_cone("nodal", "x^3+y^3+x*y*z"),
+    "cone:triangle": _lc_cone("triangle", "x*y*z"),
+    "cone:conic-transverse": _lc_cone("conic-transverse", "x*y*z+y^3"),
+    "cone:concurrent-lines": _negative_cone((2, 2, 1)),
+    "cone:cuspidal": _negative_cone((4, 6, 1)),
+    "cone:conic-tangent": _negative_cone((3, 2, 1)),
+    "cone:repeated-line": _negative_cone((2, 1, 1)),
+}
+
+
+def terminal_branch(label: str) -> Optional[Branch]:
+    """The table entry of a branch label; None when the label is not terminal."""
+    if label.startswith("multiplicity>="):
+        label = "multiplicity>="
+    return BRANCHES.get(label)
+
+
+def _choose_branch(nz: Normalizer, trace: List[str]) -> Tuple[str, dict]:
+    """Walk the tree on nz, appending each label to trace; return the
+    terminal label and the parameters its certificate details quote."""
+    o = nz.f.ord_w(W1)
+    if o <= 1 or o >= 4:
+        label = "unit" if o == 0 else "smooth" if o == 1 else f"multiplicity>={o}"
+        trace.append(label)
+        return label, {"o": o}
+    trace.append(f"multiplicity={o}")
+    # normalize the cubic cone or the quadric and replay it on the full f
+    outcome = (classify_cubic_cone if o == 3 else normalize_quadric)(nz.f.in_w(W1))
+    label, params = outcome.branch_label, {}
+    trace.append(label)
+    nz.replay_outcome(outcome)
+    if nz.f.in_w(W1) != outcome.poly:
+        raise AssertionError(f"{label} normalization does not replay on f")
+    # a rank-1 quadric is x^2: run the weighted chain, which diverts to the
+    # quartic stage when the (3,2,2) cubic tail vanishes
+    chain = iter((stage_w2, stage_w3, stage_w4, stage_w5, stage_w6))
+    while terminal_branch(label) is None:
+        label, params = (stage_quartic if label == "w2:quartic" else next(chain))(nz)
+        trace.append(label)
+    return label, params
 
 
 def classify_mld(f: TriPoly, char: Optional[int] = None) -> Verdict:
@@ -212,41 +320,35 @@ def classify_mld(f: TriPoly, char: Optional[int] = None) -> Verdict:
         raise ZeroPolynomial("cannot classify the zero polynomial")
     if char is not None and char != f.context.characteristic:
         raise ValueError("char argument disagrees with the coefficient field")
-    p = f.context.characteristic
-    state = _TreeState(Normalizer(f))
-    nz = state.nz
-    o = f.ord_w(W1)
-    if o == 0:
-        state.trace.append("unit")
-        return state.final(
-            MldValue.finite(3),
-            W1,
-            [Certificate(CERT_MONO, "unit ideal: every divisor has a = k_E + 1")],
-        )
-    if o == 1:
-        state.trace.append("smooth")
-        return state.final(
-            MldValue.finite(2),
-            W1,
-            [Certificate(CERT_MONO, "smooth hypersurface germ")],
-        )
-    if o >= 4:
-        state.trace.append(f"multiplicity>={o}")
-        return state.final(
-            MldValue.neg_infinity(),
-            W1,
-            [
-                Certificate(
-                    CERT_TORIC,
-                    f"a(E_(1,1,1)) = 3 - {o} < 0 at an origin-centered divisor",
-                )
-            ],
-        )
-    if o == 3:
-        state.trace.append("multiplicity=3")
-        return _classify_cone_branch(state, p)
-    state.trace.append("multiplicity=2")
-    return _double_point_tree(state, p)
+    nz = Normalizer(f)
+    trace: List[str] = []
+    label, params = _choose_branch(nz, trace)
+    branch = terminal_branch(label)
+    iw = branch.initial_weight
+    initial_form = nz.f.in_w(iw)
+    rep = discrepancy(initial_form, branch.witness)
+    wit = DiscrepancyReport(rep.divisor, rep.ord, rep.a, branch.computes_mld)
+    if branch.mld is None:
+        mld = MldValue.neg_infinity()
+        if wit.a >= 0:
+            raise AssertionError("negative verdict without a negative witness")
+    else:
+        mld = MldValue.finite(branch.mld)
+        if branch.computes_mld and wit.a != branch.mld:
+            raise AssertionError("witness does not compute the claimed mld")
+    return Verdict(
+        mld=mld,
+        slc=None,
+        witness=wit,
+        automorphism=Automorphism(tuple(nz.steps)),
+        initial_form=initial_form,
+        initial_weight=iw,
+        branch_trace=trace,
+        certificates=branch.certificates(f.context.characteristic, initial_form, params),
+        field_extension_used=nz.extension_degree_over_base,
+        context=nz.context,
+        transformed=nz.f,
+    )
 
 
 def classify_slc(f: TriPoly, char: Optional[int] = None) -> Verdict:
@@ -262,283 +364,6 @@ def classify_slc(f: TriPoly, char: Optional[int] = None) -> Verdict:
     else:
         verdict.slc = not verdict.mld.is_neg_infinity
     return verdict
-
-
-# ---------------------------------------------------------------------------
-# multiplicity 3: cubic cones
-
-
-_CONE_MLD = {
-    "cone:smooth": 0,
-    "cone:nodal": 0,
-    "cone:triangle": 0,
-    "cone:conic-transverse": 0,
-    "cone:concurrent-lines": None,  # -inf
-    "cone:cuspidal": None,
-    "cone:conic-tangent": None,
-    "cone:repeated-line": None,
-}
-
-_CONE_WITNESS = {
-    "cone:concurrent-lines": (2, 2, 1),
-    "cone:cuspidal": (4, 6, 1),
-    "cone:conic-tangent": (3, 2, 1),
-    "cone:repeated-line": (2, 1, 1),
-}
-
-_CONE_FPURE_MODEL = {
-    "cone:nodal": "x^3+y^3+x*y*z",
-    "cone:triangle": "x*y*z",
-    "cone:conic-transverse": "x*y*z+y^3",
-}
-
-
-def _classify_cone_branch(state: _TreeState, p: int) -> Verdict:
-    nz = state.nz
-    g = nz.f.in_w(W1)
-    cone = classify_cubic_cone(g)
-    label = cone.branch_label
-    state.trace.append(label)
-    # replay the cone normalization (extensions and steps) on the full f
-    nz.replay_outcome(cone)
-    if nz.f.in_w(W1) != cone.poly:
-        raise AssertionError("cone normalization does not replay on f")
-
-    base = Certificate(
-        CERT_MONO,
-        "order 3: the mld of f equals the mld of its degree-3 initial form",
-    )
-    mld_val = _CONE_MLD[label]
-    if mld_val is None:
-        wname = _CONE_WITNESS[label]
-        cert = Certificate(
-            CERT_TORIC,
-            f"origin-centered witness {wname} with negative discrepancy "
-            "against the initial form",
-        )
-        # the witness certifies the initial form; for f itself the equality
-        # of mlds is the cited order-3 reduction, so the computes flag is off
-        return state.final(
-            MldValue.neg_infinity(),
-            wname,
-            [base, cert],
-            computes=False,
-            initial_weight=W1,
-        )
-    certs: List[Certificate] = [base]
-    if label == "cone:smooth":
-        certs.append(
-            Certificate(CERT_ELLIPTIC, "smooth plane cubic cone: simple elliptic")
-        )
-    elif label in _CONE_FPURE_MODEL:
-        if p > 0:
-            certs.append(_fedder_certificate_on(_CONE_FPURE_MODEL[label], p))
-        else:
-            certs.append(
-                Certificate(CERT_LR, f"{label[5:]} cubic cone is semi-log canonical")
-            )
-    return state.final(MldValue.finite(0), W1, certs, computes=True)
-
-
-# ---------------------------------------------------------------------------
-# multiplicity 2: the weighted chain
-
-
-def _double_point_tree(state: _TreeState, p: int) -> Verdict:
-    nz = state.nz
-    quad = nz.f.in_w(W1)
-    qout = normalize_quadric(quad)
-    nz.replay_outcome(qout)
-    if nz.f.in_w(W1) != qout.poly:
-        raise AssertionError("quadric normalization does not replay on f")
-    state.trace.append(qout.branch_label)
-    rank = int(qout.branch_label[-1])
-    if rank >= 2:
-        return _rank2plus_verdict(state, p, rank)
-    # rank 1: the quadric is exactly x^2
-    label, params = stage_w2(nz)
-    state.trace.append(label)
-    if label == "w2:quartic":
-        return _quartic_branch(state, p)
-    if label == "w2:y2z":
-        certs = [
-            Certificate(
-                CERT_MONO,
-                "cited mld(x^2 + y^2 z) = 1 transfers through the initial-form "
-                "inequality; a(E_(3,2,2)) = 1 matches it",
-            )
-        ]
-        return state.final(MldValue.finite(1), W2, certs)
-    if label == "w2:yz-distinct":
-        certs = [
-            Certificate(
-                CERT_MONO,
-                "the (2,1,2)-initial form of x^2+yz(y+az) is x^2+y^2z with "
-                "cited mld 1; a(E_(3,2,2)) = 1 matches it",
-            )
-        ]
-        return state.final(MldValue.finite(1), W2, certs)
-    # label == w2:y3 continues the chain
-    for stage, weight, terminal_label, pass_label in (
-        (stage_w3, W3, "w3:rdp-xz2", "w3:pass"),
-        (stage_w4, W4, "w4:rdp-yz3", "w4:pass"),
-        (stage_w5, W5, "w5:rdp-z5", "w5:pass"),
-    ):
-        label, params = stage(nz)
-        state.trace.append(label)
-        if label == terminal_label:
-            certs = [
-                Certificate(
-                    CERT_RDP,
-                    "the initial form defines a rational double point; "
-                    "adjunction gives mld 1 and the toric bound matches",
-                )
-            ]
-            return state.final(MldValue.finite(1), weight, certs)
-    label, params = stage_w6(nz)
-    state.trace.append(label)
-    if label == "w6:pass":
-        certs = [
-            Certificate(
-                CERT_TORIC,
-                "all deeper initial forms reduce to x^2 + y^3; "
-                "a(E_(21,14,6)) = 41 - 42 = -1",
-            )
-        ]
-        return state.final(MldValue.neg_infinity(), W7, certs)
-    if label == "w6:fpure":
-        certs = [_fedder_certificate_on_poly(nz.f.in_w(W6), p)]
-        return state.final(MldValue.finite(0), W6, certs)
-    if label == "w6:elliptic":
-        certs = [
-            Certificate(
-                CERT_ELLIPTIC,
-                "weighted-homogeneous form x^2+y^3+a*x*z^3+d*y^2*z^2 with a != 0 "
-                "defines a simple elliptic singularity",
-            )
-        ]
-        return state.final(MldValue.finite(0), W6, certs)
-    delta = params["delta"]
-    if label == "w6:delta-generic":
-        certs = [
-            Certificate(
-                CERT_ELLIPTIC,
-                f"x^2+y(y-z^2)(y-{delta}z^2) with delta outside {{0,1}} is "
-                "simple elliptic",
-            )
-        ]
-        return state.final(MldValue.finite(0), W6, certs)
-    # delta in {0, 1}
-    if p == 0:
-        certs = [
-            Certificate(
-                CERT_LR,
-                f"delta = {delta}: cited characteristic-0 classification",
-            )
-        ]
-    else:
-        certs = [_fedder_certificate_on_poly(nz.f.in_w(W6), p)]
-    return state.final(MldValue.finite(0), W6, certs)
-
-
-def _fedder_certificate_on_poly(model: TriPoly, p: int) -> Certificate:
-    cert = fedder_is_fpure(model)
-    kind = CERT_FEDDER if cert.is_fpure else CERT_LR
-    detail = (
-        f"splitting witness for the initial form at p={p}"
-        if cert.is_fpure
-        else f"initial form not F-pure at p={p}; citing the table verdict"
-    )
-    return Certificate(kind, detail, fedder=cert)
-
-
-def _rank2plus_verdict(state: _TreeState, p: int, rank: int) -> Verdict:
-    certs: List[Certificate] = []
-    if p != 2 and rank == 3:
-        certs.append(
-            Certificate(CERT_RDP, "x^2+y^2+z^2 is an A_1 rational double point")
-        )
-    else:
-        # squeeze through the (2,1,1)-initial form xy (or yz), whose pair has
-        # mld 1: F-pure for every p, cited in characteristic 0
-        if p > 0:
-            certs.append(_fedder_certificate_on("x*y", p))
-            certs.append(
-                Certificate(
-                    CERT_MONO,
-                    "a(E_(1,1,1)) = 1 bounds above; the normal-crossing initial "
-                    "form bounds below",
-                )
-            )
-        else:
-            certs.append(
-                Certificate(CERT_MONO, "normal-crossing pair x*y has mld 1")
-            )
-    return state.final(MldValue.finite(1), W1, certs)
-
-
-def _quartic_branch(state: _TreeState, p: int) -> Verdict:
-    nz = state.nz
-    label, params = stage_quartic(nz)
-    state.trace.append(label)
-    if label == "q:deep":
-        certs = [
-            Certificate(
-                CERT_TORIC,
-                "the weight-(2,1,1) tail has order >= 5, so "
-                "a(E_(10,5,4)) = 19 - 20 = -1",
-            )
-        ]
-        return state.final(MldValue.neg_infinity(), (10, 5, 4), certs,
-                           initial_weight=(10, 5, 4))
-    if label == "q:y4":
-        certs = [
-            Certificate(CERT_TORIC, "a(E_(10,5,4)) = 19 - 20 = -1 on x^2+y^4")
-        ]
-        return state.final(MldValue.neg_infinity(), (10, 5, 4), certs,
-                           initial_weight=(10, 5, 4))
-    if label == "q:y3z":
-        certs = [
-            Certificate(CERT_TORIC, "a(E_(15,8,6)) = 29 - 30 = -1 on x^2+e*y^3*z")
-        ]
-        return state.final(MldValue.neg_infinity(), (15, 8, 6), certs,
-                           initial_weight=(15, 8, 6))
-    if label == "q:fpure":
-        certs = [_fedder_certificate_on_poly(nz.f.in_w(W211_W), p)]
-        return state.final(MldValue.finite(0), W211_W, certs)
-    if label == "q:elliptic2":
-        certs = [
-            Certificate(
-                CERT_ELLIPTIC,
-                "x^2+x*y^2+y^3*z+... is simple elliptic in characteristic 2",
-            )
-        ]
-        return state.final(MldValue.finite(0), W211_W, certs)
-    if label == "q:4lines":
-        certs = [
-            Certificate(
-                CERT_ELLIPTIC,
-                "x^2 + product of four distinct lines is simple elliptic",
-            )
-        ]
-        return state.final(MldValue.finite(0), W211_W, certs)
-    if label in ("q:y2z2", "q:y2z-y+z"):
-        certs: List[Certificate] = []
-        if label == "q:y2z-y+z":
-            certs.append(
-                Certificate(
-                    CERT_MONO,
-                    "the (3,2,1)-initial form of x^2+y^2z(y+z) is x^2+y^2z^2",
-                )
-            )
-        if p > 0:
-            certs.append(_fedder_certificate_on("x^2+y^2*z^2", p))
-        else:
-            certs.append(
-                Certificate(CERT_LR, "x^2+y^2*z^2: cited characteristic-0 verdict")
-            )
-        return state.final(MldValue.finite(0), W211_W, certs)
-    raise AssertionError(f"unhandled quartic label {label}")
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ Exit codes: 0 verdict, 2 input error, 3 needs an algebraic extension,
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import sys
@@ -29,6 +30,7 @@ from .classifier import (
     check_conjecture_bounds,
     classify_mld,
     classify_slc,
+    terminal_branch,
 )
 from .fields import (
     CoefficientError,
@@ -218,15 +220,15 @@ def run(argv) -> int:
 
 def _cmd_verify(args) -> int:
     """Replay automorphism, initial form, witness discrepancy and bounds from a
-    report, check the mld claim against the witness, recompute any slc
-    claim from is_squarefree(f) and mld, and check each Fedder certificate
-    for consistency."""
-    if args.report == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    report, recompute any slc claim from is_squarefree(f) and mld, and check
+    the verdict and its certificates against the table entry of the
+    terminal branch, rerunning each Fedder test on the entry's model."""
     try:
+        if args.report == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.report, "r", encoding="utf-8") as fh:
+                text = fh.read()
         report = json.loads(text)
         verdict = report["verdict"]
         char = report["field"]["characteristic"]
@@ -242,7 +244,7 @@ def _cmd_verify(args) -> int:
         weight = tuple(verdict["initial_weight"])
         initial = transformed.in_w(weight)
         recorded = tripoly_from_json(final_ctx, verdict["initial_form_terms"])
-        if initial != recorded:
+        if initial != recorded or verdict["initial_form"] != str(initial):
             raise ValueError("initial form does not replay")
         wit = verdict["witness"]
         if wit is None:
@@ -261,44 +263,41 @@ def _cmd_verify(args) -> int:
                 raise ValueError("finite mld is not in [0, witness a]")
             if wit["computes_mld"] and mld != rep.a:
                 raise ValueError("mld differs from the witness that computes it")
-        if verdict["bounds"] != BoundReport.of_witness(rep).to_json():
+        if _differs(verdict["bounds"], BoundReport.of_witness(rep).to_json()):
             raise ValueError("bounds block does not replay")
         slc = verdict["slc"]
         if slc is not None:
             expected = mld != "-inf" if is_squarefree(f) else SLC_NOT_APPLICABLE
             if type(slc) is not type(expected) or slc != expected:
                 raise ValueError("slc claim does not replay")
+        trace = verdict["branch_trace"]
+        label = trace[-2] if trace[-1:] == ["non-reduced"] else trace[-1]
+        branch = terminal_branch(label)
+        if branch is None:
+            raise ValueError("branch trace does not end in a terminal branch")
+        claimed = [mld, wit["weight"], verdict["initial_weight"], wit["computes_mld"]]
+        entry = ["-inf" if branch.mld is None else branch.mld, branch.witness,
+                 branch.initial_weight, branch.computes_mld]
+        if _differs(claimed, entry):
+            raise ValueError(f"verdict differs from the table entry of {label}")
         certs = verdict["certificates"]
         if type(certs) is not list or any(type(c) is not dict for c in certs):
             raise ValueError("certificates are not a list of objects")
-        for cert in certs:
-            if cert.get("fedder") is not None:
-                _check_fedder(cert["fedder"], char)
-    except (KeyError, ValueError, PolySyntaxError, CoefficientError) as exc:
+        # details are prose, so kinds and Fedder blocks carry the claims
+        recipe = branch.certificates(char, initial, collections.defaultdict(str))
+        if _differs([(c.get("kind"), c.get("fedder")) for c in certs],
+                    [(c.kind, c.to_json().get("fedder")) for c in recipe]):
+            raise ValueError(f"certificates differ from the recipe of {label}")
+    except Exception as exc:  # any failure to replay an outside report rejects it
         _emit({"verified": False, "error": str(exc)}, False)
         return EXIT_VERIFY_FAILED
     _emit({"verified": True}, False)
     return EXIT_OK
 
 
-def _check_fedder(fedder, char: int) -> None:
-    """Consistency of a Fedder block: its prime is the report's
-    characteristic, and a witness monomial, with every exponent in
-    [0, p-1], is present exactly when the block claims F-purity."""
-    if type(fedder) is not dict:
-        raise ValueError("Fedder block is not an object")
-    p = fedder["p"]
-    if type(p) is not int or p != char:
-        raise ValueError("Fedder certificate is for another characteristic")
-    monomial = fedder["witness_monomial"]
-    if fedder["is_fpure"] is not (monomial is not None):
-        raise ValueError("Fedder verdict disagrees with its witness monomial")
-    if monomial is not None and (
-        type(monomial) is not list
-        or len(monomial) != 3
-        or any(type(e) is not int or not 0 <= e <= p - 1 for e in monomial)
-    ):
-        raise ValueError("Fedder witness is not a monomial with exponents in [0, p-1]")
+def _differs(claimed, expected) -> bool:
+    """JSON values differ, types included (in Python 1 == True)."""
+    return json.dumps(claimed, sort_keys=True) != json.dumps(expected, sort_keys=True)
 
 
 def _reconstruct_context(data) -> FieldContext:

@@ -3,6 +3,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 GOLDEN_INVOCATIONS = {
@@ -189,12 +191,12 @@ def test_verify_rejects_tampered_mld(capsys, tmp_path):
         bad["verdict"]["mld"] = value
         code, out = _verify_in_process(capsys, bad, tmp_path)
         assert code == 1 and out["verified"] is False, value
-    # without computes_mld a finite mld may sit below a, never above it
+    # computes_mld is fixed by the table entry of the branch (q:y2z2)
     loose = json.loads(json.dumps(report))
     loose["verdict"]["witness"]["computes_mld"] = False
-    assert _verify_in_process(capsys, loose, tmp_path)[0] == 0
-    loose["verdict"]["mld"] = 3
-    assert _verify_in_process(capsys, loose, tmp_path)[0] == 1
+    for value in (0, 3):
+        loose["verdict"]["mld"] = value
+        assert _verify_in_process(capsys, loose, tmp_path)[0] == 1, value
 
 
 def test_verify_rejects_slc_with_negative_mld(capsys, tmp_path):
@@ -275,3 +277,43 @@ def test_parser_is_built_once_on_first_use(capsys):
         assert json.loads(capsys.readouterr().out)["verdict"]["mld"] == 0
     assert cli_mod.run(["--help"]) == 0
     assert capsys.readouterr().out == help_text
+
+
+def _edited(name, path, value):
+    report = json.loads((GOLDEN / name).read_text())
+    node = report["verdict"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return report
+
+
+# golden reports with one leaf edited; each one verified before verify
+# checked reports against the terminal-branch table, or crashed it
+EDITED_REPORTS = [
+    # the Fedder certificate that backs slc in characteristic 2 is gone
+    ("slc_fedder_p2.json", ["certificates"], []),
+    ("mld_e8_p7.json", ["certificates", 0, "kind"], "toric_witness"),
+    ("mld_e8_p7.json", ["branch_trace", -1], "w5:pass"),
+    # a valid-looking witness that is not the monomial Fedder's test finds
+    ("slc_fedder_p2.json", ["certificates", 0, "fedder", "witness_monomial"], [1, 1, 0]),
+    ("mld_cusp_chain_q.json", ["witness", "computes_mld"], False),
+    ("mld_e8_p7.json", ["initial_form"], "x^2"),
+    # wrong JSON types give a rejection, not a traceback
+    ("slc_fedder_p2.json", ["witness", "weight"], 5),
+    ("slc_fedder_p2.json", ["certificates", 0, "fedder", "p"], "2"),
+    ("mld_e8_p7.json", ["initial_weight"], 7),
+]
+
+
+@pytest.mark.parametrize("name,path,value", EDITED_REPORTS)
+def test_verify_rejects_edited_reports(capsys, tmp_path, name, path, value):
+    code, out = _verify_in_process(capsys, _edited(name, path, value), tmp_path)
+    assert code == 1 and out["verified"] is False
+
+
+def test_verify_rejects_without_a_traceback():
+    report = _edited("slc_fedder_p2.json", ["witness", "weight"], 5)
+    proc = run_cli("verify", "-", stdin=json.dumps(report))
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert json.loads(proc.stdout)["verified"] is False
