@@ -219,10 +219,11 @@ def run(argv) -> int:
 
 
 def _cmd_verify(args) -> int:
-    """Replay automorphism, initial form, witness discrepancy and bounds from a
-    report, recompute any slc claim from is_squarefree(f) and mld, and check
-    the verdict and its certificates against the table entry of the
-    terminal branch, rerunning each Fedder test on the entry's model."""
+    """Check the envelope (command, input field, extension degree), replay
+    automorphism, initial form, witness discrepancy and bounds from a report,
+    recompute any slc claim from is_squarefree(f) and mld, and check the
+    verdict and its certificates against the table entry of the terminal
+    branch, rerunning each Fedder test on the entry's model."""
     try:
         if args.report == "-":
             text = sys.stdin.read()
@@ -230,13 +231,21 @@ def _cmd_verify(args) -> int:
             with open(args.report, "r", encoding="utf-8") as fh:
                 text = fh.read()
         report = json.loads(text)
+        command = report["command"]
+        if command not in ("mld", "slc", "classify"):
+            raise ValueError(f"cannot verify a {command!r} report")
         verdict = report["verdict"]
         char = report["field"]["characteristic"]
         base_ctx = _context_for(char)
+        if _differs(report["field"], _field_json(base_ctx)):
+            raise ValueError("input field is not the prime field or Q")
         f = parse_poly(report["input"], base_ctx)
         final = verdict["final_field"]
         if final["characteristic"] != char:
             raise ValueError("field characteristic changed in report")
+        # the input field is prime, so the degree over it is the final degree
+        if _differs(verdict["field_extension_used"], final["extension_degree"]):
+            raise ValueError("field_extension_used is not the final field's degree")
         final_ctx = _reconstruct_context(final)
         f_final = _lift(f, base_ctx, final_ctx)
         auto = automorphism_from_json(verdict["automorphism"], final_ctx)
@@ -266,6 +275,8 @@ def _cmd_verify(args) -> int:
         if _differs(verdict["bounds"], BoundReport.of_witness(rep).to_json()):
             raise ValueError("bounds block does not replay")
         slc = verdict["slc"]
+        if (slc is None) != (command == "mld"):
+            raise ValueError("slc is null exactly in an mld report")
         if slc is not None:
             expected = mld != "-inf" if is_squarefree(f) else SLC_NOT_APPLICABLE
             if type(slc) is not type(expected) or slc != expected:

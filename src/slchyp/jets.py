@@ -30,7 +30,7 @@ from operator import add, le, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import FieldContext, FieldElement
-from .poly import TriPoly
+from .poly import TriPoly, np_add, np_scale
 
 NMonomial = Tuple[int, ...]
 NPoly = Dict[NMonomial, FieldElement]
@@ -51,26 +51,6 @@ class GroebnerBudget:
 
 def np_zero() -> NPoly:
     return {}
-
-
-def np_add(a: NPoly, b: NPoly) -> NPoly:
-    out = dict(a)
-    for m, c in b.items():
-        if m in out:
-            s = out[m] + c
-            if s.is_zero():
-                del out[m]
-            else:
-                out[m] = s
-        else:
-            out[m] = c
-    return out
-
-
-def np_scale(a: NPoly, c: FieldElement) -> NPoly:
-    if c.is_zero():
-        return {}
-    return {m: v * c for m, v in a.items()}
 
 
 def np_mul_term(a: NPoly, m: NMonomial, c: FieldElement) -> NPoly:

@@ -3,10 +3,16 @@
 TriPoly is the working representation for the input f and all its weighted
 initial forms.  Terms map exponent triples (a, b, c) to nonzero field
 elements.  Instances are treated as immutable.
+
+gcd, exact division and the squarefree test work on the same sparse terms:
+tri_gcd is a primitive pseudo-remainder sequence (Brown, J. ACM 18, 1971)
+with contents taken by recursion on fewer variables, and every result is
+scaled so its lexicographically largest term (x > y > z) is monic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -42,6 +48,28 @@ class Weight(NamedTuple):
 class NonLocalSubstitution(ValueError):
     """A substitution image has a constant term, so it does not preserve the
     maximal ideal at the origin."""
+
+
+def np_add(a: Dict, b: Dict) -> Dict:
+    """Sum of two sparse polynomials given as exponent tuple -> nonzero
+    coefficient dicts (any number of variables)."""
+    out = dict(a)
+    for m, c in b.items():
+        if m in out:
+            s = out[m] + c
+            if s.is_zero():
+                del out[m]
+            else:
+                out[m] = s
+        else:
+            out[m] = c
+    return out
+
+
+def np_scale(a: Dict, c: FieldElement) -> Dict:
+    if c.is_zero():
+        return {}
+    return {m: v * c for m, v in a.items()}
 
 
 def _display_order(terms: Dict[Monomial, FieldElement]):
@@ -132,17 +160,7 @@ class TriPoly:
 
     def __add__(self, other: "TriPoly") -> "TriPoly":
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in out:
-                s = out[m] + c
-                if s.is_zero():
-                    del out[m]
-                else:
-                    out[m] = s
-            else:
-                out[m] = c
-        return TriPoly(self.context, out)
+        return TriPoly(self.context, np_add(self.terms, other.terms))
 
     def __neg__(self) -> "TriPoly":
         return TriPoly(self.context, {m: -c for m, c in self.terms.items()})
@@ -166,9 +184,7 @@ class TriPoly:
         return TriPoly(self.context, out)
 
     def scale(self, c: FieldElement) -> "TriPoly":
-        if c.is_zero():
-            return TriPoly.zero(self.context)
-        return TriPoly(self.context, {m: v * c for m, v in self.terms.items()})
+        return TriPoly(self.context, np_scale(self.terms, c))
 
     def __pow__(self, e: int) -> "TriPoly":
         if e < 0:
@@ -371,288 +387,93 @@ def tripoly_from_json(context: FieldContext, data) -> TriPoly:
 
 
 # ---------------------------------------------------------------------------
-# multivariate gcd (recursive dense, primitive PRS) and squarefree testing
+# multivariate gcd (sparse primitive PRS) and squarefree testing
 
 
-def _to_recursive(f: TriPoly):
-    """dict form -> nested lists, innermost level indexed by x then y then z."""
-
-    def build(terms: Dict[Monomial, FieldElement], level: int, ctx: FieldContext):
-        if level == 0:
-            return terms.get((), ctx.zero()) if () in terms else ctx.zero()
-        deg = max((m[0] for m in terms), default=-1)
-        out = []
-        for e in range(deg + 1):
-            sub = {m[1:]: c for m, c in terms.items() if m[0] == e}
-            out.append(build(sub, level - 1, ctx))
-        return out
-
-    return build(dict(self_terms(f)), 3, f.context)
+def _lex_monic(f: TriPoly) -> TriPoly:
+    """f scaled so its lexicographically largest term (x > y > z) is monic."""
+    lead = f.terms[max(f.terms)]
+    return f if lead.is_one() else f.scale(lead.inverse())
 
 
-def self_terms(f: TriPoly) -> Dict[Monomial, FieldElement]:
-    return f.terms
+def _degree(f: TriPoly, v: int) -> int:
+    return max(m[v] for m in f.terms)
 
 
-def _from_recursive(rec, context: FieldContext) -> TriPoly:
-    terms: Dict[Monomial, FieldElement] = {}
-
-    def walk(node, level: int, prefix: Tuple[int, ...]):
-        if level == 0:
-            if not node.is_zero():
-                terms[prefix] = node
-            return
-        for e, sub in enumerate(node):
-            walk(sub, level - 1, prefix + (e,))
-
-    walk(rec, 3, ())
-    return TriPoly(context, terms)
-
-
-def _rp_is_zero(node, level: int) -> bool:
-    if level == 0:
-        return node.is_zero()
-    return all(_rp_is_zero(c, level - 1) for c in node)
+def _primitive(f: TriPoly, v: int) -> Tuple[TriPoly, TriPoly]:
+    """(content, primitive part) of f as a polynomial in variable v over the
+    later variables, both lex-monic; the content is the gcd of the
+    coefficients, which involve fewer variables."""
+    coeffs: Dict[int, Dict[Monomial, FieldElement]] = {}
+    for m, c in f.terms.items():
+        coeffs.setdefault(m[v], {})[m[:v] + (0,) + m[v + 1:]] = c
+    content = None
+    for terms in sorted(coeffs.values(), key=len):
+        c = TriPoly(f.context, terms)
+        content = _lex_monic(c) if content is None else _gcd(content, c)
+        if content.total_degree() == 0:
+            return content, _lex_monic(f)
+    return content, _lex_monic(divide_exact(f, content))
 
 
-def _rp_trim(node, level: int):
-    if level == 0:
-        return node
-    out = [_rp_trim(c, level - 1) for c in node]
-    while out and _rp_is_zero(out[-1], level - 1):
-        out.pop()
-    return out
-
-
-def _rp_zero(level: int, ctx: FieldContext):
-    return ctx.zero() if level == 0 else []
-
-
-def _rp_add(a, b, level: int, ctx: FieldContext):
-    if level == 0:
-        return a + b
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else _rp_zero(level - 1, ctx)
-        y = b[i] if i < len(b) else _rp_zero(level - 1, ctx)
-        out.append(_rp_add(x, y, level - 1, ctx))
-    return _rp_trim(out, level)
-
-
-def _rp_neg(a, level: int, ctx: FieldContext):
-    if level == 0:
-        return -a
-    return [_rp_neg(c, level - 1, ctx) for c in a]
-
-
-def _rp_mul(a, b, level: int, ctx: FieldContext):
-    if level == 0:
-        return a * b
-    if not a or not b:
-        return []
-    out = [_rp_zero(level - 1, ctx) for _ in range(len(a) + len(b) - 1)]
-    for i, ca in enumerate(a):
-        if _rp_is_zero(ca, level - 1):
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = _rp_add(out[i + j], _rp_mul(ca, cb, level - 1, ctx), level - 1, ctx)
-    return _rp_trim(out, level)
-
-
-def _rp_deg(a, level: int) -> int:
-    return len(a) - 1 if level > 0 else 0
-
-
-def _rp_lc(a, level: int):
-    return a[-1]
-
-
-def _rp_shift_mul(a, k: int, level: int, ctx: FieldContext):
-    """multiply by t^k at the current level"""
-    if not a:
-        return []
-    return [_rp_zero(level - 1, ctx) for _ in range(k)] + list(a)
-
-
-def _rp_pseudo_rem(f, g, level: int, ctx: FieldContext):
-    """Pseudo remainder lc(g)^(deg f - deg g + 1) * f mod g, with the exact
-    leading-coefficient power (required by the subresultant divisions)."""
-    df, dg = len(f) - 1, len(g) - 1
-    delta = df - dg
-    lg = _rp_lc(g, level)
-    rem = list(f)
-    steps = 0
-    while len(rem) - 1 >= dg and rem:
-        k = len(rem) - 1 - dg
-        lead = rem[-1]
-        # rem = lg*rem - lead * t^k * g
-        rem = [_rp_mul(c, lg, level - 1, ctx) for c in rem]
-        sub = _rp_shift_mul([_rp_mul(c, lead, level - 1, ctx) for c in g], k, level, ctx)
-        rem = _rp_add(rem, _rp_neg(sub, level, ctx), level, ctx)
-        rem = _rp_trim(rem, level)
-        steps += 1
-    for _ in range(delta + 1 - steps):
-        rem = [_rp_mul(c, lg, level - 1, ctx) for c in rem]
-    return rem
-
-
-def _rp_exact_div(f, d, level: int, ctx: FieldContext):
-    """Exact division f / d (raises if not divisible)."""
-    if level == 0:
-        return f * d.inverse()
-    if _rp_is_zero(f, level):
-        return []
-    out = [_rp_zero(level - 1, ctx) for _ in range(len(f) - len(d) + 1)]
-    rem = list(f)
-    while rem and len(rem) >= len(d):
-        k = len(rem) - len(d)
-        q = _rp_divide_coeff(rem[-1], _rp_lc(d, level), level - 1, ctx)
-        out[k] = q
-        sub = _rp_shift_mul([_rp_mul(c, q, level - 1, ctx) for c in d], k, level, ctx)
-        rem = _rp_trim(_rp_add(rem, _rp_neg(sub, level, ctx), level, ctx), level)
-    if rem:
-        raise ArithmeticError("exact division failed")
-    return _rp_trim(out, level)
-
-
-def _rp_divide_coeff(f, d, level: int, ctx: FieldContext):
-    if level == 0:
-        return f * d.inverse()
-    return _rp_exact_div(f, d, level, ctx)
-
-
-def _rp_content(f, level: int, ctx: FieldContext):
-    """gcd of the coefficients (an object one level down)."""
-    acc = None
-    for c in f:
-        if _rp_is_zero(c, level - 1):
-            continue
-        acc = c if acc is None else _rp_gcd(acc, c, level - 1, ctx)
-        if level - 1 == 0 or (_rp_deg(acc, level - 1) == 0 and _rp_is_unit_like(acc, level - 1)):
+def _pseudo_remainder(f: TriPoly, g: TriPoly, v: int) -> TriPoly:
+    """Remainder of lc_v(g)^k * f on division by g in variable v, with one
+    factor lc_v(g) per reduction step (none when it is one); g is lex-monic."""
+    d = _degree(g, v)
+    lead = TriPoly(g.context, {m[:v] + (0,) + m[v + 1:]: c
+                               for m, c in g.terms.items() if m[v] == d})
+    monic = lead.total_degree() == 0  # then lead is the constant one
+    r = f
+    while not r.is_zero():
+        e = _degree(r, v)
+        if e < d:
             break
-    return acc
+        head = TriPoly(r.context, {m[:v] + (e - d,) + m[v + 1:]: c
+                                   for m, c in r.terms.items() if m[v] == e})
+        r = (r if monic else r * lead) - head * g
+    return r
 
 
-def _rp_is_unit_like(a, level: int) -> bool:
-    while level > 0:
-        if len(a) != 1:
-            return False
-        a = a[0]
-        level -= 1
-    return not a.is_zero()
+def _gcd(f: TriPoly, g: TriPoly) -> TriPoly:
+    """Lex-monic gcd of nonzero f and g: the content gcd, by recursion on
+    fewer variables, times the last nonzero primitive pseudo-remainder."""
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        # the divisors of a monomial are monomials
+        both = list(f.terms) + list(g.terms)
+        return TriPoly.monomial(f.context, tuple(min(m[i] for m in both) for i in range(3)))
+    v = next(i for i in range(3) if any(m[i] for m in f.terms) or any(m[i] for m in g.terms))
+    cf, f = _primitive(f, v)
+    cg, g = _primitive(g, v)
+    content = _gcd(cf, cg)
+    if _degree(f, v) < _degree(g, v):
+        f, g = g, f
+    while _degree(g, v) > 0:
+        r = _pseudo_remainder(f, g, v)
+        if r.is_zero():
+            return content * g
+        f, g = g, _primitive(r, v)[1]
+    return content  # g is the constant one
 
 
-def _rp_normalize(f, level: int, ctx: FieldContext):
-    """Scale so the iterated leading base-field coefficient is one."""
-    lead = f
-    lvl = level
-    while lvl > 0:
-        lead = lead[-1]
-        lvl -= 1
-    inv = lead.inverse()
-
-    def scale(node, lv):
-        if lv == 0:
-            return node * inv
-        return [scale(c, lv - 1) for c in node]
-
-    return scale(f, level)
-
-
-def _rp_euclid_gcd(f, g, ctx: FieldContext):
-    """Plain monic Euclid for level 1 (field coefficients, no swell)."""
-    a, b = list(f), list(g)
-    while b:
-        inv = b[-1].inverse()
-        bb = [c * inv for c in b]
-        while len(a) >= len(bb) and a:
-            k = len(a) - len(bb)
-            lead = a[-1]
-            for i, c in enumerate(bb):
-                a[i + k] = a[i + k] - lead * c
-            while a and a[-1].is_zero():
-                a.pop()
-        a, b = bb, a
-    return a
-
-
-def _rp_pow(a, e: int, level: int, ctx: FieldContext):
-    out = None
-    base = a
-    if e == 0:
-        return _rp_one(level, ctx)
-    while e:
-        if e & 1:
-            out = base if out is None else _rp_mul(out, base, level, ctx)
-        e >>= 1
-        if e:
-            base = _rp_mul(base, base, level, ctx)
-    return out
-
-
-def _rp_one(level: int, ctx: FieldContext):
-    return ctx.one() if level == 0 else [_rp_one(level - 1, ctx)]
-
-
-def _rp_gcd(f, g, level: int, ctx: FieldContext):
-    if level == 0:
-        if f.is_zero() and g.is_zero():
-            return ctx.zero()
-        return ctx.one()
-    f = _rp_trim(list(f), level)
-    g = _rp_trim(list(g), level)
-    if not f:
-        return _rp_normalize(g, level, ctx) if g else []
-    if not g:
-        return _rp_normalize(f, level, ctx)
-    if level == 1:
-        h = _rp_euclid_gcd(f, g, ctx)
-        return _rp_normalize(h, level, ctx) if h else []
-    cf = _rp_content(f, level, ctx)
-    cg = _rp_content(g, level, ctx)
-    fp = [_rp_divide_coeff(c, cf, level - 1, ctx) for c in f]
-    gp = [_rp_divide_coeff(c, cg, level - 1, ctx) for c in g]
-    cont = _rp_gcd(cf, cg, level - 1, ctx)
-    if len(fp) < len(gp):
-        fp, gp = gp, fp
-    # subresultant pseudo-remainder sequence: exact divisions by the g, h
-    # factors keep intermediate degrees bounded without content gcds
-    gfac = _rp_one(level - 1, ctx)
-    hfac = _rp_one(level - 1, ctx)
-    while gp:
-        d = len(fp) - len(gp)
-        rem = _rp_trim(_rp_pseudo_rem(fp, gp, level, ctx), level)
-        if rem:
-            denom = _rp_mul(gfac, _rp_pow(hfac, d, level - 1, ctx), level - 1, ctx)
-            rem = [_rp_divide_coeff(c, denom, level - 1, ctx) for c in rem]
-        fp, gp = gp, rem
-        gfac = _rp_lc(fp, level)
-        if d >= 1:
-            num = _rp_pow(gfac, d, level - 1, ctx)
-            if d == 1:
-                hfac = num
-            else:
-                hfac = _rp_divide_coeff(
-                    num, _rp_pow(hfac, d - 1, level - 1, ctx), level - 1, ctx
-                )
-    cr = _rp_content(fp, level, ctx)
-    fp = [_rp_divide_coeff(c, cr, level - 1, ctx) for c in fp]
-    out = [_rp_mul(c, cont, level - 1, ctx) for c in fp]
-    return _rp_normalize(_rp_trim(out, level), level, ctx)
+def _ascending(f: TriPoly) -> TriPoly:
+    return TriPoly(f.context, dict(sorted(f.terms.items())))
 
 
 def tri_gcd(f: TriPoly, g: TriPoly) -> TriPoly:
-    """gcd of trivariate polynomials, normalized so the leading base
-    coefficient (x-major recursive order) is one."""
+    """gcd of trivariate polynomials, normalized so the lexicographically
+    largest term (x > y > z) has coefficient one; a zero argument returns
+    the other one unchanged.
+
+    Sparse primitive PRS (Brown, J. ACM 18, 1971) in the first of x, y, z
+    that occurs: the contents are split off and their gcd taken by recursion
+    on fewer variables, and each pseudo-remainder is replaced by its
+    primitive part scaled to be lex-monic, which keeps rational coefficients
+    small.  Terms come out in ascending monomial order."""
     if f.is_zero():
         return g
     if g.is_zero():
         return f
-    ctx = f.context
-    rf = _rp_trim(_to_recursive(f), 3)
-    rg = _rp_trim(_to_recursive(g), 3)
-    return _from_recursive(_rp_gcd(rf, rg, 3, ctx), ctx)
+    return _ascending(_gcd(f, g))
 
 
 def frobenius_descent(f: TriPoly) -> TriPoly:
@@ -721,10 +542,7 @@ def _squarefree_modular_screen(f: TriPoly) -> bool:
     squarefree.  A False answer decides nothing."""
     from .fields import prime_field
 
-    lcm = 1
-    for c in f.terms.values():
-        d = c.payload.denominator
-        lcm = lcm * d // _int_gcd(lcm, d)
+    lcm = math.lcm(*(c.payload.denominator for c in f.terms.values()))
     ints = {m: int(c.payload * lcm) for m, c in f.terms.items()}
     deg = f.total_degree()
     for p in _SCREEN_PRIMES:
@@ -742,12 +560,6 @@ def _squarefree_modular_screen(f: TriPoly) -> bool:
     return False
 
 
-def _int_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def squarefree_excess(f: TriPoly) -> TriPoly:
     """gcd(f, nonzero partials): constant iff f squarefree; otherwise carries
     the repeated part (used to extract repeated lines from cubic cones)."""
@@ -762,10 +574,26 @@ def squarefree_excess(f: TriPoly) -> TriPoly:
 
 
 def divide_exact(f: TriPoly, g: TriPoly) -> TriPoly:
-    """Exact division in k[x,y,z]; raises ArithmeticError if g does not divide f."""
-    ctx = f.context
+    """Exact division in k[x,y,z]; raises ArithmeticError if g does not divide f.
+
+    Divides the remainder's lex-leading term by g's until nothing is left.
+    A leading term that g's does not divide, or a quotient term of total
+    degree above deg f - deg g, shows that g does not divide f, so the loop
+    stops early on non-divisible input."""
     if g.is_zero():
         raise ZeroDivisionError
-    rf = _rp_trim(_to_recursive(f), 3)
-    rg = _rp_trim(_to_recursive(g), 3)
-    return _from_recursive(_rp_exact_div(rf, rg, 3, ctx), ctx)
+    lead = max(g.terms)
+    inv = g.terms[lead].inverse()
+    neg = {m: -c for m, c in g.terms.items()}
+    room = f.total_degree() - g.total_degree()
+    quotient: Dict[Monomial, FieldElement] = {}
+    rem = f.terms
+    while rem:
+        m = max(rem)
+        q = (m[0] - lead[0], m[1] - lead[1], m[2] - lead[2])
+        if min(q) < 0 or sum(q) > room:
+            raise ArithmeticError("exact division failed")
+        c = quotient[q] = rem[m] * inv
+        rem = np_add(rem, {(a + q[0], b + q[1], e + q[2]): v * c
+                           for (a, b, e), v in neg.items()})
+    return _ascending(TriPoly(f.context, quotient))

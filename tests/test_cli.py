@@ -281,7 +281,7 @@ def test_parser_is_built_once_on_first_use(capsys):
 
 def _edited(name, path, value):
     report = json.loads((GOLDEN / name).read_text())
-    node = report["verdict"]
+    node = report
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
@@ -308,12 +308,33 @@ EDITED_REPORTS = [
 
 @pytest.mark.parametrize("name,path,value", EDITED_REPORTS)
 def test_verify_rejects_edited_reports(capsys, tmp_path, name, path, value):
+    code, out = _verify_in_process(capsys, _edited(name, ["verdict", *path], value), tmp_path)
+    assert code == 1 and out["verified"] is False
+
+
+# golden reports with the envelope edited; each one verified before verify
+# checked the command, the input field and the extension degree
+ENVELOPE_EDITS = [
+    ("mld_nodal_cone_p2.json", ["verdict", "field_extension_used"], 7),
+    ("mld_e8_p7.json", ["command"], "slc"),
+    ("mld_e8_p7.json", ["command"], "fpure"),
+    ("mld_e8_p7.json", ["field", "extension_degree"], 3),
+    # slc is null exactly in an mld report
+    ("mld_e8_p7.json", ["verdict", "slc"], True),
+    ("slc_triangle_p5.json", ["verdict", "slc"], None),
+]
+
+
+@pytest.mark.parametrize("name,path,value", ENVELOPE_EDITS)
+def test_verify_checks_the_envelope(capsys, tmp_path, name, path, value):
+    report = json.loads((GOLDEN / name).read_text())
+    assert _verify_in_process(capsys, report, tmp_path)[0] == 0
     code, out = _verify_in_process(capsys, _edited(name, path, value), tmp_path)
     assert code == 1 and out["verified"] is False
 
 
 def test_verify_rejects_without_a_traceback():
-    report = _edited("slc_fedder_p2.json", ["witness", "weight"], 5)
+    report = _edited("slc_fedder_p2.json", ["verdict", "witness", "weight"], 5)
     proc = run_cli("verify", "-", stdin=json.dumps(report))
     assert proc.returncode == 1 and proc.stderr == ""
     assert json.loads(proc.stdout)["verified"] is False

@@ -12,7 +12,9 @@ from slchyp import (
     Weight,
     is_squarefree,
     parse_poly,
+    prime_field,
 )
+from slchyp.fields import extension_field
 from slchyp.poly import divide_exact, tri_gcd
 
 import random
@@ -209,9 +211,81 @@ def test_gcd_of_random_products(seed):
     a = common * random_poly(rnd, ctx, max_terms=2, max_exp=2)
     b = common * random_poly(rnd, ctx, max_terms=2, max_exp=2)
     g = tri_gcd(a, b)
-    # the common factor divides the gcd
-    assert divide_exact(g, tri_gcd(g, common)) is not None
-    assert tri_gcd(g, common).total_degree() == common.total_degree() or True
-    # gcd divides both inputs exactly
-    divide_exact(a, g)
-    divide_exact(b, g)
+    # the common factor divides the gcd, and the gcd divides both inputs
+    assert divide_exact(g, common) * common == g
+    assert divide_exact(a, g) * g == a
+    assert divide_exact(b, g) * g == b
+
+
+PINNED_FIELDS = {
+    "Q": RATIONALS, "F2": prime_field(2), "F5": prime_field(5),
+    "F10007": prime_field(10007), "F9": extension_field(3, 2),
+}
+
+# per field, three seeded (a, b, c): str(tri_gcd(a*c, b*c)),
+# str(divide_exact(a*c, c)), is_squarefree(c*c*a), is_squarefree(a*b),
+# as printed by the earlier recursive dense gcd
+PINNED_GCDS = {
+    "Q": [
+        ("x^2*y + x*y^2*z^2", "2*y + 5*y*z - 2*y*z^2", False, False),
+        ("x*y*z - 4/5*y^2*z", "0 - y^2*z + 5*y*z^2 - 3*x*y^2*z", False, False),
+        ("y^2*z + 3/5*y*z^2", "0 - x^2*y^2 + 3*x^2*y^2*z + 3*x^2*y*z^2", False, False),
+    ],
+    "F2": [
+        ("z + x^2*z + x^2*y^2*z^3", "x^2*z", False, False),
+        ("x^2*y + y*z^2", "y*z + x^2*y*z", False, False),
+        ("x^2*z + x*z^2", "x^2*y", False, False),
+    ],
+    "F5": [
+        ("3*x*y*z^3 + x^2*y^3*z^3", "2*y*z^2 + y^2*z^2", False, False),
+        ("x*y*z", "3*y^2 + 4*x*z^2 + 2*y*z^2", False, True),
+        ("x^2*y^3*z^2", "x*y + 4*y*z^2", False, False),
+    ],
+    "F10007": [
+        ("8647*x^2*y^2 + 839*x^2*y*z^2 + x^2*y^2*z^2", "6633 + 3982*y^2*z", False, False),
+        ("3615*y + x^2*z + 4125*x*y^2", "9396*x + 4567*x*y*z^2", False, True),
+        ("1516*y^2*z^2 + x^2*y*z^2", "350*x^2*z + 3663*x^2*y^2*z", False, False),
+    ],
+    "F9": [
+        ("x*y^2 + (u)*y^2*z^2", "(2*u)*x^2*z^2", False, False),
+        ("(2+2*u)*x + (1+2*u)*x^2*z^2 + x^2*y^2*z^2", "(2+u)*x*y", False, True),
+        ("(2+2*u)*y^3*z + x^2*y*z^2 + (2+u)*x*y^3*z", "x*y + (2+2*u)*y*z^2", False, False),
+    ],
+}
+
+
+def _pinned_poly(rnd, ctx):
+    """Two or three terms of degree at most 2 in each variable, nonconstant."""
+    while True:
+        terms = {}
+        for _ in range(rnd.randint(2, 3)):
+            m = tuple(rnd.randint(0, 2) for _ in range(3))
+            if ctx.is_rational:
+                terms[m] = ctx.from_int(rnd.randint(-5, 5))
+            else:
+                terms[m] = ctx.from_vector([rnd.randrange(ctx.characteristic)
+                                            for _ in range(ctx.extension_degree)])
+        f = TriPoly.make(ctx, terms)
+        if f.total_degree() > 0:
+            return f
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GCDS))
+def test_gcd_results_are_pinned(name):
+    ctx = PINNED_FIELDS[name]
+    rnd = random.Random(f"pinned:{name}")
+    for expected in PINNED_GCDS[name]:
+        a, b, c = (_pinned_poly(rnd, ctx) for _ in range(3))
+        got = (str(tri_gcd(a * c, b * c)), str(divide_exact(a * c, c)),
+               is_squarefree(c * c * a), is_squarefree(a * b))
+        assert got == expected
+        # c is nonconstant, so it does not divide a*c + 1
+        with pytest.raises(ArithmeticError):
+            divide_exact(a * c + TriPoly.constant(ctx.one()), c)
+
+
+def test_divide_exact_fails_fast_past_the_degree_bound():
+    # lex division of x^40 by x - y^2 would run through x^39, x^38*y^2, ...;
+    # x^38*y^2 has degree 40 > 40 - 1, so the quotient cannot be a polynomial
+    with pytest.raises(ArithmeticError):
+        divide_exact(poly("x^40"), poly("x-y^2"))
