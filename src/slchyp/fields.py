@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 
 class NeedsAlgebraicExtension(Exception):
@@ -201,6 +201,19 @@ def canonical_irreducible(p: int, d: int) -> Tuple[int, ...]:
 Vector = Tuple[int, ...]
 
 
+def reduction_rows(p: int, modulus: Vector) -> List[List[int]]:
+    """rows[k] = t^(n+k) mod M for k < n-1, as length-n lists over [0, p),
+    where M = modulus is monic of degree n >= 2."""
+    n = len(modulus) - 1
+    # from t^n = -(m_0 + ... + m_{n-1} t^{n-1})
+    rows = [[(-c) % p for c in modulus[:n]]]
+    for _ in range(n - 2):
+        prev = rows[-1]
+        top = prev[-1]
+        rows.append([(lo + top * c) % p for lo, c in zip([0] + prev[:-1], rows[0])])
+    return rows
+
+
 def _reduced_product(p: int, modulus: Vector) -> Callable[[Vector, Vector], Vector]:
     """Multiplication of coefficient vectors in F_p[t]/(M), M = modulus.
 
@@ -208,12 +221,7 @@ def _reduced_product(p: int, modulus: Vector) -> Callable[[Vector, Vector], Vect
     [0, p).  See the module docstring for the packing and the fold.
     """
     n = len(modulus) - 1
-    # rows[k] = t^(n+k) mod M, from t^n = -(m_0 + ... + m_{n-1} t^{n-1})
-    rows = [[(-c) % p for c in modulus[:n]]]
-    for _ in range(n - 2):
-        prev = rows[-1]
-        top = prev[-1]
-        rows.append([(lo + top * c) % p for lo, c in zip([0] + prev[:-1], rows[0])])
+    rows = reduction_rows(p, modulus)
     # A product coefficient is at most n (p-1)^2; folding the n-1 high ones
     # through the rows adds at most (n-1)(p-1) times that to a low one.
     width = (n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))).bit_length()

@@ -539,7 +539,10 @@ _SCREEN_PRIMES = (10007, 10009, 10037, 10039, 10061)
 def _squarefree_modular_screen(f: TriPoly) -> bool:
     """Sound one-sided test over Q: if the total-degree-preserving reduction
     of (denominator-cleared) f modulo p is squarefree over F_p, then f is
-    squarefree.  A False answer decides nothing."""
+    squarefree.  A False answer decides nothing, so only the first prime
+    whose reduction keeps the total degree is tried: a non-squarefree f
+    would fail at every prime, and the rare squarefree f that fails at that
+    one (the prime divides a discriminant) is left to the exact gcd."""
     from .fields import prime_field
 
     lcm = math.lcm(*(c.payload.denominator for c in f.terms.values()))
@@ -553,10 +556,8 @@ def _squarefree_modular_screen(f: TriPoly) -> bool:
             if v:
                 terms[m] = ctx.from_int(v)
         g = TriPoly(ctx, terms)
-        if g.is_zero() or g.total_degree() != deg:
-            continue
-        if is_squarefree(g):
-            return True
+        if not g.is_zero() and g.total_degree() == deg:
+            return is_squarefree(g)
     return False
 
 

@@ -2,8 +2,17 @@
 
 Root finding over finite fields is complete: the field is enlarged on demand
 (one active extension per run) so that every requested polynomial splits.
-Over the rationals only rational roots are ever produced; callers that need
-more raise NeedsAlgebraicExtension.
+Over the rationals only rational roots are ever produced, by p-adic lifting
+and rational reconstruction; callers that need more raise
+NeedsAlgebraicExtension.
+
+Arithmetic goes one FieldElement at a time, except in UniPoly.pow_mod, which
+carries the cost of finite-field root finding ((t+c)^((q-1)/2) and t^q
+modulo the polynomial being split): there the whole residue polynomial is
+Kronecker-packed into one int, in blocks of 2n-1 slots per coefficient of
+F_{p^n}, with a slot width from p, n and deg w that no intermediate value
+overflows, so a modular square is a few int products and one % p per slot.
+Its docstring has the layout and the bound; nothing is cached across calls.
 
 Everything is deterministic.  Root lists are sorted by the canonical element
 order (lexicographic on coefficient vectors; (|x|, sign) over Q), whatever
@@ -15,10 +24,10 @@ irreducibles.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
 from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .fields import (
@@ -26,8 +35,13 @@ from .fields import (
     FieldElement,
     FieldEmbedding,
     NeedsAlgebraicExtension,
+    _pgcd,
+    _ptrim,
     extension_field,
     identity_embedding,
+    is_prime,
+    prime_field,
+    reduction_rows,
 )
 
 EXHAUSTIVE_ROOT_LIMIT = 64
@@ -158,14 +172,49 @@ class UniPoly:
         return acc
 
     def pow_mod(self, e: int, mod: "UniPoly") -> "UniPoly":
-        result = UniPoly.make(self.context, [self.context.one()])
-        base = self % mod
-        while e:
-            if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return result
+        """self^e mod `mod` over a finite field F_{p^n}, square-and-multiply
+        on Kronecker-packed residues (von zur Gathen-Gerhard, Modern Computer
+        Algebra 8.4).
+
+        Layout: with w the monic modulus of degree d, a residue is one int.
+        Residue coefficient j, an element of F_{p^n}, fills block j, and its
+        coefficient of u^i sits in slot i of the block; a block is 2n-1 slots
+        of `width` bits, so the product of two elements stays inside one
+        block.  A product in F_q[T]/(w) is then one int product (2d-1
+        blocks); one int product per high block, by the packed row
+        T^(d+k) mod w (k < d-1), which folds the high blocks back
+        independently of each other; and a fold of every block with the
+        field's rows u^(n+k) mod M followed by one % p per slot.  The residue
+        stays packed from the first square to the last and becomes
+        FieldElements once, at the end.
+
+        Slot bound: a product slot is at most d n (p-1)^2 and the high blocks
+        add at most (d-1) n (p-1)^2, all with nonnegative terms; the field
+        fold multiplies that by at most 1 + (n-1)(p-1).  So width is the bit
+        length of (2d-1) n (p-1)^2 (1 + (n-1)(p-1)), and no slot spills into
+        the next before its reduction mod p.
+
+        No cache: the layout and rows are built in each call from w.  That
+        is d-2 packed reductions, little beside the ~log2(e) squarings of a
+        power with e near q, and a cache would keep every modulus alive.
+
+        e = 0 gives 1, also for a constant modulus, and any e > 0 gives 0
+        for a constant modulus.  The rationals raise ValueError (there is
+        no slot bound over Q, and no caller powers there), a zero modulus
+        ZeroDivisionError.
+        """
+        ctx = self.context
+        if ctx.is_rational:
+            raise ValueError("pow_mod needs a finite field")
+        if mod.is_zero():
+            raise ZeroDivisionError("division by the zero polynomial")
+        if e < 0:
+            raise ValueError("pow_mod needs a nonnegative exponent")
+        if e == 0:
+            return UniPoly.make(ctx, [ctx.one()])
+        if mod.degree() == 0:
+            return UniPoly.zero(ctx)
+        return _packed_pow(self % mod, e, mod.monic())
 
     def map_coefficients(self, fn: Callable[[FieldElement], FieldElement],
                          new_context: FieldContext) -> "UniPoly":
@@ -186,6 +235,72 @@ class UniPoly:
         return " + ".join(reversed(parts))
 
 
+def _packed_pow(r: UniPoly, e: int, w: UniPoly) -> UniPoly:
+    """r^e mod w for e >= 1, r reduced mod the monic w of degree d >= 1
+    (the layout and slot bound are in UniPoly.pow_mod)."""
+    ctx = w.context
+    p, n, d = ctx.characteristic, ctx.extension_degree, w.degree()
+    width = ((2 * d - 1) * n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))).bit_length()
+    slot = (1 << width) - 1
+    block = width * (2 * n - 1)
+    starts = [block * j for j in range(d)]
+    shifts = [s + width * i for s in starts for i in range(n)]
+    high_shifts = shifts[: n * (d - 1)]
+    firsts = sum(slot << s for s in starts)  # slot 0 of every block
+    lows = sum(((1 << width * n) - 1) << s for s in starts)  # slots 0..n-1
+    folds = []
+    if n > 1:
+        folds = [(width * (n + k), sum(c << width * i for i, c in enumerate(row)))
+                 for k, row in enumerate(reduction_rows(p, ctx.modulus))]
+    top = block * d
+    residue = (1 << top) - 1
+    element = (1 << block) - 1
+
+    def canon(x: int, positions: List[int]) -> int:
+        """x with every block reduced to its element of F_{p^n}."""
+        acc = x & lows
+        for s, row in folds:
+            acc += ((x >> s) & firsts) * row
+        out = 0
+        for s in positions:
+            out |= (((acc >> s) & slot) % p) << s
+        return out
+
+    def reduce(x: int) -> int:
+        """The canonical residue of x, which has at most 2d-1 blocks."""
+        high = x >> top
+        acc = x & residue
+        if high:
+            high = canon(high, high_shifts)
+            for row in rows:
+                if not high:
+                    break
+                acc += (high & element) * row
+                high >>= block
+        return canon(acc, shifts)
+
+    def pack(coeffs: Sequence[FieldElement]) -> int:
+        values = [c for a in coeffs for c in a.payload]
+        return sum(c << s for c, s in zip(values, shifts))
+
+    # rows[k] = T^(d+k) mod w: T^d = -(w_0 + ... + w_{d-1} T^(d-1)), and
+    # each next row is the previous one times T, reduced with rows[0];
+    # reduce() reads only the rows it needs, which exist by then
+    rows = [pack([-c for c in w.coeffs[:d]])]
+    for _ in range(d - 2):
+        rows.append(reduce(rows[-1] << block))
+    base = pack(r.coeffs)
+    x = base
+    for bit in bin(e)[3:]:
+        x = reduce(x * x)
+        if bit == "1":
+            x = reduce(x * base)
+    return UniPoly.make(ctx, [
+        FieldElement(ctx, tuple([(x >> s) & slot for s in shifts[j * n:(j + 1) * n]]))
+        for j in range(d)
+    ])
+
+
 # ---------------------------------------------------------------------------
 # roots
 
@@ -203,51 +318,85 @@ def _root_multiplicity(g: UniPoly, r: FieldElement) -> Tuple[UniPoly, int]:
 
 
 def _rational_roots(g: UniPoly) -> List[Tuple[FieldElement, int]]:
-    """All rational roots with multiplicities (rational root theorem)."""
+    """All rational roots with multiplicities, by p-adic lifting.
+
+    Once t is divided out, the roots of g are those of its squarefree part,
+    taken as a primitive integer polynomial h.  A root a/b in lowest terms
+    has |a| <= |h(0)| and b <= |lead(h)| (rational root theorem), so it is
+    determined by its residue modulo any m > 2 |h(0)| |lead(h)| (rational
+    reconstruction, von zur Gathen-Gerhard, Modern Computer Algebra 5.10).
+    The prime p is the first from 5 up that does not divide lead(h) and
+    keeps h squarefree, so every root of h mod p is simple and lifts to a
+    unique root mod p^k by Newton iteration (2 or 3 divides the
+    discriminant n^n a^(n-1) of t^n - a for n = 2, 3, 4, which nth_root
+    asks about).  A reconstructed candidate is kept only if it is exactly a
+    root of g.  The cost is polynomial in the bit size of g; enumerating the
+    divisors of h(0) and lead(h) was not.
+
+    h starts as g itself, which is its own squarefree part whenever one
+    degree-preserving reduction is squarefree; only when the first one is
+    not is the squarefree part computed over Q.
+    """
     ctx = g.context
-    # clear denominators to integer coefficients
-    denoms = [c.payload.denominator for c in g.coeffs]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // int_gcd(lcm, d)
-    ints = [int(c.payload * lcm) for c in g.coeffs]
-    while ints and ints[0] == 0:
-        ints = ints[1:]  # factor out t; root 0 handled below
-    roots: List[Tuple[FieldElement, int]] = []
-    zero = ctx.zero()
-    rem, mult0 = _root_multiplicity(g, zero)
-    if mult0:
-        roots.append((zero, mult0))
-        g = rem
-        ints = [int(c.payload * lcm) for c in g.coeffs]
-    if not ints:
+    h = _primitive_ints(g)
+    mult0 = next(i for i, c in enumerate(h) if c)  # t^mult0 exactly divides g
+    roots: List[Tuple[FieldElement, int]] = [(ctx.zero(), mult0)] if mult0 else []
+    g, h = UniPoly(ctx, g.coeffs[mult0:]), h[mult0:]
+    if len(h) < 2:
         return roots
-    a0, an = abs(ints[0]), abs(ints[-1])
-
-    def divisors(n: int) -> List[int]:
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return sorted(set(out))
-
-    seen = set()
-    for num in divisors(a0):
-        for den in divisors(an):
-            for sign in (1, -1):
-                fr = Fraction(sign * num, den)
-                if fr in seen:
-                    continue
-                seen.add(fr)
-                cand = FieldElement(ctx, fr)
-                if g.evaluate(cand).is_zero():
-                    g, m = _root_multiplicity(g, cand)
-                    roots.append((cand, m))
+    dh = [i * c for i, c in enumerate(h)][1:]
+    sf_taken = False
+    p = 5
+    while True:
+        if h[-1] % p:
+            if len(_pgcd([c % p for c in h], _ptrim([c % p for c in dh]), p)) == 1:
+                break
+            if not sf_taken:
+                h, sf_taken = _primitive_ints(_squarefree_part(g)), True
+                dh = [i * c for i, c in enumerate(h)][1:]
+        p += 2
+        while not is_prime(p):
+            p += 2
+    a0 = abs(h[0])
+    bound = 2 * a0 * abs(h[-1])
+    for r in _roots_in_field(UniPoly.from_ints(prime_field(p), h)):
+        u, m = r.payload[0], p
+        while m <= bound:
+            m *= m
+            u = (u - _horner(h, u) * pow(_horner(dh, u), -1, m)) % m
+        cand = FieldElement(ctx, _reconstruct(u, m, a0))
+        if g.evaluate(cand).is_zero():
+            g, mult = _root_multiplicity(g, cand)
+            roots.append((cand, mult))
     roots.sort(key=lambda rm: rm[0].sort_key())
     return roots
+
+
+def _primitive_ints(g: UniPoly) -> List[int]:
+    """The coefficients of g over Q scaled to coprime integers."""
+    lcm = math.lcm(*(c.payload.denominator for c in g.coeffs))
+    ints = [int(c.payload * lcm) for c in g.coeffs]
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _horner(coeffs: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _reconstruct(u: int, m: int, bound: int) -> Fraction:
+    """r/t for the first remainder r <= bound of the extended Euclidean
+    algorithm on (m, u), with its cofactor t (r = t u mod m).  When
+    a = b u mod m for some a/b with |a| <= bound and 0 < b <= m / (bound+1),
+    this is a/b (Modern Computer Algebra, Theorem 5.26)."""
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return Fraction(r1, t1)
 
 
 def _squarefree_part(g: UniPoly) -> UniPoly:
@@ -273,11 +422,10 @@ def _squarefree_part(g: UniPoly) -> UniPoly:
     return red.monic()
 
 
-def _roots_in_field(g: UniPoly) -> List[FieldElement]:
-    """Distinct roots of g lying in its own (finite) field of definition."""
-    ctx = g.context
+def _roots_in_field(sf: UniPoly) -> List[FieldElement]:
+    """Roots of the squarefree sf lying in its own (finite) field of definition."""
+    ctx = sf.context
     q = ctx.order()
-    sf = _squarefree_part(g)
     if q <= EXHAUSTIVE_ROOT_LIMIT:
         return [x for x in ctx.elements() if sf.evaluate(x).is_zero()]
     # gcd with t^q - t isolates the rational-point part, then split
@@ -389,7 +537,7 @@ def extend_context(ctx: FieldContext, extra_degree: int) -> Tuple[FieldContext, 
     if n == 1:
         return big, FieldEmbedding(ctx, big, None)
     # embed by sending the old generator to the canonical root of the old
-    # modulus inside the big field
+    # modulus inside the big field (irreducible, so squarefree)
     mod_big = UniPoly.from_ints(big, list(ctx.modulus))
     roots = _roots_in_field(mod_big)
     if not roots:
@@ -422,15 +570,12 @@ def find_roots(g: UniPoly, allow_extension: bool) -> RootResult:
     emb = identity_embedding(ctx)
     work = g
     if allow_extension:
-        degrees = _distinct_degree_profile(g)
-        lcm = 1
-        for d in degrees:
-            lcm = lcm * d // int_gcd(lcm, d)
+        lcm = math.lcm(*_distinct_degree_profile(g))
         if lcm > 1:
             new_ctx, emb = extend_context(ctx, lcm)
             work = g.map_coefficients(emb, new_ctx)
             ctx = new_ctx
-    distinct = _roots_in_field(work)
+    distinct = _roots_in_field(_squarefree_part(work))
     out = []
     rem = work
     for r in sorted(distinct, key=lambda e: e.sort_key()):
@@ -453,7 +598,7 @@ def nth_root(a: FieldElement, n: int, allow_extension: bool) -> Tuple[FieldEleme
     if not ctx.is_rational:
         # when n is invertible modulo q-1 the root is unique: a^(n^-1 mod q-1)
         q = ctx.order()
-        if int_gcd(n, q - 1) == 1:
+        if math.gcd(n, q - 1) == 1:
             b = a ** pow(n, -1, q - 1)
             return b, identity_embedding(ctx)
     coeffs = [-a] + [ctx.zero()] * (n - 1) + [ctx.one()]

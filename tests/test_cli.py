@@ -1,7 +1,9 @@
+import hashlib
 import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -338,3 +340,48 @@ def test_verify_rejects_without_a_traceback():
     proc = run_cli("verify", "-", stdin=json.dumps(report))
     assert proc.returncode == 1 and proc.stderr == ""
     assert json.loads(proc.stdout)["verified"] is False
+
+
+# Rational roots came from enumerating the divisors of the extreme
+# coefficients, Theta(sqrt|C|) time: with C = 10^29 + 7 these ran for
+# longer than 20 s each (nth_root in the quadric and w2 stages,
+# factor_binary on the cubic).
+RATIONAL_ROOT_SHAPES = ["x^2+y^2+{C}*z^2", "x^2+{C}*y^3+z^5", "x^2+y*z*(y+{C}*z)"]
+# (exit code, first 16 hex digits of the sha256 of stdout) of the mld and
+# slc reports, recorded with divisor enumeration
+RATIONAL_ROOT_REPORTS = {
+    7: [(0, "207f0504d9516465", "29abc3f2b7e4640d"),
+        (3, "3ec6366931bfb07a", "3ec6366931bfb07a"),
+        (0, "97f56d31804660b9", "551ea1851868bdc4")],
+    1000003: [(0, "7037b83cb330ce79", "827708d58d833f67"),
+              (3, "4eaabf98b390888b", "4eaabf98b390888b"),
+              (0, "90a84d834aa40508", "8562bfe93b18e934")],
+    1000000000039: [(0, "7394c1ea5baa74cd", "893852193383a817"),
+                    (3, "b70acc46e282935a", "b70acc46e282935a"),
+                    (0, "1e31af61db28206e", "c5545e6eadc45f29")],
+}
+
+
+def _timed_report(capsys, command, poly):
+    import slchyp.cli as cli_mod
+
+    start = time.perf_counter()
+    code = cli_mod.run([command, "--char", "0", "--poly", poly])
+    return code, capsys.readouterr().out, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("shape", RATIONAL_ROOT_SHAPES)
+def test_rational_roots_of_a_huge_coefficient_are_fast(capsys, shape):
+    code, out, seconds = _timed_report(capsys, "mld", shape.format(C=10**29 + 7))
+    assert seconds < 2
+    assert code == (3 if "y^3" in shape else 0)
+    if code == 0:
+        assert json.loads(out)["verdict"]["mld"] == 1
+
+
+@pytest.mark.parametrize("C", sorted(RATIONAL_ROOT_REPORTS))
+def test_rational_root_reports_are_unchanged(capsys, C):
+    for shape, (code, mld_digest, slc_digest) in zip(RATIONAL_ROOT_SHAPES, RATIONAL_ROOT_REPORTS[C]):
+        for command, digest in (("mld", mld_digest), ("slc", slc_digest)):
+            got, out, _ = _timed_report(capsys, command, shape.format(C=C))
+            assert (got, hashlib.sha256(out.encode()).hexdigest()[:16]) == (code, digest)

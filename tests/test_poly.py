@@ -15,6 +15,7 @@ from slchyp import (
     prime_field,
 )
 from slchyp.fields import extension_field
+from slchyp import fields as fields_module, poly as poly_module
 from slchyp.poly import divide_exact, tri_gcd
 
 import random
@@ -183,6 +184,27 @@ def test_is_squarefree_examples():
     assert sq == poly("x^2+y^2*z^2", 2)
     assert not is_squarefree(poly("x^2+y^2*z^2", 2))
     assert is_squarefree(poly("x^2+y^2*z^2"))
+
+
+def test_modular_screen_stops_at_the_first_good_prime(monkeypatch):
+    # A non-squarefree f has no squarefree reduction, so the screen reduces
+    # it once and leaves the verdict to the exact gcd.
+    c = poly("0 - 8*x^2 - x*y + 2*y^2*z")
+    a = poly("8*z - 7*y*z^2 + 8*x^2*y^2*z^2")
+    reduced_at = []
+    original = fields_module.prime_field
+
+    def recorded(p):
+        reduced_at.append(p)
+        return original(p)
+
+    monkeypatch.setattr(fields_module, "prime_field", recorded)
+    assert not poly_module._squarefree_modular_screen(c * c * a)
+    assert reduced_at == [10007]
+    # a prime that lowers the total degree is passed over
+    reduced_at.clear()
+    assert poly_module._squarefree_modular_screen(poly("10007*x^3 + y^2 + z^2"))
+    assert reduced_at == [10007, 10009]
 
 
 def test_is_squarefree_pth_power_detection():

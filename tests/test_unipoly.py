@@ -1,5 +1,7 @@
+import math
 import random
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -221,3 +223,122 @@ def test_extension_classification_cost_is_polylog_in_p(monkeypatch, poly, p, deg
     assert verdict.mld.to_json() == 0
     assert verdict.to_json()["field_extension_used"] == degree
     assert calls[0] <= 64
+
+
+# -- pow_mod against the element-by-element loop it replaced -----------------
+
+
+def _pow_mod_reference(base, e, mod):
+    """Right-to-left square-and-multiply, one FieldElement product at a time."""
+    result = UniPoly.make(base.context, [base.context.one()])
+    base = base % mod
+    while e:
+        if e & 1:
+            result = (result * base) % mod
+        base = (base * base) % mod
+        e >>= 1
+    return result
+
+
+def _random_poly(ctx, rng, degree, monic_lead=False):
+    p, n = ctx.characteristic, ctx.extension_degree
+    coeffs = [ctx.from_vector([rng.randrange(p) for _ in range(n)]) for _ in range(degree)]
+    lead = ctx.zero()
+    while lead.is_zero() or lead.is_one():
+        lead = ctx.from_vector([rng.randrange(p) for _ in range(n)])
+    return UniPoly.make(ctx, coeffs + [lead])
+
+
+# coordinate_changes reaches degree-9 extensions of F_7
+POW_MOD_FIELDS = [(2, 8), (3, 5), (7, 9), (113, 4), (127, 2), (10007, 1)]
+
+
+@pytest.mark.parametrize("p,n", POW_MOD_FIELDS)
+def test_pow_mod_matches_the_elementwise_loop(p, n):
+    ctx = extension_field(p, n)
+    q = ctx.order()
+    rng = random.Random(31 * p + n)
+    for degree in range(7):
+        mod = _random_poly(ctx, rng, degree)  # never monic
+        base = _random_poly(ctx, rng, rng.randint(0, 2 * degree + 1))
+        exponents = [0, 1, 2, q, (q - 1) // 2] + [rng.randrange(q * q) for _ in range(2)]
+        for e in exponents:
+            assert base.pow_mod(e, mod) == _pow_mod_reference(base, e, mod), (degree, e)
+    # the zero base and the base t, whose powers are the Frobenius images
+    mod = _random_poly(ctx, rng, 5)
+    for base in (UniPoly.zero(ctx), UniPoly.x(ctx)):
+        for e in (0, 1, q):
+            assert base.pow_mod(e, mod) == _pow_mod_reference(base, e, mod)
+
+
+def test_pow_mod_rejects_the_rationals_and_a_zero_modulus():
+    t = UniPoly.x(RATIONALS)
+    with pytest.raises(ValueError):
+        t.pow_mod(3, up(RATIONALS, [1, 0, 1]))
+    F9 = extension_field(3, 2)
+    with pytest.raises(ZeroDivisionError):
+        UniPoly.x(F9).pow_mod(3, UniPoly.zero(F9))
+
+
+# -- rational roots against divisor enumeration --------------------------------
+
+
+def _rational_roots_reference(g):
+    """Rational root theorem: try every divisor of a0 over every divisor of an."""
+    ctx = g.context
+    lcm = 1
+    for c in g.coeffs:
+        lcm = lcm * c.payload.denominator // math.gcd(lcm, c.payload.denominator)
+    roots = []
+    zero = ctx.zero()
+    g, mult0 = unipoly._root_multiplicity(g, zero)
+    if mult0:
+        roots.append((zero, mult0))
+    ints = [int(c.payload * lcm) for c in g.coeffs]
+    if len(ints) < 2:
+        return roots
+    a0, an = abs(ints[0]), abs(ints[-1])
+
+    def divisors(n):
+        return sorted({d for k in range(1, math.isqrt(n) + 1) if n % k == 0 for d in (k, n // k)})
+
+    seen = set()
+    for num in divisors(a0):
+        for den in divisors(an):
+            for sign in (1, -1):
+                fr = Fraction(sign * num, den)
+                if fr in seen:
+                    continue
+                seen.add(fr)
+                cand = ctx.from_fraction(fr.numerator, fr.denominator)
+                if g.evaluate(cand).is_zero():
+                    g, m = unipoly._root_multiplicity(g, cand)
+                    roots.append((cand, m))
+    roots.sort(key=lambda rm: rm[0].sort_key())
+    return roots
+
+
+def test_rational_roots_match_divisor_enumeration():
+    # products of linear factors (some repeated) and a quadratic over Q,
+    # which may itself have rational roots
+    rng = random.Random(20261018)
+    Q = RATIONALS
+
+    def fraction(bound):
+        return Q.from_fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+    found = 0
+    for _ in range(40):
+        lead = Q.zero()
+        while lead.is_zero():
+            lead = fraction(9)
+        g = UniPoly.make(Q, [fraction(20), fraction(20), lead])
+        factor = None
+        for _ in range(rng.randint(0, 4)):
+            if factor is None or rng.random() < 0.7:
+                factor = UniPoly.make(Q, [-fraction(60), Q.one()])
+            g = g * factor
+        roots = unipoly._rational_roots(g)
+        assert roots == _rational_roots_reference(g), str(g)
+        found += len(roots)
+    assert found > 40
