@@ -289,12 +289,17 @@ def terminal_branch(label: str) -> Optional[Branch]:
     return BRANCHES.get(label)
 
 
+def order_label(o: int) -> str:
+    """The one trace label of a germ whose multiplicity o is not 2 or 3."""
+    return "unit" if o == 0 else "smooth" if o == 1 else f"multiplicity>={o}"
+
+
 def _choose_branch(nz: Normalizer, trace: List[str]) -> Tuple[str, dict]:
     """Walk the tree on nz, appending each label to trace; return the
     terminal label and the parameters its certificate details quote."""
     o = nz.f.ord_w(W1)
     if o <= 1 or o >= 4:
-        label = "unit" if o == 0 else "smooth" if o == 1 else f"multiplicity>={o}"
+        label = order_label(o)
         trace.append(label)
         return label, {"o": o}
     trace.append(f"multiplicity={o}")

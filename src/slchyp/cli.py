@@ -30,6 +30,7 @@ from .classifier import (
     check_conjecture_bounds,
     classify_mld,
     classify_slc,
+    order_label,
     terminal_branch,
 )
 from .fields import (
@@ -52,6 +53,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_EXTENSION = 3
 EXIT_OVERFLOW = 4
+
+# the witness search is cubic in --max-weight, so larger bounds are refused
+MAX_WEIGHT = 64
 
 GRAMMAR = (
     'expr := term (("+"|"-") term)*; term := factor ("*" factor)*; '
@@ -134,7 +138,8 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--poly", type=str, required=True,
                            help="polynomial in the documented grammar")
         p.add_argument("--max-weight", type=int, default=8,
-                       help="bound for auxiliary witness searches (default 8)")
+                       help=f"bound for auxiliary witness searches, 1..{MAX_WEIGHT} "
+                            "(default 8)")
         p.add_argument("--strict-q", action="store_true",
                        help="deprecated, has no effect: algebraic extensions "
                             "over Q are never made")
@@ -167,6 +172,8 @@ def run(argv) -> int:
 
     started = time.monotonic()
     try:
+        if not 1 <= args.max_weight <= MAX_WEIGHT:
+            raise ValueError(f"--max-weight must be in 1..{MAX_WEIGHT}")
         ctx = _context_for(args.char)
         f = parse_poly(args.poly, ctx)
         report = _base_report(args, args.command, ctx)
@@ -221,7 +228,8 @@ def run(argv) -> int:
 def _cmd_verify(args) -> int:
     """Check the envelope (command, input field, extension degree), replay
     automorphism, initial form, witness discrepancy and bounds from a report,
-    recompute any slc claim from is_squarefree(f) and mld, and check the
+    recompute any slc claim from is_squarefree(f) and mld, replay the branch
+    trace as a path of the tree from the multiplicity of f, and check the
     verdict and its certificates against the table entry of the terminal
     branch, rerunning each Fedder test on the entry's model."""
     try:
@@ -282,7 +290,14 @@ def _cmd_verify(args) -> int:
             if type(slc) is not type(expected) or slc != expected:
                 raise ValueError("slc claim does not replay")
         trace = verdict["branch_trace"]
-        label = trace[-2] if trace[-1:] == ["non-reduced"] else trace[-1]
+        if (trace[-1:] == ["non-reduced"]) != (slc == SLC_NOT_APPLICABLE):
+            raise ValueError("non-reduced ends the trace exactly when slc is not applicable")
+        path = trace[:-1] if slc == SLC_NOT_APPLICABLE else trace
+        stages = _trace_stages(path, f.ord_w((1, 1, 1)))
+        if [label.partition(":")[0] for label in path] != stages[:len(path)] or any(
+                terminal_branch(label) is not None for label in path[:-1]):
+            raise ValueError("branch trace is not a path of the classification tree")
+        label = path[-1]
         branch = terminal_branch(label)
         if branch is None:
             raise ValueError("branch trace does not end in a terminal branch")
@@ -304,6 +319,17 @@ def _cmd_verify(args) -> int:
         return EXIT_VERIFY_FAILED
     _emit({"verified": True}, False)
     return EXIT_OK
+
+
+def _trace_stages(path, o):
+    """Stage prefixes (the part of a label before ':') of the tree's walk for
+    an f of multiplicity o; the labels of `path` pick the branch points."""
+    if o not in (2, 3):
+        return [order_label(o)]
+    stages = [f"multiplicity={o}", "cone" if o == 3 else "quadric"]
+    if path[1:2] == ["quadric:rank1"]:
+        stages += ["w2", "q"] if path[2:3] == ["w2:quartic"] else ["w2", "w3", "w4", "w5", "w6"]
+    return stages
 
 
 def _differs(claimed, expected) -> bool:

@@ -49,10 +49,6 @@ class GroebnerBudget:
 # sparse n-variable polynomials as dicts
 
 
-def np_zero() -> NPoly:
-    return {}
-
-
 def np_mul_term(a: NPoly, m: NMonomial, c: FieldElement) -> NPoly:
     return {tuple(x + y for x, y in zip(mm, m)): v * c for mm, v in a.items()}
 
@@ -267,7 +263,7 @@ class JetSystem:
 
 
 def _series_mul(a: List[NPoly], b: List[NPoly], m: int) -> List[NPoly]:
-    out = [np_zero() for _ in range(m + 1)]
+    out = [{} for _ in range(m + 1)]
     for i, ai in enumerate(a):
         if not ai:
             continue
@@ -299,10 +295,10 @@ def build_jets(f: TriPoly, m: int) -> JetSystem:
     series = []
     for i in range(3):
         series.append([var(i, j) for j in range(m + 1)])
-    one_series = [np_zero() for _ in range(m + 1)]
+    one_series = [{} for _ in range(m + 1)]
     one_series[0] = {tuple([0] * nvars): ctx.one()}
 
-    levels = [np_zero() for _ in range(m + 1)]
+    levels = [{} for _ in range(m + 1)]
     for mono, coeff in f.terms.items():
         term = one_series
         for i in range(3):

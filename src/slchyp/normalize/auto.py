@@ -6,6 +6,15 @@ scalings of one variable, and unit rescalings of the whole polynomial (the
 last is bookkeeping, not a coordinate change, but it never changes a
 verdict).  Replaying the steps on the recorded input must reproduce the
 recorded output; tests rely on that round trip.
+
+The normalization stages share one toolkit from here:
+  - `kernel`: rank and kernel vector of a 3x3 matrix (Gauss-Jordan);
+  - `quadratic_coefficient`: the coefficient of x_i x_j;
+  - `linear_form`: the polynomial sum_j c_j x_j;
+  - `Normalizer.move_to_z`: a linear change taking a point to [0:0:1];
+  - `Normalizer.known_roots`: the roots the field can supply (rational
+    roots over Q, all roots over F_q), next to the strict `root_of` and
+    `all_roots`.
 """
 
 from __future__ import annotations
@@ -61,6 +70,52 @@ def mat_inverse(m: Matrix) -> Matrix:
     return tuple(tuple(x * inv_det for x in row) for row in cof)
 
 
+def kernel(rows) -> Tuple[int, Optional[Tuple[FieldElement, ...]]]:
+    """(rank, v) of a 3x3 matrix by Gauss-Jordan elimination; v is the kernel
+    vector with a one at the first free column, None at full rank."""
+    mat = [list(r) for r in rows]
+    pivots: List[int] = []
+    for col in range(3):
+        r = len(pivots)
+        piv = next((i for i in range(r, 3) if not mat[i][col].is_zero()), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = mat[r][col].inverse()
+        mat[r] = [c * inv for c in mat[r]]
+        for i in range(3):
+            if i != r and not mat[i][col].is_zero():
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+    if len(pivots) == 3:
+        return 3, None
+    ctx = mat[0][0].context
+    free = next(c for c in range(3) if c not in pivots)
+    vec = [ctx.zero()] * 3
+    vec[free] = ctx.one()
+    for row, col in enumerate(pivots):
+        vec[col] = -mat[row][free]
+    return len(pivots), tuple(vec)
+
+
+def quadratic_coefficient(f: TriPoly, i: int, j: int) -> FieldElement:
+    """Coefficient of x_i * x_j in f."""
+    m = [0, 0, 0]
+    m[i] += 1
+    m[j] += 1
+    return f.coefficient(tuple(m))
+
+
+def linear_form(ctx: FieldContext, coeffs: Sequence[FieldElement]) -> TriPoly:
+    """sum_j coeffs[j] * x_j."""
+    out = TriPoly.zero(ctx)
+    for j, c in enumerate(coeffs):
+        if not c.is_zero():
+            out = out + TriPoly.variable(ctx, j).scale(c)
+    return out
+
+
 def identity_matrix(ctx: FieldContext) -> Matrix:
     one, zero = ctx.one(), ctx.zero()
     return (
@@ -81,16 +136,7 @@ class LinearStep:
             raise ValueError("linear step must be invertible")
 
     def apply(self, f: TriPoly) -> TriPoly:
-        ctx = f.context
-        images = []
-        for i in range(3):
-            img = TriPoly.zero(ctx)
-            for j in range(3):
-                c = self.matrix[i][j]
-                if not c.is_zero():
-                    img = img + TriPoly.variable(ctx, j).scale(c)
-            images.append(img)
-        return f.substitute(images)
+        return f.substitute([linear_form(f.context, row) for row in self.matrix])
 
     def map_context(self, emb: FieldEmbedding) -> "LinearStep":
         return LinearStep(tuple(tuple(emb(c) for c in row) for row in self.matrix))
@@ -328,6 +374,19 @@ class Normalizer:
         m[j][i] = ctx.one()
         self.linear(tuple(tuple(row) for row in m))
 
+    def move_to_z(self, P: Sequence[FieldElement]) -> None:
+        """Linear change taking the projective point P to [0:0:1]; the other
+        two columns are the first pair of standard vectors completing P."""
+        std = identity_matrix(self.context)
+        for a in range(3):
+            for b in range(a + 1, 3):
+                cols = (std[a], std[b], P)
+                m = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
+                if not mat_det(m).is_zero():
+                    self.linear(m)
+                    return
+        raise ValueError("point is zero")
+
     def yz_linear(self, m11, m12, m21, m22) -> None:
         """y -> m11*y + m12*z, z -> m21*y + m22*z."""
         ctx = self.context
@@ -403,6 +462,13 @@ class Normalizer:
         if res.context != self.context:
             self.extend(res.embedding)
         return res.roots
+
+    def known_roots(self, g: UniPoly):
+        """Roots the field can supply: the rational roots over Q (never
+        raises), the full multiset over F_q (enlarging it as needed)."""
+        if self.context.is_rational:
+            return find_roots(g, allow_extension=False).roots
+        return self.all_roots(g)
 
     def nth_root_of(self, a: FieldElement, n: int) -> FieldElement:
         root, emb = nth_root(a, n, allow_extension=not self.context.is_rational)

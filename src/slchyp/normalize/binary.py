@@ -60,17 +60,6 @@ def factor_binary(nz: Normalizer, F: TriPoly, first: int, second: int,
     return unit, factors
 
 
-def factor_poly(nz: Normalizer, fac: LinearPair, first: int, second: int) -> TriPoly:
-    a, b = fac
-    ctx = nz.context
-    out = TriPoly.zero(ctx)
-    if not a.is_zero():
-        out = out + TriPoly.variable(ctx, first).scale(a)
-    if not b.is_zero():
-        out = out + TriPoly.variable(ctx, second).scale(b)
-    return out
-
-
 def pair_change(nz: Normalizer, L1: LinearPair, L2: LinearPair,
                 first: int, second: int) -> None:
     """Apply the substitution on (first, second) with L1 -> first-variable and

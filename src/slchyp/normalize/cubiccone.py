@@ -31,14 +31,19 @@ from ..poly import (
     is_squarefree,
     squarefree_excess,
 )
-from ..unipoly import UniPoly, find_roots
+from ..unipoly import UniPoly
 from .auto import (
     Normalizer,
     NormalizationOutcome,
+    identity_matrix,
+    kernel,
+    linear_form,
     mat_det,
+    mat_inverse,
     matrix_mapping_form_to_var,
+    quadratic_coefficient,
 )
-from .binary import pair_change, single_change
+from .binary import binary_form_coefficients, pair_change, single_change
 
 Line = Tuple[FieldElement, FieldElement, FieldElement]
 
@@ -66,15 +71,6 @@ def classify_cubic_cone(g: TriPoly) -> NormalizationOutcome:
 # helpers
 
 
-def _line_poly(nz: Normalizer, L: Line) -> TriPoly:
-    ctx = nz.context
-    out = TriPoly.zero(ctx)
-    for i, c in enumerate(L):
-        if not c.is_zero():
-            out = out + TriPoly.variable(ctx, i).scale(c)
-    return out
-
-
 def _normalize_line(L: Line) -> Line:
     for c in L:
         if not c.is_zero():
@@ -89,6 +85,34 @@ def _cross(p: Line, q: Line) -> Line:
         p[2] * q[0] - p[0] * q[2],
         p[0] * q[1] - p[1] * q[0],
     )
+
+
+def _distinct_points(points) -> List[Line]:
+    """The nonzero points (or lines), each scaled so its first nonzero
+    coordinate is one, without repeats, in sort_key order."""
+    seen = {}
+    for P in points:
+        if not all(c.is_zero() for c in P):
+            norm = _normalize_line(P)
+            seen.setdefault(tuple(c.sort_key() for c in norm), norm)
+    return [seen[key] for key in sorted(seen)]
+
+
+def _has_double_root(a: FieldElement, b: FieldElement, c: FieldElement) -> bool:
+    """a t^2 + b t u + c u^2 is a unit times a square of a linear form."""
+    ctx = a.context
+    if ctx.characteristic == 2:
+        return b.is_zero()
+    return (b * b - ctx.from_int(4) * a * c).is_zero()
+
+
+def _binary_zeros(nz: Normalizer, coeffs: List[FieldElement]):
+    """Known projective zeros [t : u] of sum_k coeffs[k] t^(d-k) u^k: [1 : 0]
+    when coeffs[0] = 0, then [r : 1] for each known root r of the form at u = 1."""
+    p = UniPoly.make(nz.context, coeffs[::-1])
+    roots = nz.known_roots(p) if p.degree() >= 1 else ()
+    one, zero = nz.context.one(), nz.context.zero()
+    return ([(one, zero)] if coeffs[0].is_zero() else []) + [(r, one) for r, _ in roots]
 
 
 def _try_divide(h: TriPoly, L: TriPoly) -> Optional[TriPoly]:
@@ -106,34 +130,10 @@ def _binary_restriction_points(nz: Normalizer, h: TriPoly, drop: int):
     rest = h.restrict_to_pair(tuple(keep))
     if rest.is_zero():
         raise AssertionError("coordinate-line factor should be handled earlier")
-    deg = rest.total_degree()
-    coeffs = []
-    ctx = nz.context
-    for k in range(deg + 1):
-        m = [0, 0, 0]
-        m[keep[0]] = deg - k
-        m[keep[1]] = k
-        coeffs.append(rest.coefficient(tuple(m)))
-    points = []
-    one, zero = ctx.one(), ctx.zero()
-    if coeffs[0].is_zero():
-        points.append((one, zero))  # zero in the keep[0]-axis direction
-    # remaining zeros parametrized as [t : 1]: rest(t, 1) = sum c_k t^(deg-k)
-    p = UniPoly.make(ctx, list(reversed(coeffs)))
-    if p.degree() >= 1:
-        if nz.context.is_rational:
-            roots = find_roots(p, allow_extension=False).roots
-        else:
-            mark = nz.mark()
-            roots = nz.all_roots(p)
-            points = [
-                (nz.embed_elt(a, mark), nz.embed_elt(b, mark)) for a, b in points
-            ]
-        one = nz.context.one()
-        for r, _mult in roots:
-            points.append((r, one))
-    out = []
+    coeffs = binary_form_coefficients(rest, keep[0], keep[1], rest.total_degree())
+    points = _binary_zeros(nz, coeffs)
     zero = nz.context.zero()
+    out = []
     for a, b in points:
         triple = [zero, zero, zero]
         triple[keep[0]] = a
@@ -155,42 +155,20 @@ def _find_linear_factor(nz: Normalizer, h: TriPoly) -> Optional[Tuple[TriPoly, L
             for i in range(3)
         )
         return TriPoly.constant(ctx.one()), _normalize_line(L)
-    mark = nz.mark()
-    pts_z = _binary_restriction_points(nz, h, 2)
-    h = nz.embed_poly(h, mark)
-    mark = nz.mark()
-    pts_y = _binary_restriction_points(nz, h, 1)
-    h = nz.embed_poly(h, mark)
-    pts_z = [tuple(nz.embed_elt(c, mark) for c in p) for p in pts_z]
-    mark = nz.mark()
-    pts_x = _binary_restriction_points(nz, h, 0)
-    h = nz.embed_poly(h, mark)
-    pts_z = [tuple(nz.embed_elt(c, mark) for c in p) for p in pts_z]
-    pts_y = [tuple(nz.embed_elt(c, mark) for c in p) for p in pts_y]
-    ctx = nz.context
-    e0 = (ctx.one(), ctx.zero(), ctx.zero())
-    candidates = []
-    for p in pts_z:
-        for q in pts_y:
-            if _proj_equal(p, q):
-                continue
-            candidates.append(_cross(p, q))
-    for p in pts_x:
-        candidates.append(_cross(p, e0))
-    seen = set()
-    uniq = []
-    for c in candidates:
-        if all(x.is_zero() for x in c):
-            continue
-        norm = _normalize_line(c)
-        key = tuple(x.sort_key() for x in norm)
-        if key in seen:
-            continue
-        seen.add(key)
-        uniq.append(norm)
-    uniq.sort(key=lambda L: tuple(x.sort_key() for x in L))
-    for L in uniq:
-        quo = _try_divide(h, _line_poly(nz, L))
+    found: List[List[Line]] = []
+    for drop in (2, 1, 0):
+        mark = nz.mark()
+        pts = _binary_restriction_points(nz, h, drop)
+        # carry everything computed so far into a field the call enlarged
+        h = nz.embed_poly(h, mark)
+        found = [[tuple(nz.embed_elt(c, mark) for c in P) for P in ps] for ps in found]
+        found.append(pts)
+    pts_z, pts_y, pts_x = found
+    e0 = identity_matrix(nz.context)[0]
+    candidates = [_cross(p, q) for p in pts_z for q in pts_y if not _proj_equal(p, q)]
+    candidates += [_cross(p, e0) for p in pts_x]
+    for L in _distinct_points(candidates):
+        quo = _try_divide(h, linear_form(nz.context, L))
         if quo is not None:
             return quo, L
     return None
@@ -219,21 +197,6 @@ def _linear_factors(nz: Normalizer, h: TriPoly):
     return h, lines
 
 
-def _move_point_to_z(nz: Normalizer, P: Line) -> None:
-    """Linear change taking the projective point P to [0:0:1]."""
-    ctx = nz.context
-    one, zero = ctx.one(), ctx.zero()
-    std = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
-    for a in range(3):
-        for b in range(a + 1, 3):
-            cols = (std[a], std[b], P)
-            m = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
-            if not mat_det(m).is_zero():
-                nz.linear(m)
-                return
-    raise ValueError("point is zero")
-
-
 # ---------------------------------------------------------------------------
 # branches
 
@@ -259,7 +222,8 @@ def _repeated_line(nz: Normalizer) -> NormalizationOutcome:
     if L.total_degree() != 1:
         raise AssertionError("repeated factor is not a line")
     coeffs = tuple(L.coefficient(tuple(1 if i == j else 0 for j in range(3))) for i in range(3))
-    if _try_divide(nz.f, _line_poly(nz, coeffs) * _line_poly(nz, coeffs)) is None:
+    line = linear_form(nz.context, coeffs)
+    if _try_divide(nz.f, line * line) is None:
         raise AssertionError("square of the repeated line does not divide")
     nz.linear(matrix_mapping_form_to_var(coeffs, 0, nz.context))
     if any(m[0] < 2 for m in nz.f.terms):
@@ -270,13 +234,10 @@ def _repeated_line(nz: Normalizer) -> NormalizationOutcome:
 def _three_lines(nz: Normalizer, lines: List[Line]) -> NormalizationOutcome:
     m = tuple(tuple(L) for L in lines)
     if mat_det(m).is_zero():
-        P = _cross(lines[0], lines[1])
-        _move_point_to_z(nz, P)
+        nz.move_to_z(_cross(lines[0], lines[1]))
         if any(mm[2] for mm in nz.f.terms):
             raise AssertionError("concurrent normalization left z-terms")
         return nz.outcome("cone:concurrent-lines")
-    from .auto import mat_inverse
-
     nz.linear(mat_inverse(m))
     if set(nz.f.terms) != {(1, 1, 1)}:
         raise AssertionError("triangle normalization failed")
@@ -287,13 +248,15 @@ def _conic_and_line(nz: Normalizer, L: Line, conic: TriPoly) -> NormalizationOut
     ctx = nz.context
     p = ctx.characteristic
     if p == 0:
-        # the conic may still split into a conjugate pair of lines: rank test
-        rank = _conic_rank(conic)
-        if rank <= 2:
-            P = _conic_radical_point(conic)
+        # the conic may still split into a conjugate pair of lines: then its
+        # Gram matrix is singular and the kernel is their common point
+        half = ctx.from_int(2).inverse()
+        _, P = kernel([[quadratic_coefficient(conic, i, j) * (half if i != j else ctx.one())
+                        for j in range(3)] for i in range(3)])
+        if P is not None:
             val = sum((c * v for c, v in zip(L, P)), ctx.zero())
             if val.is_zero():
-                _move_point_to_z(nz, P)
+                nz.move_to_z(P)
                 if any(mm[2] for mm in nz.f.terms):
                     raise AssertionError("concurrent normalization left z-terms")
                 return nz.outcome("cone:concurrent-lines")
@@ -304,13 +267,7 @@ def _conic_and_line(nz: Normalizer, L: Line, conic: TriPoly) -> NormalizationOut
     b0 = conic_now.coefficient((0, 2, 0))
     b1 = conic_now.coefficient((0, 1, 1))
     b2 = conic_now.coefficient((0, 0, 2))
-    ctx = nz.context
-    if p == 2:
-        tangent = b1.is_zero()
-    else:
-        four = ctx.from_int(4)
-        tangent = (b1 * b1 - four * b0 * b2).is_zero()
-    if tangent:
+    if _has_double_root(b0, b1, b2):
         return _conic_tangent(nz, b0, b1, b2)
     return _conic_transverse(nz, b0, b1, b2)
 
@@ -344,11 +301,7 @@ def _conic_tangent(nz: Normalizer, b0, b1, b2) -> NormalizationOutcome:
     beta = conic_now.coefficient((2, 0, 0))
     gammac = conic_now.coefficient((1, 1, 0))
     ai = alpha.inverse()
-    addend = (
-        TriPoly.variable(nz.context, 0).scale(-(beta * ai))
-        + TriPoly.variable(nz.context, 1).scale(-(gammac * ai))
-    )
-    nz.shift(2, addend)
+    nz.shift(2, linear_form(nz.context, (-(beta * ai), -(gammac * ai), zero)))
     expected_keys = {(2, 0, 1), (1, 2, 0)}
     if set(nz.f.terms) != expected_keys:
         raise AssertionError("conic-tangent normal form failed")
@@ -356,32 +309,13 @@ def _conic_tangent(nz: Normalizer, b0, b1, b2) -> NormalizationOutcome:
 
 
 def _conic_transverse(nz: Normalizer, b0, b1, b2) -> NormalizationOutcome:
-    ctx = nz.context
-    # intersection points of the line {x=0} with the conic: zeros of the
-    # restriction; over Q an irrational pair only skips the cosmetic part
-    quad = UniPoly.make(ctx, [b2, b1, b0])  # roots r give points [0 : 1 : r]...
-    # direction convention: zero of b0 t^2 + b1 t u + b2 u^2 at [t : u]
-    if ctx.is_rational:
-        res = find_roots(quad, allow_extension=False)
-        if sum(m for _, m in res.roots) < 2 and not (
-            b0.is_zero() and len(res.roots) >= 1
-        ):
-            if not b0.is_zero() or not res.roots:
-                return nz.outcome(
-                    "cone:conic-transverse", {"normalized": "partial"}
-                )
-        roots = [r for r, _ in res.roots]
-    else:
-        roots = [r for r, _ in nz.all_roots(quad)]
-    ctx = nz.context
-    one, zero = ctx.one(), ctx.zero()
-    dirs = []
-    if b0.is_zero():
-        dirs.append((one, zero))
-    for r in roots:
-        dirs.append((r, one))
+    # intersection points of the line {x=0} with the conic: the zeros [t : u]
+    # of b0 t^2 + b1 t u + b2 u^2; over Q an irrational pair only skips the
+    # cosmetic part
+    dirs = _binary_zeros(nz, [b0, b1, b2])
     if len(dirs) < 2:
         return nz.outcome("cone:conic-transverse", {"normalized": "partial"})
+    one, zero = nz.context.one(), nz.context.zero()
     p1 = (zero, dirs[0][0], dirs[0][1])
     p2 = (zero, dirs[1][0], dirs[1][1])
     std = (one, zero, zero)
@@ -403,77 +337,6 @@ def _conic_transverse(nz: Normalizer, b0, b1, b2) -> NormalizationOutcome:
     if set(nz.f.terms) != {(1, 1, 1), (0, 3, 0)}:
         raise AssertionError("conic-transverse normal form failed")
     return nz.outcome("cone:conic-transverse", {"normalized": "full"})
-
-
-def _conic_rank(conic: TriPoly) -> int:
-    """Rank of a ternary quadratic in characteristic 0."""
-    ctx = conic.context
-    half = ctx.from_int(2).inverse()
-
-    def coeff(i, j):
-        m = [0, 0, 0]
-        m[i] += 1
-        m[j] += 1
-        c = conic.coefficient(tuple(m))
-        return c if i == j else c * half
-
-    rows = [[coeff(i, j) for j in range(3)] for i in range(3)]
-    # Gaussian elimination rank
-    rank = 0
-    for col in range(3):
-        piv = next((r for r in range(rank, 3) if not rows[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [c * inv for c in rows[rank]]
-        for r in range(3):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _conic_radical_point(conic: TriPoly) -> Line:
-    """Singular point of a rank-2 conic in characteristic 0 (the common point
-    of the two lines it splits into over the closure)."""
-    ctx = conic.context
-    half = ctx.from_int(2).inverse()
-
-    def coeff(i, j):
-        m = [0, 0, 0]
-        m[i] += 1
-        m[j] += 1
-        c = conic.coefficient(tuple(m))
-        return c if i == j else c * half
-
-    rows = [[coeff(i, j) for j in range(3)] for i in range(3)]
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for col in range(3):
-        piv = next((i for i in range(r, 3) if not mat[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][col].inverse()
-        mat[r] = [c * inv for c in mat[r]]
-        for i in range(3):
-            if i != r and not mat[i][col].is_zero():
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(3) if c not in pivots]
-    if not free:
-        raise ValueError("conic has full rank")
-    fc = free[0]
-    vec = [ctx.zero()] * 3
-    vec[fc] = ctx.one()
-    for row_i, pc in enumerate(pivots):
-        vec[pc] = -mat[row_i][fc]
-    return tuple(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +365,7 @@ def _no_rational_lines(nz: Normalizer) -> NormalizationOutcome:
         # only conjugate triple-node configurations lack a rational singular
         # point once rational lines and smoothness are excluded
         return nz.outcome("cone:triangle", {"split": "conjugate lines"})
-    P = points[0]
-    _move_point_to_z(nz, P)
+    nz.move_to_z(points[0])
     c2 = [
         nz.f.coefficient((2, 0, 1)),
         nz.f.coefficient((1, 1, 1)),
@@ -525,15 +387,8 @@ def _no_rational_lines(nz: Normalizer) -> NormalizationOutcome:
 
 def _double_point(nz: Normalizer, c2) -> NormalizationOutcome:
     """Node or cusp of an irreducible cubic placed at [0:0:1]."""
-    ctx = nz.context
-    p = ctx.characteristic
     q0, q1, q2 = c2  # tangent cone q0 x^2 + q1 xy + q2 y^2 (times z)
-    if p == 2:
-        double = q1.is_zero()
-    else:
-        four = ctx.from_int(4)
-        double = (q1 * q1 - four * q0 * q2).is_zero()
-    if double:
+    if _has_double_root(q0, q1, q2):
         return _cusp(nz, q0, q1, q2)
     return _node(nz, q0, q1, q2)
 
@@ -558,11 +413,7 @@ def _cusp(nz: Normalizer, q0, q1, q2) -> NormalizationOutcome:
     ci = c.inverse()
     h = nz.f.coefficient((1, 2, 0))
     i_ = nz.f.coefficient((0, 3, 0))
-    addend = (
-        TriPoly.variable(nz.context, 0).scale(-(h * ci))
-        + TriPoly.variable(nz.context, 1).scale(-(i_ * ci))
-    )
-    nz.shift(2, addend)
+    nz.shift(2, linear_form(nz.context, (-(h * ci), -(i_ * ci), ctx.zero())))
     keys = set(nz.f.terms)
     if not keys <= {(0, 2, 1), (3, 0, 0), (2, 1, 0)}:
         raise AssertionError("cusp normal form failed")
@@ -572,26 +423,12 @@ def _cusp(nz: Normalizer, q0, q1, q2) -> NormalizationOutcome:
 
 
 def _node(nz: Normalizer, q0, q1, q2) -> NormalizationOutcome:
-    ctx = nz.context
     # tangent cone has two distinct directions; over Q they may be conjugate,
     # in which case the normalization stops here (the verdict is type-level)
-    quad = UniPoly.make(ctx, [q2, q1, q0])
-    if ctx.is_rational:
-        res = find_roots(quad, allow_extension=False)
-        roots = [r for r, _ in res.roots]
-        if q0.is_zero():
-            pass
-        if sum(m for _, m in res.roots) + (1 if q0.is_zero() else 0) < 2:
-            return nz.outcome("cone:nodal", {"normalized": "partial"})
-    else:
-        roots = [r for r, _ in nz.all_roots(quad)]
-    ctx = nz.context
-    one, zero = ctx.one(), ctx.zero()
-    dirs = []
-    if q0.is_zero():
-        dirs.append((one, zero))
-    for r in roots:
-        dirs.append((r, one))
+    dirs = _binary_zeros(nz, [q0, q1, q2])
+    if len(dirs) < 2:
+        return nz.outcome("cone:nodal", {"normalized": "partial"})
+    one, zero = nz.context.one(), nz.context.zero()
     # tangent lines: q0 x^2 + q1 xy + q2 y^2 = q0 (x - t1 y)(x - t2 y)-style;
     # direction (t, 1) corresponds to the line x - t y, i.e. form (1, -t)
     L1 = (one, -dirs[0][0]) if not dirs[0][1].is_zero() else (zero, one)
@@ -603,11 +440,7 @@ def _node(nz: Normalizer, q0, q1, q2) -> NormalizationOutcome:
     ci = c.inverse()
     d = nz.f.coefficient((2, 1, 0))
     h = nz.f.coefficient((1, 2, 0))
-    addend = (
-        TriPoly.variable(nz.context, 0).scale(-(d * ci))
-        + TriPoly.variable(nz.context, 1).scale(-(h * ci))
-    )
-    nz.shift(2, addend)
+    nz.shift(2, linear_form(nz.context, (-(d * ci), -(h * ci), zero)))
     keys = set(nz.f.terms)
     if keys != {(1, 1, 1), (3, 0, 0), (0, 3, 0)}:
         raise AssertionError("node normal form failed")
@@ -625,16 +458,7 @@ def _rational_singular_points(nz: Normalizer) -> List[Line]:
             break
         # the field grew while splitting an elimination polynomial; rerun so
         # every patch is solved over the final field
-    seen = set()
-    out = []
-    for P in points:
-        norm = _normalize_line(P)
-        key = tuple(c.sort_key() for c in norm)
-        if key not in seen:
-            seen.add(key)
-            out.append(norm)
-    out.sort(key=lambda P: tuple(c.sort_key() for c in P))
-    return out
+    return _distinct_points(points)
 
 
 def _solve_patches(nz: Normalizer) -> List[Line]:
@@ -708,13 +532,10 @@ def _solve_bivariate(nz: Normalizer, gens) -> List[Tuple[FieldElement, FieldElem
         u = up if u is None else u.gcd(up)
     if u.degree() < 1:
         return []
-    if ctx.is_rational:
-        roots_b = [r for r, _ in find_roots(u, allow_extension=False).roots]
-    else:
-        mark = nz.mark()
-        roots_b = [r for r, _ in nz.all_roots(u)]
-        if nz.mark() != mark:
-            return []  # field grew; caller reruns all patches
+    mark = nz.mark()
+    roots_b = [r for r, _ in nz.known_roots(u)]
+    if nz.mark() != mark:
+        return []  # field grew; caller reruns all patches
     out = []
     for rb in roots_b:
         ctx2 = nz.context
@@ -741,13 +562,8 @@ def _solve_bivariate(nz: Normalizer, gens) -> List[Tuple[FieldElement, FieldElem
             raise AssertionError("unconstrained first variable at a root")
         if uni.degree() < 1:
             continue
-        if ctx2.is_rational:
-            roots_a = [r for r, _ in find_roots(uni, allow_extension=False).roots]
-        else:
-            mark = nz.mark()
-            roots_a = [r for r, _ in nz.all_roots(uni)]
-            if nz.mark() != mark:
-                return []
-        for ra in roots_a:
-            out.append((ra, rb))
+        roots_a = [r for r, _ in nz.known_roots(uni)]
+        if nz.mark() != mark:
+            return []
+        out += [(ra, rb) for ra in roots_a]
     return out

@@ -17,14 +17,14 @@ from typing import Optional
 
 from ..fields import NeedsAlgebraicExtension
 from ..poly import TriPoly
-from .auto import Normalizer, NormalizationOutcome
-
-
-def _coeff(f: TriPoly, i: int, j: int):
-    m = [0, 0, 0]
-    m[i] += 1
-    m[j] += 1
-    return f.coefficient(tuple(m))
+from ..unipoly import UniPoly
+from .auto import (
+    Normalizer,
+    NormalizationOutcome,
+    kernel,
+    matrix_mapping_form_to_var,
+    quadratic_coefficient,
+)
 
 
 def normalize_quadric(q: TriPoly, char: Optional[int] = None) -> NormalizationOutcome:
@@ -59,7 +59,7 @@ def _rank_label(nz: Normalizer) -> int:
         if (0, 1, 1) in f.terms:
             return 3
         return 1
-    diag = [not _coeff(f, i, i).is_zero() for i in range(3)]
+    diag = [not quadratic_coefficient(f, i, i).is_zero() for i in range(3)]
     return sum(diag)
 
 
@@ -71,11 +71,9 @@ def _normalize_diagonal(nz: Normalizer) -> None:
     half = ctx.from_int(2).inverse()
     for i in range(3):
         # ensure a pivot at position i if anything survives in the tail block
-        if _coeff(nz.f, i, i).is_zero():
-            j = next(
-                (j for j in range(i + 1, 3) if not _coeff(nz.f, j, j).is_zero()),
-                None,
-            )
+        if quadratic_coefficient(nz.f, i, i).is_zero():
+            j = next((j for j in range(i + 1, 3)
+                      if not quadratic_coefficient(nz.f, j, j).is_zero()), None)
             if j is not None:
                 nz.swap(i, j)
             else:
@@ -84,7 +82,7 @@ def _normalize_diagonal(nz: Normalizer) -> None:
                         (a, b)
                         for a in range(i, 3)
                         for b in range(a + 1, 3)
-                        if not _coeff(nz.f, a, b).is_zero()
+                        if not quadratic_coefficient(nz.f, a, b).is_zero()
                     ),
                     None,
                 )
@@ -95,34 +93,32 @@ def _normalize_diagonal(nz: Normalizer) -> None:
                 nz.shift(b, TriPoly.variable(ctx, a))
                 if a != i:
                     nz.swap(i, a)
-        pivot = _coeff(nz.f, i, i)
+        pivot = quadratic_coefficient(nz.f, i, i)
         if pivot.is_zero():
             break
         for j in range(3):
             if j == i:
                 continue
-            c = _coeff(nz.f, i, j)
+            c = quadratic_coefficient(nz.f, i, j)
             if c.is_zero():
                 continue
             s = -(c * half * pivot.inverse())
             nz.shift(i, TriPoly.variable(ctx, j).scale(s))
     # move nonzero diagonal entries to the front
     for i in range(3):
-        if _coeff(nz.f, i, i).is_zero():
-            j = next(
-                (j for j in range(i + 1, 3) if not _coeff(nz.f, j, j).is_zero()),
-                None,
-            )
+        if quadratic_coefficient(nz.f, i, i).is_zero():
+            j = next((j for j in range(i + 1, 3)
+                      if not quadratic_coefficient(nz.f, j, j).is_zero()), None)
             if j is not None:
                 nz.swap(i, j)
-    diag = [_coeff(nz.f, i, i) for i in range(3)]
+    diag = [quadratic_coefficient(nz.f, i, i) for i in range(3)]
     rank = sum(1 for d in diag if not d.is_zero())
     if rank == 1:
         # exact: rescale the whole polynomial instead of extracting a root
         nz.rescale(diag[0].inverse())
         return
     for i in range(3):
-        d = _coeff(nz.f, i, i)
+        d = quadratic_coefficient(nz.f, i, i)
         if d.is_zero() or d.is_one():
             continue
         try:
@@ -135,38 +131,24 @@ def _normalize_diagonal(nz: Normalizer) -> None:
 # -- characteristic 2 --------------------------------------------------------
 
 
-def _sqrt2(c):
-    return c.pth_root()
-
-
 def _normalize_char2(nz: Normalizer) -> None:
     ctx = nz.context
     one, zero = ctx.one(), ctx.zero()
-    bil = [_coeff(nz.f, 0, 1), _coeff(nz.f, 0, 2), _coeff(nz.f, 1, 2)]
+    bil = [quadratic_coefficient(nz.f, i, j) for i, j in ((0, 1), (0, 2), (1, 2))]
     if all(c.is_zero() for c in bil):
         # pure square: q = (sqrt(a) x + sqrt(b) y + sqrt(c) z)^2
-        L = [_sqrt2(_coeff(nz.f, i, i)) for i in range(3)]
-        from .auto import matrix_mapping_form_to_var
-
+        L = [quadratic_coefficient(nz.f, i, i).pth_root() for i in range(3)]
         nz.linear(matrix_mapping_form_to_var(L, 0, ctx))
         assert nz.f == TriPoly.monomial(ctx, (2, 0, 0))
         return
-    # radical of the alternating part: kernel vector of the Gram matrix
-    d, e, z_ = bil  # coefficients on xy, xz, yz
-    # Gram rows: (0 d e), (d 0 z), (e z 0); kernel is 1-dimensional
-    v = _bilinear_kernel(nz)
-    basis = _complete_basis(nz, v)
-    # substitution with columns (e1, e2, v)
-    e1, e2 = basis
-    cols = (e1, e2, v)
-    m = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
-    nz.linear(m)
+    # radical of the alternating part: the kernel of its Gram matrix, which
+    # is singular (alternating of odd size), is moved to [0:0:1]
+    d, e, g = bil  # coefficients on xy, xz, yz
+    nz.move_to_z(kernel([(zero, d, e), (d, zero, g), (e, g, zero)])[1])
     # now the bilinear part is c*xy and the square part is (rx+sy+tz)^2
-    c = _coeff(nz.f, 0, 1)
-    assert not c.is_zero() and _coeff(nz.f, 0, 2).is_zero() and _coeff(nz.f, 1, 2).is_zero()
-    r = _sqrt2(_coeff(nz.f, 0, 0))
-    s = _sqrt2(_coeff(nz.f, 1, 1))
-    t = _sqrt2(_coeff(nz.f, 2, 2))
+    c = quadratic_coefficient(nz.f, 0, 1)
+    assert not c.is_zero() and all(quadratic_coefficient(nz.f, i, 2).is_zero() for i in (0, 1))
+    r, s, t = (quadratic_coefficient(nz.f, i, i).pth_root() for i in range(3))
     if not t.is_zero():
         ti = t.inverse()
         nz.linear((
@@ -176,7 +158,7 @@ def _normalize_char2(nz: Normalizer) -> None:
         ))
         # q = c*xy + z^2: swap to put the square on x, then unit-scale
         nz.swap(0, 2)
-        c = _coeff(nz.f, 1, 2)
+        c = quadratic_coefficient(nz.f, 1, 2)
         nz.scale(1, c.inverse())
         assert nz.f == TriPoly.from_int_terms(ctx, [((2, 0, 0), 1), ((0, 1, 1), 1)])
         return
@@ -189,74 +171,16 @@ def _normalize_char2(nz: Normalizer) -> None:
     if r.is_zero():
         nz.swap(0, 1)
         r, s = s, r
-        c = _coeff(nz.f, 0, 1)
+        c = quadratic_coefficient(nz.f, 0, 1)
     # q = c*xy + (rx+sy)^2 with r != 0: send rx+sy -> x
     ri = r.inverse()
     nz.linear(((ri, s * ri, zero), (zero, one, zero), (zero, zero, one)))
     # q = x^2 + (c/r) xy + (cs/r) y^2; scale y to make the xy coefficient 1
-    cxy = _coeff(nz.f, 0, 1)
+    cxy = quadratic_coefficient(nz.f, 0, 1)
     nz.scale(1, cxy.inverse())
-    v2 = _coeff(nz.f, 1, 1)
+    v2 = quadratic_coefficient(nz.f, 1, 1)
     if not v2.is_zero():
         # kill the y^2 term with x -> x + w y, w^2 + w + v2 = 0
-        from ..unipoly import UniPoly
-
         w = nz.root_of(UniPoly.make(nz.context, [v2, nz.context.one(), nz.context.one()]))
         nz.shift(0, TriPoly.variable(nz.context, 1).scale(w))
     assert nz.f == TriPoly.from_int_terms(nz.context, [((2, 0, 0), 1), ((1, 1, 0), 1)])
-
-
-def _bilinear_kernel(nz: Normalizer):
-    """Kernel vector of the (rank-2) alternating Gram matrix in char 2."""
-    ctx = nz.context
-    d = _coeff(nz.f, 0, 1)
-    e = _coeff(nz.f, 0, 2)
-    z = _coeff(nz.f, 1, 2)
-    zero = ctx.zero()
-    rows = [(zero, d, e), (d, zero, z), (e, z, zero)]
-    # Gaussian elimination for the kernel of a 3x3 matrix
-    mat = [list(r) for r in rows]
-    pivots = []
-    col = 0
-    r = 0
-    for col in range(3):
-        pr = next((i for i in range(r, 3) if not mat[i][col].is_zero()), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = mat[r][col].inverse()
-        mat[r] = [c * inv for c in mat[r]]
-        for i in range(3):
-            if i != r and not mat[i][col].is_zero():
-                fac = mat[i][col]
-                mat[i] = [a - fac * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(3) if c not in pivots]
-    if not free:
-        raise AssertionError("alternating 3x3 matrix cannot have full rank")
-    fc = free[0]
-    vec = [zero, zero, zero]
-    vec[fc] = ctx.one()
-    for row_i, pc in enumerate(pivots):
-        vec[pc] = -mat[row_i][fc]
-    return tuple(vec)
-
-
-def _complete_basis(nz: Normalizer, v):
-    """Two standard basis vectors completing v to a basis, in scan order."""
-    ctx = nz.context
-    from .auto import mat_det
-
-    one, zero = ctx.one(), ctx.zero()
-    std = [
-        (one, zero, zero),
-        (zero, one, zero),
-        (zero, zero, one),
-    ]
-    for a in range(3):
-        for b in range(a + 1, 3):
-            m = (std[a], std[b], v)
-            if not mat_det(m).is_zero():
-                return std[a], std[b]
-    raise AssertionError("kernel vector is zero")

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fields import FieldContext, FieldElement
-from .unipoly import UniPoly
 
 Monomial = Tuple[int, int, int]
 
@@ -253,10 +252,6 @@ class TriPoly:
         o = min(w.dot(m) for m in self.terms)
         return TriPoly(self.context, {m: c for m, c in self.terms.items() if w.dot(m) == o})
 
-    def weighted_piece(self, w: Sequence[int], d: int) -> "TriPoly":
-        w = Weight.of(w)
-        return TriPoly(self.context, {m: c for m, c in self.terms.items() if w.dot(m) == d})
-
     def substitute(self, images: Sequence["TriPoly"]) -> "TriPoly":
         """Exact composition f(images); every image must vanish at the origin."""
         if len(images) != 3:
@@ -298,32 +293,6 @@ class TriPoly:
         return TriPoly(
             self.context, {m: c for m, c in self.terms.items() if m[drop] == 0}
         )
-
-    def binary_coefficients(self, first: int, second: int, degree: int) -> List[FieldElement]:
-        """Coefficients [c_0..c_degree] with c_i on first^(degree-i) * second^i,
-        for a form supported on the two given variables."""
-        out = [self.context.zero()] * (degree + 1)
-        for m, c in self.terms.items():
-            e = [0, 0, 0]
-            e[first] = m[first]
-            e[second] = m[second]
-            if tuple(e) != m or m[first] + m[second] != degree:
-                raise ValueError("not a binary form on the requested variables")
-            out[m[second]] = c
-        return out
-
-    def univariate_in(self, var: int) -> UniPoly:
-        """Reinterpret a polynomial supported on one variable as univariate."""
-        deg = 0
-        for m in self.terms:
-            for i in range(3):
-                if i != var and m[i]:
-                    raise ValueError("polynomial involves another variable")
-            deg = max(deg, m[var])
-        coeffs = [self.context.zero()] * (deg + 1)
-        for m, c in self.terms.items():
-            coeffs[m[var]] = c
-        return UniPoly.make(self.context, coeffs)
 
     # -- display ------------------------------------------------------------
 

@@ -335,6 +335,52 @@ def test_verify_checks_the_envelope(capsys, tmp_path, name, path, value):
     assert code == 1 and out["verified"] is False
 
 
+# golden reports whose branch trace is not the path the tree walks; each
+# one verified while verify read only the terminal label
+CHAIN = ["multiplicity=2", "quadric:rank1", "w2:y3", "w3:pass", "w4:pass"]
+QUARTIC = CHAIN[:2] + ["w2:quartic"]
+TRACE_EDITS = {
+    "cut-to-terminal": ("mld_e8_p7.json", ["w5:rdp-z5"]),
+    "double-point-as-triple": (
+        "mld_cusp_chain_q.json", ["multiplicity=3"] + CHAIN[1:] + ["w5:pass", "w6:pass"]),
+    "w4-skipped": ("mld_e8_p7.json", CHAIN[:4] + ["w5:rdp-z5"]),
+    "w5-twice": ("mld_e8_p7.json", CHAIN + ["w5:pass", "w5:rdp-z5"]),
+    "w3-after-quartic": ("slc_false_y4_q.json", QUARTIC + ["w3:pass", "q:y4"]),
+    "quartic-stage-after-w2-y3": ("slc_false_y4_q.json", CHAIN[:3] + ["q:y4"]),
+    "terminal-label-mid-chain": (
+        "mld_e8_p7.json", CHAIN[:2] + ["w2:y2z"] + CHAIN[3:] + ["w5:rdp-z5"]),
+    "non-reduced-on-a-reduced-f": ("slc_false_y4_q.json", QUARTIC + ["q:y4", "non-reduced"]),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(TRACE_EDITS))
+def test_verify_replays_the_branch_trace_path(capsys, tmp_path, edit):
+    name, trace = TRACE_EDITS[edit]
+    report = json.loads((GOLDEN / name).read_text())
+    assert _verify_in_process(capsys, report, tmp_path)[0] == 0
+    code, out = _verify_in_process(capsys, _edited(name, ["verdict", "branch_trace"], trace),
+                                   tmp_path)
+    assert code == 1 and out["verified"] is False
+
+
+@pytest.mark.parametrize("bound", ["100000", "0", "-3"])
+def test_max_weight_outside_its_range_fails_fast(capsys, bound):
+    import slchyp.cli as cli_mod
+
+    start = time.perf_counter()
+    code = cli_mod.run(["bounds", "--char", "7", "--poly", "x^2+y^3+z^5", "--max-weight", bound])
+    assert time.perf_counter() - start < 1
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and "--max-weight" in out["error"] and out["grammar"] == cli_mod.GRAMMAR
+
+
+def test_max_weight_at_its_bound_still_answers(capsys):
+    import slchyp.cli as cli_mod
+
+    code = cli_mod.run(["bounds", "--char", "7", "--poly", "x^2+y^3+z^5", "--max-weight", "64"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["verdict"]["mld"] == 1
+
+
 def test_verify_rejects_without_a_traceback():
     report = _edited("slc_fedder_p2.json", ["verdict", "witness", "weight"], 5)
     proc = run_cli("verify", "-", stdin=json.dumps(report))

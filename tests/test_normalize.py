@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from slchyp import (
     normalize_w5,
     normalize_w6,
 )
-from slchyp.normalize.auto import LinearStep, mat_mul, identity_matrix
+from slchyp.normalize.auto import LinearStep, identity_matrix, kernel, mat_mul
 
 
 def replay_ok(out, original):
@@ -338,3 +339,81 @@ def test_quadric_outcome_replay_property(seed):
         assert p == 0
         return
     assert out.replay_matches(q)
+
+
+# -- the shared 3x3 kernel -----------------------------------------------------
+
+
+def _det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    out = rows[0][0] - rows[0][0]
+    for j, c in enumerate(rows[0]):
+        minor = _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        out = out + c * minor if j % 2 == 0 else out - c * minor
+    return out
+
+
+def _independent(m, cols):
+    """The columns `cols` of m are linearly independent: a nonzero maximal minor."""
+    k = len(cols)
+    return k == 0 or any(not _det([[m[r][c] for c in cols] for r in rows]).is_zero()
+                         for rows in itertools.combinations(range(3), k))
+
+
+def _check_kernel(m, elements=None):
+    """kernel(m) against minors and, given the field's elements, brute force."""
+    rank, v = kernel(m)
+    assert rank == max(k for k in range(4)
+                       if any(_independent(m, cols) for cols in itertools.combinations(range(3), k)))
+    if elements is not None:
+        in_kernel = sum(all(sum((a * b for a, b in zip(row, u)), elements[0]).is_zero()
+                            for row in m)
+                        for u in itertools.product(elements, repeat=3))
+        assert in_kernel == len(elements) ** (3 - rank)
+    if rank == 3:
+        assert v is None
+        return
+    assert not all(c.is_zero() for c in v)
+    assert all(sum((a * b for a, b in zip(row, v)), v[0] - v[0]).is_zero() for row in m)
+    first_free = next(j for j in range(3) if not _independent(m, range(j + 1)))
+    assert v[first_free].is_one()
+
+
+def _sample_matrix(rnd, ctx, values):
+    """Rows drawn from `values`, some of them combinations of earlier rows, so
+    every rank turns up."""
+    rows = []
+    for _ in range(3):
+        if rows and rnd.random() < 0.4:
+            a, b = ctx.from_int(rnd.choice(values)), ctx.from_int(rnd.choice(values))
+            rows.append(tuple(a * x + b * y for x, y in zip(rows[0], rows[-1])))
+        else:
+            rows.append(tuple(ctx.from_int(rnd.choice(values)) for _ in range(3)))
+    rnd.shuffle(rows)
+    return tuple(rows)
+
+
+def test_kernel_on_every_matrix_over_f2():
+    ctx = ctx_for(2)
+    elements = [ctx.zero(), ctx.one()]
+    ranks = set()
+    for entries in itertools.product(elements, repeat=9):
+        m = tuple(entries[3 * i:3 * i + 3] for i in range(3))
+        _check_kernel(m, elements)
+        ranks.add(kernel(m)[0])
+    assert ranks == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("p", [3, 5, 0])
+def test_kernel_on_seeded_matrices(p):
+    ctx = ctx_for(p)
+    rnd = random.Random(f"kernel:{p}")
+    values = range(-3, 4) if p == 0 else range(p)
+    elements = [ctx.from_int(k) for k in range(3)] if p == 3 else None
+    ranks = set()
+    for _ in range(150):
+        m = _sample_matrix(rnd, ctx, values)
+        _check_kernel(m, elements)
+        ranks.add(kernel(m)[0])
+    assert ranks >= {1, 2, 3}
