@@ -294,6 +294,19 @@ def order_label(o: int) -> str:
     return "unit" if o == 0 else "smooth" if o == 1 else f"multiplicity>={o}"
 
 
+# the non-terminal labels after the quadric and the stage each one enters
+# next: a rank-1 quadric is x^2 and runs the weighted chain w2..w6, which
+# diverts to the quartic stage q when the (3,2,2) cubic tail vanishes
+NEXT_STAGE = {
+    "quadric:rank1": "w2",
+    "w2:y3": "w3",
+    "w2:quartic": "q",
+    "w3:pass": "w4",
+    "w4:pass": "w5",
+    "w5:pass": "w6",
+}
+
+
 def _choose_branch(nz: Normalizer, trace: List[str]) -> Tuple[str, dict]:
     """Walk the tree on nz, appending each label to trace; return the
     terminal label and the parameters its certificate details quote."""
@@ -310,11 +323,12 @@ def _choose_branch(nz: Normalizer, trace: List[str]) -> Tuple[str, dict]:
     nz.replay_outcome(outcome)
     if nz.f.in_w(W1) != outcome.poly:
         raise AssertionError(f"{label} normalization does not replay on f")
-    # a rank-1 quadric is x^2: run the weighted chain, which diverts to the
-    # quartic stage when the (3,2,2) cubic tail vanishes
-    chain = iter((stage_w2, stage_w3, stage_w4, stage_w5, stage_w6))
+    # built per call from the module's names, so wrappers installed on them
+    # (the benchmark's tracer) are the ones called
+    stages = {"w2": stage_w2, "w3": stage_w3, "w4": stage_w4, "w5": stage_w5,
+              "w6": stage_w6, "q": stage_quartic}
     while terminal_branch(label) is None:
-        label, params = (stage_quartic if label == "w2:quartic" else next(chain))(nz)
+        label, params = stages[NEXT_STAGE[label]](nz)
         trace.append(label)
     return label, params
 

@@ -23,6 +23,7 @@ import time
 from typing import Optional
 
 from .classifier import (
+    NEXT_STAGE,
     SLC_NOT_APPLICABLE,
     BoundReport,
     Verdict,
@@ -38,6 +39,7 @@ from .fields import (
     FieldContext,
     NeedsAlgebraicExtension,
     RATIONALS,
+    extension_field,
     is_prime,
     prime_field,
 )
@@ -226,12 +228,13 @@ def run(argv) -> int:
 
 
 def _cmd_verify(args) -> int:
-    """Check the envelope (command, input field, extension degree), replay
-    automorphism, initial form, witness discrepancy and bounds from a report,
-    recompute any slc claim from is_squarefree(f) and mld, replay the branch
-    trace as a path of the tree from the multiplicity of f, and check the
-    verdict and its certificates against the table entry of the terminal
-    branch, rerunning each Fedder test on the entry's model."""
+    """Check the envelope (command, input field, the whole final_field block,
+    extension degree), replay automorphism, initial form, witness discrepancy
+    and bounds from a report, recompute any slc claim from is_squarefree(f)
+    and mld, replay the branch trace label by label as a path of the tree
+    from the multiplicity of f, and check the verdict and its certificates
+    against the table entry of the terminal branch, rerunning each Fedder
+    test on the entry's model."""
     try:
         if args.report == "-":
             text = sys.stdin.read()
@@ -255,6 +258,8 @@ def _cmd_verify(args) -> int:
         if _differs(verdict["field_extension_used"], final["extension_degree"]):
             raise ValueError("field_extension_used is not the final field's degree")
         final_ctx = _reconstruct_context(final)
+        if _differs(final, _field_json(final_ctx)):
+            raise ValueError("final_field is not the canonical field it names")
         f_final = _lift(f, base_ctx, final_ctx)
         auto = automorphism_from_json(verdict["automorphism"], final_ctx)
         transformed = auto.apply(f_final)
@@ -293,14 +298,10 @@ def _cmd_verify(args) -> int:
         if (trace[-1:] == ["non-reduced"]) != (slc == SLC_NOT_APPLICABLE):
             raise ValueError("non-reduced ends the trace exactly when slc is not applicable")
         path = trace[:-1] if slc == SLC_NOT_APPLICABLE else trace
-        stages = _trace_stages(path, f.ord_w((1, 1, 1)))
-        if [label.partition(":")[0] for label in path] != stages[:len(path)] or any(
-                terminal_branch(label) is not None for label in path[:-1]):
+        if not _is_tree_path(path, f.ord_w((1, 1, 1))):
             raise ValueError("branch trace is not a path of the classification tree")
         label = path[-1]
         branch = terminal_branch(label)
-        if branch is None:
-            raise ValueError("branch trace does not end in a terminal branch")
         claimed = [mld, wit["weight"], verdict["initial_weight"], wit["computes_mld"]]
         entry = ["-inf" if branch.mld is None else branch.mld, branch.witness,
                  branch.initial_weight, branch.computes_mld]
@@ -321,15 +322,21 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _trace_stages(path, o):
-    """Stage prefixes (the part of a label before ':') of the tree's walk for
-    an f of multiplicity o; the labels of `path` pick the branch points."""
+def _is_tree_path(path, o) -> bool:
+    """Whether path is a walk of the tree for an f of multiplicity o, label by
+    label: the multiplicity, then the cone or quadric stage, each pass label
+    of NEXT_STAGE followed by a label of the stage it enters, and a terminal
+    label last."""
     if o not in (2, 3):
-        return [order_label(o)]
-    stages = [f"multiplicity={o}", "cone" if o == 3 else "quadric"]
-    if path[1:2] == ["quadric:rank1"]:
-        stages += ["w2", "q"] if path[2:3] == ["w2:quartic"] else ["w2", "w3", "w4", "w5", "w6"]
-    return stages
+        return path == [order_label(o)]
+    if len(path) < 2 or path[0] != f"multiplicity={o}":
+        return False
+    stage = "cone" if o == 3 else "quadric"
+    for label in path[1:-1]:
+        if not label.startswith(stage + ":") or label not in NEXT_STAGE:
+            return False
+        stage = NEXT_STAGE[label]
+    return path[-1].startswith(stage + ":") and terminal_branch(path[-1]) is not None
 
 
 def _differs(claimed, expected) -> bool:
@@ -338,18 +345,13 @@ def _differs(claimed, expected) -> bool:
 
 
 def _reconstruct_context(data) -> FieldContext:
+    """The field a final_field block names; the caller compares the whole
+    block, modulus included, with the field's own description."""
     char = data["characteristic"]
     deg = data["extension_degree"]
     if char == 0:
         return RATIONALS
-    if deg == 1:
-        return prime_field(char)
-    from .fields import extension_field
-
-    ctx = extension_field(char, deg)
-    if _modulus_str(ctx) != data["modulus"]:
-        raise ValueError("report modulus is not the canonical one")
-    return ctx
+    return prime_field(char) if deg == 1 else extension_field(char, deg)
 
 
 def _lift(f: TriPoly, base: FieldContext, final: FieldContext) -> TriPoly:

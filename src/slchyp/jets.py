@@ -10,6 +10,15 @@ of variables minus a minimum hitting set of the leading monomials' supports
 (bitmasks, only the minimal ones kept), found by branching on the smallest
 support not yet hit and pruning at the best size found so far.
 
+`mld_profile` expands the arc equations once, at its top level, on arcs
+through the origin (x^(0), y^(0), z^(0) are generators, so the ideal is the
+same), and carries one Groebner basis from level to level: f^(m) lives on
+the coordinates of levels <= m, so level m adds it to the basis of level
+m - 1 and only the new pairs are formed.  Heights are read from the leading
+monomials of the carried basis, which span the leading-term ideal whether or
+not the basis is inter-reduced.  `build_jets` and `ideal_height` keep the
+per-level computation on full arcs as the reference.
+
 The Buchberger engine is generic over the exact coefficient fields and also
 serves the cubic-cone classifier (lex order for elimination).  Each basis
 element's leading monomial is computed once, when it joins the basis;
@@ -18,8 +27,9 @@ selection strategy), and pairs with coprime leading monomials are never
 queued.  A reduction pops the remainder's leading monomial from a heap of
 reversed order keys and subtracts the divisor's multiple term by term.  The
 reduced basis is unique, so none of this changes a result.  The engine never
-truncates: if a basis exceeds the configured budget the computation aborts
-with OracleOverflow.
+truncates: if a basis exceeds the configured budget (for `mld_profile`, the
+basis carried through all levels so far) the computation aborts with
+OracleOverflow.
 """
 
 from __future__ import annotations
@@ -42,6 +52,9 @@ class OracleOverflow(RuntimeError):
 
 @dataclass(frozen=True)
 class GroebnerBudget:
+    """Largest basis, reduced or not, that a computation may hold; in
+    `mld_profile` it bounds the basis carried through every level so far."""
+
     max_basis: int = 20000
 
 
@@ -143,6 +156,74 @@ def np_reduce(
     return remainder
 
 
+class _Buchberger:
+    """Buchberger state: the basis, each element's leading term, the heap of
+    pending pairs and the size budget.  After `add` the basis is a Groebner
+    basis of everything added so far, so later generators only form pairs
+    with it; `reduced` returns the reduced basis."""
+
+    def __init__(self, order: str, budget: GroebnerBudget) -> None:
+        self.key = ORDERS[order]
+        self.budget = budget
+        self.basis: List[NPoly] = []
+        self.leads: List[Tuple[NMonomial, FieldElement]] = []
+        self.pairs: list = []  # heap of (key(lcm), i, j, lcm) with j < i
+
+    def _join(self, r: NPoly) -> None:
+        basis, leads, key = self.basis, self.leads, self.key
+        lm, lc = leading(r, key)
+        g = np_scale(r, lc.inverse())
+        k = len(basis)
+        basis.append(g)
+        leads.append((lm, g[lm]))
+        if len(basis) > self.budget.max_basis:
+            raise OracleOverflow(f"basis exceeded {self.budget.max_basis} elements")
+        for j in range(k):
+            mj = leads[j][0]
+            if not any(a and b for a, b in zip(lm, mj)):
+                continue  # coprime leading monomials reduce to zero
+            lcm = tuple(map(max, lm, mj))
+            heappush(self.pairs, (key(lcm), k, j, lcm))
+
+    def add(self, gens: Sequence[NPoly]) -> None:
+        """Join the generators, then run pairs until none are left."""
+        basis, leads, key, pairs = self.basis, self.leads, self.key, self.pairs
+        for g in gens:
+            if g:
+                r = np_reduce(g, basis, key, leads) if basis else dict(g)
+                if r:
+                    self._join(r)
+        while pairs:
+            # normal strategy: smallest lcm of the leading monomials
+            _, i, j, lcm = heappop(pairs)
+            (mi, one), (mj, _) = leads[i], leads[j]  # basis elements are monic
+            si = np_mul_term(basis[i], tuple(map(sub, lcm, mi)), one)
+            sj = np_mul_term(basis[j], tuple(map(sub, lcm, mj)), -one)
+            r = np_reduce(np_add(si, sj), basis, key, leads)
+            if r:
+                self._join(r)
+
+    def reduced(self) -> List[NPoly]:
+        """Inter-reduce the minimal elements; the reduced basis is unique."""
+        basis, leads, key = self.basis, self.leads, self.key
+        lms = [lm for lm, _ in leads]
+        keep = [
+            idx for idx, lm in enumerate(lms)
+            if not any(
+                o != idx and _divides(lms[o], lm) and (lms[o] != lm or o < idx)
+                for o in range(len(lms))
+            )
+        ]
+        keep.sort(key=lambda idx: key(lms[idx]))
+        reduced = []
+        for idx in keep:
+            others = [o for o in keep if o != idx]
+            reduced.append(np_reduce(
+                basis[idx], [basis[o] for o in others], key, [leads[o] for o in others]
+            ))
+        return reduced
+
+
 def groebner_basis(
     gens: Sequence[NPoly],
     order: str = "grevlex",
@@ -150,57 +231,9 @@ def groebner_basis(
 ) -> List[NPoly]:
     """Reduced Groebner basis by Buchberger's algorithm with the normal
     selection strategy and the coprimality criterion."""
-    key = ORDERS[order]
-    basis: List[NPoly] = []
-    leads: List[Tuple[NMonomial, FieldElement]] = []
-    pairs: list = []  # heap of (key(lcm), i, j, lcm) with j < i
-
-    def join(r: NPoly) -> None:
-        lm, lc = leading(r, key)
-        g = np_scale(r, lc.inverse())
-        k = len(basis)
-        basis.append(g)
-        leads.append((lm, g[lm]))
-        if len(basis) > budget.max_basis:
-            raise OracleOverflow(f"basis exceeded {budget.max_basis} elements")
-        for j in range(k):
-            mj = leads[j][0]
-            if not any(a and b for a, b in zip(lm, mj)):
-                continue  # coprime leading monomials reduce to zero
-            lcm = tuple(map(max, lm, mj))
-            heappush(pairs, (key(lcm), k, j, lcm))
-
-    for g in gens:
-        if g:
-            r = np_reduce(g, basis, key, leads) if basis else dict(g)
-            if r:
-                join(r)
-    while pairs:
-        # normal strategy: smallest lcm of the leading monomials
-        _, i, j, lcm = heappop(pairs)
-        (mi, one), (mj, _) = leads[i], leads[j]  # basis elements are monic
-        si = np_mul_term(basis[i], tuple(map(sub, lcm, mi)), one)
-        sj = np_mul_term(basis[j], tuple(map(sub, lcm, mj)), -one)
-        r = np_reduce(np_add(si, sj), basis, key, leads)
-        if r:
-            join(r)
-    # inter-reduce the minimal elements; the reduced basis is unique
-    lms = [lm for lm, _ in leads]
-    keep = [
-        idx for idx, lm in enumerate(lms)
-        if not any(
-            o != idx and _divides(lms[o], lm) and (lms[o] != lm or o < idx)
-            for o in range(len(lms))
-        )
-    ]
-    keep.sort(key=lambda idx: key(lms[idx]))
-    reduced = []
-    for idx in keep:
-        others = [o for o in keep if o != idx]
-        reduced.append(np_reduce(
-            basis[idx], [basis[o] for o in others], key, [leads[o] for o in others]
-        ))
-    return reduced
+    state = _Buchberger(order, budget)
+    state.add(gens)
+    return state.reduced()
 
 
 def quotient_dimension(leading_monomials: Sequence[NMonomial], nvars: int) -> int:
@@ -237,17 +270,18 @@ def quotient_dimension(leading_monomials: Sequence[NMonomial], nvars: int) -> in
     return nvars - best
 
 
+def _height(leading_monomials: Sequence[NMonomial], nvars: int) -> int:
+    """Height of an ideal on nvars variables from the leading monomials of a
+    Groebner basis; the unit ideal has the whole ring's height by convention."""
+    dim = quotient_dimension(leading_monomials, nvars)
+    return nvars if dim < 0 else nvars - dim
+
+
 def ideal_height_of(gens: Sequence[NPoly], nvars: int,
                     budget: GroebnerBudget = GroebnerBudget()) -> int:
     basis = groebner_basis(gens, "grevlex", budget)
-    if not basis:
-        return 0
     key = ORDERS["grevlex"]
-    lts = [leading(g, key)[0] for g in basis]
-    dim = quotient_dimension(lts, nvars)
-    if dim < 0:
-        return nvars  # unit ideal; height of the whole ring by convention
-    return nvars - dim
+    return _height([leading(g, key)[0] for g in basis], nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -275,40 +309,51 @@ def _series_mul(a: List[NPoly], b: List[NPoly], m: int) -> List[NPoly]:
     return out
 
 
+def _coordinate(ctx: FieldContext, nvars: int, i: int, j: int) -> NPoly:
+    """The level-j coordinate of variable i, at index 3*j + i."""
+    mono = [0] * nvars
+    mono[3 * j + i] = 1
+    return {tuple(mono): ctx.one()}
+
+
+def _arc_equations(f: TriPoly, m: int, first: int) -> List[NPoly]:
+    """f^(0), ..., f^(m): the coefficients of t^0..t^m in f evaluated on the
+    arc whose i-th coordinate is the sum of x_i^(j) t^j over first <= j <= m.
+    Each coordinate's powers are expanded once and shared by the monomials."""
+    ctx = f.context
+    if not ctx.is_rational and ctx.extension_degree != 1:
+        raise ValueError("the jet oracle is restricted to prime fields and Q")
+    nvars = 3 * (m + 1)
+    one = [{} for _ in range(m + 1)]
+    one[0] = {(0,) * nvars: ctx.one()}
+    powers = []
+    for i in range(3):
+        arc = [_coordinate(ctx, nvars, i, j) if j >= first else {} for j in range(m + 1)]
+        powers.append([one])
+        for _ in range(max((mono[i] for mono in f.terms), default=0)):
+            powers[i].append(_series_mul(powers[i][-1], arc, m))
+    levels = [{} for _ in range(m + 1)]
+    for mono, coeff in f.terms.items():
+        factors = [powers[i][e] for i, e in enumerate(mono) if e] or [one]
+        term = factors[0]
+        for factor in factors[1:]:
+            term = _series_mul(term, factor, m)
+        for j in range(m + 1):
+            levels[j] = np_add(levels[j], np_scale(term[j], coeff))
+    return levels
+
+
 def build_jets(f: TriPoly, m: int) -> JetSystem:
     """Arc-equation generators of f through level m, over a prime field or Q.
 
     Variable layout: index 3*j + i is the level-j coordinate of variable i.
     """
-    ctx = f.context
-    if not ctx.is_rational and ctx.extension_degree != 1:
-        raise ValueError("the jet oracle is restricted to prime fields and Q")
     if m < 0:
         raise ValueError("level must be >= 0")
+    levels = _arc_equations(f, m, 0)
     nvars = 3 * (m + 1)
-
-    def var(i: int, j: int) -> NPoly:
-        mono = [0] * nvars
-        mono[3 * j + i] = 1
-        return {tuple(mono): ctx.one()}
-
-    series = []
-    for i in range(3):
-        series.append([var(i, j) for j in range(m + 1)])
-    one_series = [{} for _ in range(m + 1)]
-    one_series[0] = {tuple([0] * nvars): ctx.one()}
-
-    levels = [{} for _ in range(m + 1)]
-    for mono, coeff in f.terms.items():
-        term = one_series
-        for i in range(3):
-            for _ in range(mono[i]):
-                term = _series_mul(term, series[i], m)
-        for j in range(m + 1):
-            levels[j] = np_add(levels[j], np_scale(term[j], coeff))
-
-    gens = [var(0, 0), var(1, 0), var(2, 0)] + levels
-    return JetSystem(m, nvars, ctx, gens)
+    origin = [_coordinate(f.context, nvars, i, 0) for i in range(3)]
+    return JetSystem(m, nvars, f.context, origin + levels)
 
 
 def ideal_height(system: JetSystem,
@@ -372,13 +417,27 @@ def mld_profile(
     The infimum over all levels computes the mld, so a finite table only
     certifies an upper bound; when a known nonnegative mld is supplied the
     summary also checks that every level stays at or above it.
+
+    The arc equations are expanded once, at the top level m_max - 1, and one
+    Groebner basis (grevlex) is carried from level to level: level m adds
+    f^(m) to the basis of level m - 1 and forms only the new pairs, since a
+    generator of level m lives on the coordinates of levels <= m.  Because
+    x^(0), y^(0), z^(0) are generators, f is expanded on arcs through the
+    origin (level-0 coordinates zero), which generates the same ideal.  Each
+    height is read from the leading monomials of the carried basis, which
+    span the leading-term ideal with or without inter-reduction, so the
+    basis is never reduced.  The budget bounds the carried basis, which is
+    cumulative over the levels.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    levels = _arc_equations(f, m_max - 1, 1)
+    origin = [_coordinate(f.context, 3 * m_max, i, 0) for i in range(3)]
+    state = _Buchberger("grevlex", budget)
     entries = []
-    for m in range(m_max):
-        system = build_jets(f, m)
-        h = ideal_height(system, budget)
+    for m, fm in enumerate(levels):
+        state.add(origin + [fm] if m == 0 else [fm])
+        h = _height([lm for lm, _ in state.leads], 3 * (m + 1))
         entries.append((m, h, h - (m + 1)))
     profile = SmProfile(entries)
     values = [v for _, v in profile.contact_entries()]

@@ -363,6 +363,56 @@ def test_verify_replays_the_branch_trace_path(capsys, tmp_path, edit):
     assert code == 1 and out["verified"] is False
 
 
+def _leaves(node, path=()):
+    """(path, value) of every scalar in a JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for idx, value in enumerate(node):
+            yield from _leaves(value, path + (idx,))
+    else:
+        yield path, node
+
+
+def _perturbed(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    assert value is None, value
+    return 0
+
+
+def _semantic(path):
+    """Every leaf is a claim verify checks, except the measured timing and the
+    prose details of certificates."""
+    return path != ("timing_ms",) and not (
+        path[:2] == ("verdict", "certificates") and path[-1] == "detail")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_INVOCATIONS))
+def test_verify_rejects_every_perturbed_leaf(capsys, tmp_path, name):
+    # a bool flipped, an int +1, a string suffixed or a null made 0 anywhere
+    # in a golden report is a false claim, so verify must exit 1
+    report = json.loads((GOLDEN / name).read_text())
+    leaves = [path for path, _ in _leaves(report) if _semantic(path)]
+    assert len(leaves) > 20
+    accepted = []
+    for path in leaves:
+        edited = json.loads(json.dumps(report))
+        node = edited
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = _perturbed(node[path[-1]])
+        code, out = _verify_in_process(capsys, edited, tmp_path)
+        if code != 1 or out["verified"] is not False:
+            accepted.append(path)
+    assert accepted == []
+
+
 @pytest.mark.parametrize("bound", ["100000", "0", "-3"])
 def test_max_weight_outside_its_range_fails_fast(capsys, bound):
     import slchyp.cli as cli_mod

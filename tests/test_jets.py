@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ from conftest import ctx_for, poly, random_poly
 from slchyp import (
     GroebnerBudget,
     OracleOverflow,
+    TriPoly,
     build_jets,
     classify_mld,
     ideal_height,
@@ -156,7 +158,44 @@ def test_budget_overflow_is_loud():
             groebner_basis(gens, order, GroebnerBudget(max_basis=1))
 
 
-# contact tables of scripts/run_jet_profiles.py and two level-6 fixtures
+def _random_singular_poly(rnd, ctx):
+    """A random f of order >= 2, so that every level of its profile is finite."""
+    while True:
+        f = random_poly(rnd, ctx, max_terms=5, max_exp=3)
+        f = TriPoly.make(ctx, {m: c for m, c in f.terms.items() if sum(m) >= 2})
+        if not f.is_zero():
+            return f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 0])
+def test_incremental_profile_matches_per_level_heights(p):
+    # mld_profile carries one basis over arcs through the origin; the
+    # reference rebuilds the full arc equations and the basis at every level
+    rnd = random.Random(f"profile:{p}")
+    ctx = ctx_for(p)
+    for _ in range(23):
+        f = _random_singular_poly(rnd, ctx)
+        reference = []
+        for m in range(4):
+            h = ideal_height(build_jets(f, m))
+            reference.append((m, h, h - (m + 1)))
+        assert mld_profile(f, 4).profile.entries == reference, str(f)
+
+
+def test_budget_counts_the_carried_basis():
+    # every level's own basis stays within 15 elements, but the basis carried
+    # through level 5 holds 16, and the budget bounds the carried one
+    f = poly("y*(y^2+x*z)")
+    budget = GroebnerBudget(max_basis=15)
+    heights = [ideal_height(build_jets(f, m), budget) for m in range(6)]
+    assert heights == [3, 3, 3, 4, 5, 6]
+    with pytest.raises(OracleOverflow):
+        mld_profile(f, 6, budget=budget)
+    assert [h for _m, h, _s in mld_profile(f, 6).profile.entries] == heights
+
+
+# contact tables of scripts/run_jet_profiles.py, two level-6 fixtures and a
+# unit, whose ideal is the whole ring at every level
 PINNED_PROFILES = [
     ("x", 0, 3, [(0, 3, 2), (1, 4, 2), (2, 5, 2)]),
     ("x*y", 0, 3, [(0, 3, 2), (1, 3, 1), (2, 4, 1)]),
@@ -169,6 +208,7 @@ PINNED_PROFILES = [
      [(0, 3, 2), (1, 3, 1), (2, 3, 0), (3, 4, 0), (4, 5, 0), (5, 6, 0)]),
     ("y*(y^2+x*z)", 0, 6,
      [(0, 3, 2), (1, 3, 1), (2, 3, 0), (3, 4, 0), (4, 5, 0), (5, 6, 0)]),
+    ("2+y*z", 3, 3, [(0, 3, 2), (1, 6, 4), (2, 9, 6)]),
 ]
 
 
