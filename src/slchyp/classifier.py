@@ -106,8 +106,6 @@ class Certificate:
         return data
 
 
-SLC_TRUE = True
-SLC_FALSE = False
 SLC_NOT_APPLICABLE = "not_applicable"
 
 

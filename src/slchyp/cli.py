@@ -58,6 +58,10 @@ EXIT_OVERFLOW = 4
 
 # the witness search is cubic in --max-weight, so larger bounds are refused
 MAX_WEIGHT = 64
+# the jet system has 3(m+1) variables; x^2+y^3+z^5 at p=7 takes ~16 s at
+# --m 7 and did not finish in 30 s at --m 8 (2-vCPU VM), so higher levels
+# are refused
+MAX_JET_LEVEL = 7
 
 GRAMMAR = (
     'expr := term (("+"|"-") term)*; term := factor ("*" factor)*; '
@@ -155,7 +159,8 @@ def _parser() -> argparse.ArgumentParser:
         add_common(sub.add_parser(name))
     jp = sub.add_parser("jet-profile")
     add_common(jp)
-    jp.add_argument("--m", type=int, default=3, help="maximum jet level")
+    jp.add_argument("--m", type=int, default=3,
+                    help=f"maximum jet level, 1..{MAX_JET_LEVEL} (default 3)")
     jp.add_argument("--expected-mld", type=int, default=None)
     vf = sub.add_parser("verify")
     vf.add_argument("report", nargs="?", default="-",
@@ -176,6 +181,8 @@ def run(argv) -> int:
     try:
         if not 1 <= args.max_weight <= MAX_WEIGHT:
             raise ValueError(f"--max-weight must be in 1..{MAX_WEIGHT}")
+        if args.command == "jet-profile" and not 1 <= args.m <= MAX_JET_LEVEL:
+            raise ValueError(f"--m must be in 1..{MAX_JET_LEVEL}")
         ctx = _context_for(args.char)
         f = parse_poly(args.poly, ctx)
         report = _base_report(args, args.command, ctx)
@@ -197,9 +204,7 @@ def run(argv) -> int:
             verdict = classify_mld(f, args.char)
             payload = check_conjecture_bounds(verdict).to_json()
             payload["mld"] = verdict.mld.to_json()
-            search = witness_search(
-                verdict.transformed, args.max_weight, require_origin_center=True
-            )
+            search = witness_search(verdict.transformed, args.max_weight)
             payload["independent_witness_search"] = (
                 search.to_json() if search else None
             )

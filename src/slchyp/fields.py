@@ -20,7 +20,8 @@ operators:
   every coefficient is reduced mod p once at the end.  The slot width is
   chosen from p and n so that no slot overflows into the next before that
   final reduction.  The inverse is the extended Euclidean algorithm
-  against M on F_p[t] int lists.
+  against M on F_p[t] int lists, the only polynomial arithmetic here: the
+  canonical modulus M comes from canonical_irreducible in unipoly.py.
 
 There are no log/antilog (Zech) tables: they cost memory proportional to
 the field size and would be a second multiplication path beside the packed
@@ -86,116 +87,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# dense F_p[t] helpers on int lists (low degree first), for the gcd in the
-# irreducibility test and the extension-field inverse
-
-
-def _ptrim(v: list) -> list:
-    while v and v[-1] == 0:
-        v.pop()
-    return v
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _ptrim(out)
-
-
-def _pmod(a, b, p):
-    """Remainder of a modulo the nonzero, trimmed b."""
-    a = list(a)
-    inv_lead = pow(b[-1], -1, p)
-    while len(a) >= len(b):
-        k = len(a) - len(b)
-        c = a[-1] * inv_lead % p
-        for i, cb in enumerate(b):
-            a[i + k] = (a[i + k] - c * cb) % p
-        _ptrim(a)
-    return a
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _prime_factors(n: int) -> list:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def poly_is_irreducible(coeffs: Tuple[int, ...], p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over F_p."""
-    d = len(coeffs) - 1
-    if d < 2:
-        return d == 1
-    mul = _reduced_product(p, coeffs)
-    one, t = (1,) + (0,) * (d - 1), (0, 1) + (0,) * (d - 2)
-
-    def frobenius_power(k):
-        """t^(p^k) mod M, as a trimmed list."""
-        h = t
-        for _ in range(k):
-            base, h, e = h, one, p
-            while e:
-                if e & 1:
-                    h = mul(h, base)
-                base = mul(base, base)
-                e >>= 1
-        return _ptrim(list(h))
-
-    if _psub(frobenius_power(d), [0, 1], p):
-        return False
-    return all(
-        len(_pgcd(_psub(frobenius_power(d // r), [0, 1], p), coeffs, p)) == 1
-        for r in _prime_factors(d)
-    )
-
-
-def canonical_irreducible(p: int, d: int) -> Tuple[int, ...]:
-    """First monic irreducible of degree d over F_p in the canonical scan order.
-
-    Candidates t^d + c_{d-1} t^{d-1} + ... + c_0 are enumerated with
-    (c_0, ..., c_{d-1}) running through base-p counter order, so the choice
-    is reproducible across runs and machines.
-    """
-    if d == 1:
-        return (0, 1)
-    k = 0
-    while True:
-        digits = []
-        kk = k
-        for _ in range(d):
-            digits.append(kk % p)
-            kk //= p
-        if kk:
-            raise RuntimeError("no irreducible found")  # unreachable
-        cand = tuple(digits) + (1,)
-        if poly_is_irreducible(cand, p):
-            return cand
-        k += 1
 
 
 Vector = Tuple[int, ...]
@@ -482,7 +373,9 @@ class FieldElement:
         # keeping s_i * self == r_i (mod M).  Every s_i has degree < n, so
         # the cofactor update never runs past index n; its coefficients are
         # reduced mod p only at the end.
-        r0, r1 = list(ctx.modulus), _ptrim(list(self.payload))
+        r0, r1 = list(ctx.modulus), list(self.payload)
+        while not r1[-1]:  # self is nonzero
+            r1.pop()
         s0, s1 = [0] * n, [1] + [0] * (n - 1)
         while len(r1) > 1:
             inv_lead = pow(r1[-1], -1, p)
@@ -494,7 +387,8 @@ class FieldElement:
                     r0[i + k] = (r0[i + k] - c * r1[i]) % p
                 for i in range(n - k):
                     s0[i + k] -= c * s1[i]
-                _ptrim(r0)
+                while r0 and not r0[-1]:
+                    r0.pop()
             r0, r1, s0, s1 = r1, r0, s1, s0
         c = pow(r1[0], -1, p)
         return FieldElement(ctx, tuple([x * c % p for x in s1]))
@@ -569,11 +463,17 @@ def prime_field(p: int) -> FieldContext:
 
 
 def extension_field(p: int, degree: int) -> FieldContext:
-    """F_{p^degree} with the canonical modulus (the prime field for degree 1)."""
+    """F_{p^degree} with the canonical modulus (the prime field for degree 1).
+
+    A degree below 1 raises ValueError before any modulus search."""
+    if degree < 1:
+        raise ValueError("extension degree must be >= 1")
     if degree == 1:
         return prime_field(p)
     ctx = _CONTEXTS.get((p, degree))
     if ctx is None:
+        from .unipoly import canonical_irreducible
+
         ctx = _CONTEXTS.setdefault(
             (p, degree), FieldContext(p, degree, canonical_irreducible(p, degree))
         )
@@ -605,16 +505,6 @@ class FieldEmbedding:
             out = out + self.target.from_int(c) * power
             power = power * g
         return out
-
-    def compose(self, outer: "FieldEmbedding") -> "FieldEmbedding":
-        """outer o self (self first, then outer)."""
-        if self.target != outer.source:
-            raise ValueError("embeddings do not compose")
-        if self.source.is_rational or self.source.extension_degree == 1:
-            return FieldEmbedding(self.source, outer.target, None)
-        return FieldEmbedding(
-            self.source, outer.target, outer(self.generator_image)
-        )
 
 
 def identity_embedding(ctx: FieldContext) -> FieldEmbedding:

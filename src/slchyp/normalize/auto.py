@@ -251,9 +251,6 @@ class Automorphism:
     def map_context(self, emb: FieldEmbedding) -> "Automorphism":
         return Automorphism(tuple(s.map_context(emb) for s in self.steps))
 
-    def compose(self, later: "Automorphism") -> "Automorphism":
-        return Automorphism(self.steps + later.steps)
-
     def to_json(self):
         return [s.to_json() for s in self.steps]
 

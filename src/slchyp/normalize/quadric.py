@@ -13,7 +13,6 @@ reached through the radical of the alternating part.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from ..fields import NeedsAlgebraicExtension
 from ..poly import TriPoly
@@ -27,18 +26,15 @@ from .auto import (
 )
 
 
-def normalize_quadric(q: TriPoly, char: Optional[int] = None) -> NormalizationOutcome:
+def normalize_quadric(q: TriPoly) -> NormalizationOutcome:
     """Bring a nonzero homogeneous quadratic to its normal form.
 
     Returns the outcome with branch label "quadric:rank{1,2,3}".
     """
     if q.is_zero() or not q.is_homogeneous(2):
         raise ValueError("input must be a nonzero homogeneous quadratic")
-    p = q.context.characteristic
-    if char is not None and char != p:
-        raise ValueError("char argument disagrees with the coefficient field")
     nz = Normalizer(q)
-    if p == 2:
+    if q.context.characteristic == 2:
         _normalize_char2(nz)
     else:
         _normalize_diagonal(nz)

@@ -13,7 +13,7 @@ every cleanup and falls back to the deep-tail terminal when that happens.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..poly import TriPoly
 from ..unipoly import UniPoly
@@ -285,11 +285,9 @@ def _expect_tail(nz: Normalizer, int_terms) -> None:
         raise AssertionError(f"quartic tail normal form failed: {tail}")
 
 
-def normalize_quartic_211(f: TriPoly, char: Optional[int] = None) -> NormalizationOutcome:
+def normalize_quartic_211(f: TriPoly) -> NormalizationOutcome:
     """Full quartic-branch normalization for f with x^2 initial forms at both
     (1,1,1) and (3,2,2)."""
-    if char is not None and char != f.context.characteristic:
-        raise ValueError("char argument disagrees with the coefficient field")
     nz = Normalizer(f)
     label, params = stage_quartic(nz)
     return nz.outcome(label, params)

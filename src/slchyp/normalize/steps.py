@@ -242,7 +242,6 @@ def _stage_w6_odd(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
         candidates = candidates[:1]
 
     def attempt(alpha):
-        mark = nz.mark()
         gamma = nz.nth_root_of(alpha.inverse(), 2)
         nz.scale(2, gamma)
         delta = nz.f.coefficient((0, 1, 4))
@@ -295,7 +294,5 @@ def normalize_w5(f: TriPoly) -> NormalizationOutcome:
     return _wrap(f, stage_w5)
 
 
-def normalize_w6(f: TriPoly, char: Optional[int] = None) -> NormalizationOutcome:
-    if char is not None and char != f.context.characteristic:
-        raise ValueError("char argument disagrees with the coefficient field")
+def normalize_w6(f: TriPoly) -> NormalizationOutcome:
     return _wrap(f, stage_w6)

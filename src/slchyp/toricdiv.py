@@ -62,23 +62,18 @@ def discrepancy(f: TriPoly, w: Sequence[int]) -> DiscrepancyReport:
     return DiscrepancyReport(ToricDivisor(w), o, w.total() - o)
 
 
-def witness_search(
-    f: TriPoly, max_entry: int, require_origin_center: bool = True
-) -> Optional[DiscrepancyReport]:
-    """First weight in lexicographic order with entries <= max_entry whose
-    divisor has negative log discrepancy against (f), or None.
+def witness_search(f: TriPoly, max_entry: int) -> Optional[DiscrepancyReport]:
+    """First weight in lexicographic order with entries in 1..max_entry
+    whose divisor has negative log discrepancy against (f), or None.
 
-    With require_origin_center the entries start at 1 so the center of the
-    witness is exactly the origin.
+    The entries start at 1, so the center of the witness is exactly the
+    origin.
     """
     if f.is_zero():
         raise ValueError("witness search needs a nonzero polynomial")
     if max_entry < 1:
         raise ValueError("max_entry must be >= 1")
-    lo = 1 if require_origin_center else 0
-    for w in product(range(lo, max_entry + 1), repeat=3):
-        if not any(w):
-            continue
+    for w in product(range(1, max_entry + 1), repeat=3):
         rep = discrepancy(f, w)
         if rep.a < 0:
             return rep

@@ -14,6 +14,13 @@ F_{p^n}, with a slot width from p, n and deg w that no intermediate value
 overflows, so a modular square is a few int products and one % p per slot.
 Its docstring has the layout and the bound; nothing is cached across calls.
 
+Finite-field root finding is one pass: the squarefree part of g, the
+degrees of its irreducible factors, and, when the field may grow, the
+extension of degree their lcm, where equal-degree splitting
+(Cantor-Zassenhaus) takes the squarefree part apart with no further root
+search.  Extension moduli come from canonical_irreducible here (Rabin's test
+on UniPoly).
+
 Everything is deterministic.  Root lists are sorted by the canonical element
 order (lexicographic on coefficient vectors; (|x|, sign) over Q), whatever
 order equal-degree splitting finds the roots in.  Splitting draws its
@@ -28,6 +35,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .fields import (
@@ -35,8 +43,6 @@ from .fields import (
     FieldElement,
     FieldEmbedding,
     NeedsAlgebraicExtension,
-    _pgcd,
-    _ptrim,
     extension_field,
     identity_embedding,
     is_prime,
@@ -302,6 +308,55 @@ def _packed_pow(r: UniPoly, e: int, w: UniPoly) -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
+# irreducible moduli
+
+
+def _prime_factors(n: int) -> List[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
+    """Rabin's test (SIAM J. Comput. 9, 1980) for a monic M of degree d over
+    F_p, given by its int coefficients low degree first: M is irreducible iff
+    t^(p^d) = t mod M and gcd(M, t^(p^(d/r)) - t) = 1 for each prime r | d."""
+    d = len(coeffs) - 1
+    if d < 2:
+        return d == 1
+    ctx = prime_field(p)
+    m, t = UniPoly.from_ints(ctx, coeffs), UniPoly.x(ctx)
+    return t.pow_mod(p ** d, m) == t and all(
+        m.gcd(t.pow_mod(p ** (d // r), m) - t).degree() == 0
+        for r in _prime_factors(d)
+    )
+
+
+def canonical_irreducible(p: int, d: int) -> Tuple[int, ...]:
+    """First monic irreducible of degree d over F_p in the canonical scan order.
+
+    Candidates t^d + c_{d-1} t^{d-1} + ... + c_0 are enumerated with
+    (c_0, ..., c_{d-1}) running through base-p counter order, so the choice
+    is reproducible across runs and machines.
+    """
+    if d == 1:
+        return (0, 1)
+    for high_first in product(range(p), repeat=d):  # c_0 runs fastest
+        cand = high_first[::-1] + (1,)
+        if poly_is_irreducible(cand, p):
+            return cand
+    raise ValueError(f"no monic irreducible of degree {d} over F_{p}")
+
+
+# ---------------------------------------------------------------------------
 # roots
 
 
@@ -344,22 +399,22 @@ def _rational_roots(g: UniPoly) -> List[Tuple[FieldElement, int]]:
     g, h = UniPoly(ctx, g.coeffs[mult0:]), h[mult0:]
     if len(h) < 2:
         return roots
-    dh = [i * c for i, c in enumerate(h)][1:]
     sf_taken = False
     p = 5
     while True:
         if h[-1] % p:
-            if len(_pgcd([c % p for c in h], _ptrim([c % p for c in dh]), p)) == 1:
+            hp = UniPoly.from_ints(prime_field(p), h)
+            if hp.gcd(hp.derivative()).degree() == 0:
                 break
             if not sf_taken:
                 h, sf_taken = _primitive_ints(_squarefree_part(g)), True
-                dh = [i * c for i, c in enumerate(h)][1:]
         p += 2
         while not is_prime(p):
             p += 2
+    dh = [i * c for i, c in enumerate(h)][1:]
     a0 = abs(h[0])
     bound = 2 * a0 * abs(h[-1])
-    for r in _roots_in_field(UniPoly.from_ints(prime_field(p), h)):
+    for r in _roots_in_field(hp):
         u, m = r.payload[0], p
         while m <= bound:
             m *= m
@@ -490,11 +545,10 @@ def _split_once(w: UniPoly, rng: random.Random) -> UniPoly:
     raise RuntimeError("equal-degree splitting failed")  # unreachable for split w
 
 
-def _distinct_degree_profile(g: UniPoly) -> List[int]:
-    """Degrees of the irreducible factors of the squarefree part of g."""
-    ctx = g.context
+def _distinct_degree_profile(sf: UniPoly) -> List[int]:
+    """Degrees of the irreducible factors of the squarefree sf."""
+    ctx = sf.context
     q = ctx.order()
-    sf = _squarefree_part(g)
     degrees: List[int] = []
     t = UniPoly.x(ctx)
     h = t
@@ -537,13 +591,10 @@ def extend_context(ctx: FieldContext, extra_degree: int) -> Tuple[FieldContext, 
     if n == 1:
         return big, FieldEmbedding(ctx, big, None)
     # embed by sending the old generator to the canonical root of the old
-    # modulus inside the big field (irreducible, so squarefree)
-    mod_big = UniPoly.from_ints(big, list(ctx.modulus))
-    roots = _roots_in_field(mod_big)
-    if not roots:
-        raise RuntimeError("old modulus fails to split in the new field")
-    gen_image = min(roots, key=lambda e: e.sort_key())
-    return big, FieldEmbedding(ctx, big, gen_image)
+    # modulus, which is irreducible of degree n | n*extra, so it splits into
+    # distinct linear factors in the big field
+    roots = _split_linear(UniPoly.from_ints(big, ctx.modulus))
+    return big, FieldEmbedding(ctx, big, min(roots, key=lambda e: e.sort_key()))
 
 
 def find_roots(g: UniPoly, allow_extension: bool) -> RootResult:
@@ -568,18 +619,21 @@ def find_roots(g: UniPoly, allow_extension: bool) -> RootResult:
         return RootResult(ctx, identity_embedding(ctx), tuple(roots))
 
     emb = identity_embedding(ctx)
-    work = g
+    sf = _squarefree_part(g)
     if allow_extension:
-        lcm = math.lcm(*_distinct_degree_profile(g))
+        # every factor of sf splits in the field of degree lcm over ctx, and
+        # sf stays squarefree there, so it is split without a root search
+        lcm = math.lcm(*_distinct_degree_profile(sf))
         if lcm > 1:
-            new_ctx, emb = extend_context(ctx, lcm)
-            work = g.map_coefficients(emb, new_ctx)
-            ctx = new_ctx
-    distinct = _roots_in_field(_squarefree_part(work))
+            ctx, emb = extend_context(ctx, lcm)
+            g = g.map_coefficients(emb, ctx)
+            sf = sf.map_coefficients(emb, ctx)
+        distinct = _split_linear(sf)
+    else:
+        distinct = _roots_in_field(sf)
     out = []
-    rem = work
     for r in sorted(distinct, key=lambda e: e.sort_key()):
-        rem, m = _root_multiplicity(rem, r)
+        g, m = _root_multiplicity(g, r)
         out.append((r, m))
     return RootResult(ctx, emb, tuple(out))
 
@@ -601,30 +655,17 @@ def nth_root(a: FieldElement, n: int, allow_extension: bool) -> Tuple[FieldEleme
         if math.gcd(n, q - 1) == 1:
             b = a ** pow(n, -1, q - 1)
             return b, identity_embedding(ctx)
-    coeffs = [-a] + [ctx.zero()] * (n - 1) + [ctx.one()]
-    g = UniPoly.make(ctx, coeffs)
-    if ctx.is_rational:
-        res = find_roots(g, allow_extension=False)
-        if not res.roots:
-            raise NeedsAlgebraicExtension(
-                f"no rational {n}-th root of {a}", polynomial=g
-            )
-        return res.first(), identity_embedding(ctx)
+    g = UniPoly.make(ctx, [-a] + [ctx.zero()] * (n - 1) + [ctx.one()])
     res = find_roots(g, allow_extension=False)
     if res.roots:
         return res.first(), identity_embedding(ctx)
+    if ctx.is_rational:
+        raise NeedsAlgebraicExtension(
+            f"no rational {n}-th root of {a}", polynomial=g
+        )
     if not allow_extension:
         raise NeedsAlgebraicExtension(
             f"no {n}-th root of {a} in the current field", polynomial=g
         )
     res = find_roots(g, allow_extension=True)
     return res.first(), res.embedding
-
-
-def verify_irreducible_modulus(ctx: FieldContext) -> bool:
-    """Check the context invariant that the stored modulus is irreducible."""
-    if ctx.is_rational or ctx.extension_degree == 1:
-        return True
-    from .fields import poly_is_irreducible
-
-    return poly_is_irreducible(ctx.modulus, ctx.characteristic)

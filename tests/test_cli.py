@@ -431,6 +431,36 @@ def test_max_weight_at_its_bound_still_answers(capsys):
     assert code == 0 and json.loads(capsys.readouterr().out)["verdict"]["mld"] == 1
 
 
+
+@pytest.mark.parametrize("level", ["8", "100000", "0"])
+def test_jet_level_outside_its_range_fails_fast(capsys, level):
+    import slchyp.cli as cli_mod
+
+    start = time.perf_counter()
+    code = cli_mod.run(["jet-profile", "--char", "7", "--poly", "x^2+y^3+z^5", "--m", level])
+    assert time.perf_counter() - start < 1
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and "--m" in out["error"] and out["grammar"] == cli_mod.GRAMMAR
+
+
+@pytest.mark.parametrize("poly,level", [("x^2+y^3+z^5", "3"), ("x", "7")])
+def test_jet_level_in_its_range_still_answers(capsys, poly, level):
+    import slchyp.cli as cli_mod
+
+    code = cli_mod.run(["jet-profile", "--char", "7", "--poly", poly, "--m", level])
+    entries = json.loads(capsys.readouterr().out)["verdict"]["entries"]
+    assert code == 0 and len(entries) == int(level)
+
+
+@pytest.mark.parametrize("degree", [0, -1])
+def test_verify_rejects_a_nonpositive_extension_degree(capsys, tmp_path, degree):
+    report = _edited("mld_e8_p7.json", ["verdict", "final_field", "extension_degree"], degree)
+    report["verdict"]["field_extension_used"] = degree
+    start = time.perf_counter()
+    code, out = _verify_in_process(capsys, report, tmp_path)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out["verified"] is False
+
 def test_verify_rejects_without_a_traceback():
     report = _edited("slc_fedder_p2.json", ["verdict", "witness", "weight"], 5)
     proc = run_cli("verify", "-", stdin=json.dumps(report))

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from slchyp import CoefficientError, FieldContext, RATIONALS, extension_field, prime_field
-from slchyp.fields import FieldElement, canonical_irreducible, is_prime, poly_is_irreducible
+from slchyp.fields import FieldElement, is_prime
+from slchyp.unipoly import UniPoly, canonical_irreducible, poly_is_irreducible
 
 # (p, n) of the extension fields the kernel is checked on, up to F_{7^9}
 KERNEL_FIELDS = [(2, 8), (3, 5), (5, 6), (7, 9), (127, 2)]
@@ -66,6 +68,78 @@ def test_canonical_irreducible_is_irreducible():
     assert poly_is_irreducible((3, 1), 5)  # every monic linear polynomial
     assert not poly_is_irreducible((1, 0, 1), 2)  # t^2 + 1 = (t + 1)^2
 
+
+
+# canonical_irreducible(p, d) as recorded when the scan still ran on F_p[t] int
+# lists; a change here changes every report over that field.  (10007, 3) and
+# (10007, 4) are left out: the scan tries ~p candidates there and takes seconds.
+CANONICAL_MODULI = {
+    (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1), (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1), (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 2): (1, 0, 1), (3, 3): (1, 2, 0, 1), (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1), (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1), (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
+    (3, 9): (1, 0, 1, 2, 0, 0, 0, 0, 0, 1),
+    (5, 2): (2, 0, 1), (5, 3): (1, 1, 0, 1), (5, 4): (2, 0, 0, 0, 1),
+    (5, 5): (1, 4, 0, 0, 0, 1), (5, 6): (2, 1, 0, 0, 0, 0, 1),
+    (5, 7): (1, 1, 0, 0, 0, 0, 0, 1), (5, 8): (2, 0, 0, 0, 0, 0, 0, 0, 1),
+    (5, 9): (3, 2, 1, 0, 0, 0, 0, 0, 0, 1),
+    (7, 2): (1, 0, 1), (7, 3): (2, 0, 0, 1), (7, 4): (1, 1, 0, 0, 1),
+    (7, 5): (3, 1, 0, 0, 0, 1), (7, 6): (2, 0, 0, 0, 0, 0, 1),
+    (7, 7): (1, 6, 0, 0, 0, 0, 0, 1), (7, 8): (3, 1, 0, 0, 0, 0, 0, 0, 1),
+    (7, 9): (2, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (11, 2): (1, 0, 1), (11, 3): (4, 1, 0, 1), (11, 4): (2, 1, 0, 0, 1),
+    (11, 5): (2, 0, 0, 0, 0, 1), (11, 6): (2, 1, 0, 0, 0, 0, 1),
+    (11, 7): (4, 1, 0, 0, 0, 0, 0, 1), (11, 8): (4, 1, 0, 0, 0, 0, 0, 0, 1),
+    (11, 9): (5, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (13, 2): (2, 0, 1), (13, 3): (2, 0, 0, 1), (13, 4): (2, 0, 0, 0, 1),
+    (13, 5): (2, 4, 0, 0, 0, 1), (13, 6): (2, 0, 0, 0, 0, 0, 1),
+    (13, 7): (2, 3, 0, 0, 0, 0, 0, 1), (13, 8): (2, 0, 0, 0, 0, 0, 0, 0, 1),
+    (13, 9): (2, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (101, 2): (2, 0, 1), (101, 3): (1, 1, 0, 1), (101, 4): (2, 0, 0, 0, 1),
+    (103, 2): (1, 0, 1), (103, 3): (2, 0, 0, 1), (103, 4): (5, 1, 0, 0, 1),
+    (107, 2): (1, 0, 1), (107, 3): (1, 1, 0, 1), (107, 4): (2, 1, 0, 0, 1),
+    (109, 2): (2, 0, 1), (109, 3): (3, 0, 0, 1), (109, 4): (2, 0, 0, 0, 1),
+    (113, 2): (3, 0, 1), (113, 3): (1, 1, 0, 1), (113, 4): (3, 0, 0, 0, 1),
+    (127, 2): (1, 0, 1), (127, 3): (3, 0, 0, 1), (127, 4): (3, 1, 0, 0, 1),
+    (10009, 2): (7, 0, 1), (10009, 3): (3, 0, 0, 1), (10009, 4): (7, 0, 0, 0, 1),
+    (10007, 2): (1, 0, 1),
+}
+
+
+def test_canonical_moduli_are_pinned():
+    for (p, d), modulus in CANONICAL_MODULI.items():
+        assert canonical_irreducible(p, d) == modulus, (p, d)
+    assert extension_field(7, 3).modulus == CANONICAL_MODULI[7, 3]
+
+
+def _has_monic_factor(m, d):
+    """Brute force: some monic polynomial of degree 1..d//2 divides m."""
+    ctx = m.context
+    p = ctx.characteristic
+    for k in range(1, d // 2 + 1):
+        for low in itertools.product(range(p), repeat=k):
+            if m.divmod(UniPoly.from_ints(ctx, low + (1,)))[1].is_zero():
+                return True
+    return False
+
+
+@pytest.mark.parametrize("p,degrees", [(2, range(2, 7)), (3, range(2, 5)), (5, range(2, 5))])
+def test_irreducibility_matches_brute_force(p, degrees):
+    ctx = prime_field(p)
+    for d in degrees:
+        for low in itertools.product(range(p), repeat=d):
+            coeffs = low + (1,)
+            m = UniPoly.from_ints(ctx, coeffs)
+            assert poly_is_irreducible(coeffs, p) == (not _has_monic_factor(m, d)), coeffs
+
+
+def test_extension_degree_below_one_fails_fast():
+    for degree in (0, -1):
+        with pytest.raises(ValueError):
+            extension_field(7, degree)
 
 def test_element_enumeration_is_lexicographic():
     F4 = extension_field(2, 2)

@@ -53,7 +53,7 @@ def test_witness_search_matches_brute_oracle():
     for text, bound in cases:
         f = poly(text)
         expected = brute_first_witness(f, bound)
-        got = witness_search(f, bound, require_origin_center=True)
+        got = witness_search(f, bound)
         if expected is None:
             assert got is None
         else:
@@ -62,9 +62,9 @@ def test_witness_search_matches_brute_oracle():
 
 def test_witness_search_frozen_values():
     # frozen from the brute-force oracle above
-    got = witness_search(poly("x^3+y^2*z"), 6, require_origin_center=True)
+    got = witness_search(poly("x^3+y^2*z"), 6)
     assert tuple(got.weight) == (3, 4, 1) and got.a == -1
-    got = witness_search(poly("x*y*(x+y)"), 2, require_origin_center=True)
+    got = witness_search(poly("x*y*(x+y)"), 2)
     assert tuple(got.weight) == (2, 2, 1) and got.a == -1
 
 

@@ -8,7 +8,7 @@ import pytest
 from slchyp import NeedsAlgebraicExtension, RATIONALS, classify_mld, extension_field, prime_field
 from slchyp import unipoly
 from slchyp.parse import parse_poly
-from slchyp.unipoly import UniPoly, extend_context, find_roots, nth_root, verify_irreducible_modulus
+from slchyp.unipoly import UniPoly, extend_context, find_roots, nth_root, poly_is_irreducible
 
 
 def up(ctx, ints):
@@ -91,6 +91,26 @@ def test_nth_root_with_extension():
     assert b * b == two
 
 
+
+def test_extension_roots_are_split_without_a_root_search(monkeypatch):
+    # the squarefree part splits in the extension by construction, and so
+    # does the old modulus that extend_context maps the generator to
+    def searched(sf):
+        raise AssertionError("root search on a polynomial known to split")
+
+    monkeypatch.setattr(unipoly, "_roots_in_field", searched)
+    for ctx, ints, degree in [
+        (extension_field(3, 2), [2, 2, 0, 1], 6),  # t^3 - t - 1, Artin-Schreier
+        (prime_field(101), [-2, 0, 1], 2),  # 2 is not a square mod 101
+    ]:
+        g = up(ctx, ints)
+        g = g * g * up(ctx, [-1, 1])
+        res = find_roots(g, allow_extension=True)
+        assert res.context == extension_field(ctx.characteristic, degree)
+        lifted = g.map_coefficients(res.embedding, res.context)
+        assert all(lifted.evaluate(r).is_zero() for r, _ in res.roots)
+        assert sorted(m for _, m in res.roots) == [1] + [2] * (len(ints) - 1)
+
 def test_extension_embedding_is_a_homomorphism():
     F4 = extension_field(2, 2)
     big, emb = extend_context(F4, 3)
@@ -121,9 +141,8 @@ def test_gcd_and_derivative():
 
 
 def test_modulus_invariant_checker():
-    assert verify_irreducible_modulus(extension_field(2, 4))
-    assert verify_irreducible_modulus(prime_field(7))
-    assert verify_irreducible_modulus(RATIONALS)
+    for p, d in [(2, 4), (3, 5), (7, 2), (101, 3)]:
+        assert poly_is_irreducible(extension_field(p, d).modulus, p)
 
 
 SPLITTING_FIELDS = [(2, 6), (3, 4), (5, 3), (101, 1)]
