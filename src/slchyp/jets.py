@@ -22,28 +22,74 @@ per-level computation on full arcs as the reference.
 The Buchberger engine is generic over the exact coefficient fields and also
 serves the cubic-cone classifier (lex order for elimination).  Each basis
 element's leading monomial is computed once, when it joins the basis;
-pending pairs sit in a heap keyed by the order key of their lcm (the normal
-selection strategy), and pairs with coprime leading monomials are never
-queued.  A reduction pops the remainder's leading monomial from a heap of
-reversed order keys and subtracts the divisor's multiple term by term.  The
-reduced basis is unique, so none of this changes a result.  The engine never
-truncates: if a basis exceeds the configured budget (for `mld_profile`, the
-basis carried through all levels so far) the computation aborts with
-OracleOverflow.
+pending pairs sit in a heap keyed by their lcm (the normal selection
+strategy, ties broken by the indices of the pair), and pairs with coprime
+leading monomials are never queued.  A reduction pops the remainder's
+leading monomial from a heap and subtracts the first basis element (in basis
+order) whose leading monomial divides it, term by term.  The reduced basis
+is unique, so none of this changes a result.  The engine never truncates: if
+a basis exceeds the configured budget (for `mld_profile`, the basis carried
+through all levels so far) the computation aborts with OracleOverflow.
+
+Inside the engine a monomial is one int, and a polynomial a dict from those
+ints to raw coefficients (Monagan and Pearce, J. Symb. Comp. 46, 2011, pack
+monomials the same way).  On n variables with `width` value bits per
+exponent, every field is `stride` = width + 1 + bitlength(n - 1) bits wide:
+
+* the low n fields are E, the exponents, with a guard bit at bit `width` of
+  each field.  Under grevlex x_1 is the least significant field, under lex
+  the most significant one.
+* under grevlex the n fields above E are K, the partial sums
+  S_k = e_1 + ... + e_k packed with S_n most significant, so that comparing
+  K compares total degree first and then the reversed exponents; K is E
+  times (1 + 2^stride + ... ), cut to n fields.  Under lex E itself is in
+  order and there is no K.
+
+Both parts are additive, so a product of monomials is one int addition, the
+order is one int comparison (the reduction heap holds negated monomials) and
+m divides t iff `(t - m) & guard` is zero: a field that would go negative
+borrows and sets its guard bit.  The lcm of two leading monomials is a
+fieldwise max done with the same guard bits.  The stride leaves room for a
+field to exceed the value bits by one bit without touching its neighbour.
+The starting width fits four times the largest exponent of the input; a term
+whose exponent reaches the guard bit (a lex elimination can raise exponents
+far beyond the input's) stops the computation, which reruns from its
+generators at doubled width.  That costs time, never a different answer.
+
+Coefficients are raw payloads with one record of operations per field kind
+(`_coefficients`):
+
+* F_p: ints in [0, p); basis elements are monic.
+* F_{p^n}: coefficient tuples, multiplied by the context's packed product;
+  basis elements are monic.
+* Q: integers.  Basis elements are primitive integer polynomials with a
+  positive leading coefficient (their content is removed when they join,
+  as in Brown's primitive PRS, J. ACM 18, 1971), and reduction is fraction
+  free: the remainder so far is scaled by the divisor's leading coefficient
+  over its gcd with the cancelled one.  Remainders are positive multiples
+  of the monic ones, so the same leading monomials arise.
+
+`FieldElement` polynomials keyed by exponent tuples (`NPoly`) appear only
+at the edges: the input and output of `groebner_basis`, the generators of
+`build_jets`, and `ideal_height_of`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from operator import add, le, sub
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd
+from operator import mul as int_mul
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .fields import FieldContext, FieldElement
-from .poly import TriPoly, np_add, np_scale
+from .poly import TriPoly
 
 NMonomial = Tuple[int, ...]
 NPoly = Dict[NMonomial, FieldElement]
+Packed = Dict[int, object]  # packed monomial -> raw coefficient
 
 
 class OracleOverflow(RuntimeError):
@@ -58,29 +104,6 @@ class GroebnerBudget:
     max_basis: int = 20000
 
 
-# ---------------------------------------------------------------------------
-# sparse n-variable polynomials as dicts
-
-
-def np_mul_term(a: NPoly, m: NMonomial, c: FieldElement) -> NPoly:
-    return {tuple(x + y for x, y in zip(mm, m)): v * c for mm, v in a.items()}
-
-
-def np_mul(a: NPoly, b: NPoly) -> NPoly:
-    out: NPoly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
-            c = c1 * c2
-            if m in out:
-                c = out[m] + c
-            if c.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = c
-    return out
-
-
 def grevlex_key(m: NMonomial):
     return (sum(m), tuple(-e for e in reversed(m)))
 
@@ -91,65 +114,204 @@ def lex_key(m: NMonomial):
 
 ORDERS = {"grevlex": grevlex_key, "lex": lex_key}
 
-# heapq pops the smallest entry, so the reduction heap holds keys that
-# reverse each order: the popped monomial is the remainder's leading one.
-_DESCENDING = {
-    grevlex_key: lambda m: (-sum(m), m[::-1]),
-    lex_key: lambda m: tuple(-e for e in m),
-}
-
 
 def leading(a: NPoly, key) -> Tuple[NMonomial, FieldElement]:
     m = max(a, key=key)
     return m, a[m]
 
 
-def _divides(m: NMonomial, n: NMonomial) -> bool:
-    return all(x <= y for x, y in zip(m, n))
+# ---------------------------------------------------------------------------
+# packed monomials
 
 
-def np_reduce(
-    p: NPoly,
-    basis: List[NPoly],
-    key,
-    leads: Optional[List[Tuple[NMonomial, FieldElement]]] = None,
-) -> NPoly:
-    """Full normal form of p modulo the basis, with terms in descending
-    order; leads, when given, holds each basis element's leading term."""
-    if leads is None:
-        leads = [leading(g, key) for g in basis]
-    divisors = list(zip(basis, leads))
-    desc = _DESCENDING[key]
-    work = dict(p)
-    heap = [(desc(m), m) for m in work]
+class _Widen(Exception):
+    """A term's exponent reached a guard bit: rerun at a wider layout."""
+
+
+def _width(max_exponent: int) -> int:
+    """Value bits per exponent that fit four times the given exponent."""
+    return max(4 * max_exponent, 1).bit_length()
+
+
+class _Layout:
+    """The packing of monomials on nvars variables in one monomial order,
+    with `width` value bits per exponent (see the module docstring)."""
+
+    def __init__(self, nvars: int, order: str, width: int) -> None:
+        if order not in ORDERS:
+            raise KeyError(order)
+        self.nvars, self.order, self.width = nvars, order, width
+        s = self.stride = width + 1 + (nvars - 1).bit_length()
+        self.lex = order == "lex"
+        self.emask = (1 << (nvars * s)) - 1
+        self.guard = sum(1 << (k * s + width) for k in range(nvars))
+        self.value = (1 << width) - 1
+        self.values = self.value * sum(1 << (k * s) for k in range(nvars))
+        self.ones = sum(1 << (k * s) for k in range(nvars))
+
+    def _keyed(self, e: int) -> int:
+        if self.lex:
+            return e
+        return ((e * self.ones) & self.emask) << (self.nvars * self.stride) | e
+
+    def pack(self, exps: Sequence[int]) -> int:
+        s, e = self.stride, 0
+        for x in (exps if self.lex else reversed(exps)):
+            e = (e << s) | x
+        return self._keyed(e)
+
+    def unpack(self, m: int) -> NMonomial:
+        s, v = self.stride, self.value
+        out = [(m >> (k * s)) & v for k in range(self.nvars)]
+        return tuple(reversed(out)) if self.lex else tuple(out)
+
+    def variable(self, i: int) -> int:
+        return self._keyed(1 << (self.stride * (self.nvars - 1 - i if self.lex else i)))
+
+    def lcm(self, a: int, b: int) -> int:
+        """Fieldwise max: a field's guard bit survives (a | guard) - b iff
+        its exponent in a is at least the one in b."""
+        a &= self.emask
+        b &= self.emask
+        wins = ((a | self.guard) - b) & self.guard
+        mask = wins - (wins >> self.width)
+        return self._keyed(b ^ ((a ^ b) & mask))
+
+    def support(self, m: int) -> int:
+        """The guard bits of the nonzero exponents of m."""
+        return ((m & self.emask) + self.values) & self.guard
+
+    def convert(self, poly: Packed, old: "_Layout") -> Packed:
+        return {self.pack(old.unpack(m)): c for m, c in poly.items()}
+
+
+# ---------------------------------------------------------------------------
+# raw coefficients
+
+
+@dataclass(frozen=True)
+class _Coefficients:
+    """Arithmetic on the raw payloads of one field.
+
+    ratio(c, lc) gives (a, nb) with a*c + nb*lc == 0: over a field lc is
+    one and a is 1; over Q a = lc/g and nb = -c/g, g = gcd(c, lc)."""
+
+    context: FieldContext
+    zero: object
+    one: object
+    mul: Callable
+    add_mul: Callable  # (a, b, c) -> a + b*c
+    ratio: Callable
+    normalize: Callable  # Packed in descending order -> monic or primitive
+    load: Callable  # NPoly -> tuple-keyed payloads (over Q a positive multiple)
+    monic: Callable  # payloads -> FieldElements, divided by the first one
+
+
+@lru_cache(maxsize=None)
+def _coefficients(ctx: FieldContext) -> _Coefficients:
+    p, n = ctx.characteristic, ctx.extension_degree
+    if p == 0:
+        def ratio(c, lc):
+            g = gcd(c, lc)
+            return lc // g, -(c // g)
+
+        def normalize(r):
+            g = gcd(*r.values())
+            if next(iter(r.values())) < 0:
+                g = -g
+            return {m: c // g for m, c in r.items()} if g != 1 else r
+
+        def load(poly):
+            den = 1
+            for c in poly.values():
+                d = c.payload.denominator
+                den = den * d // gcd(den, d)
+            return {m: int(c.payload * den) for m, c in poly.items()}
+
+        def monic(cs):
+            lc = cs[0]
+            return [FieldElement(ctx, Fraction(c, lc)) for c in cs]
+
+        return _Coefficients(ctx, 0, 1, int_mul, lambda a, b, c: a + b * c,
+                             ratio, normalize, load, monic)
+    if n == 1:
+        def normalize(r):
+            inv = pow(next(iter(r.values())), -1, p)
+            return {m: c * inv % p for m, c in r.items()} if inv != 1 else r
+
+        def monic(cs):
+            inv = pow(cs[0], -1, p)
+            return [FieldElement(ctx, (c * inv % p,)) for c in cs]
+
+        return _Coefficients(
+            ctx, 0, 1, lambda a, b: a * b % p, lambda a, b, c: (a + b * c) % p,
+            lambda c, lc: (1, -c), normalize,
+            lambda poly: {m: c.payload[0] for m, c in poly.items()}, monic)
+    pmul = ctx._mul
+    one = ctx.one().payload
+
+    def add_mul(a, b, c):
+        return tuple([(x + y) % p for x, y in zip(a, pmul(b, c))])
+
+    def inverse(c):
+        return FieldElement(ctx, c).inverse().payload
+
+    def normalize(r):
+        inv = inverse(next(iter(r.values())))
+        return {m: pmul(c, inv) for m, c in r.items()}
+
+    def monic(cs):
+        inv = inverse(cs[0])
+        return [FieldElement(ctx, pmul(c, inv)) for c in cs]
+
+    return _Coefficients(
+        ctx, ctx.zero().payload, one, pmul, add_mul,
+        lambda c, lc: (1, tuple([(-x) % p for x in c])), normalize,
+        lambda poly: {m: c.payload for m, c in poly.items()}, monic)
+
+
+# ---------------------------------------------------------------------------
+# the Buchberger engine
+
+
+def np_reduce(work: Packed, divisors: list, field: _Coefficients, guard: int) -> Packed:
+    """Full normal form of `work` (consumed) modulo the divisors, each a
+    (leading monomial, leading coefficient, tail) triple with the tail a list
+    of (monomial, coefficient) pairs; terms come out in descending order.
+    Over Q the result is a positive multiple of the normal form.  Raises
+    _Widen when a term's exponent reaches the guard bits."""
+    mul, add_mul, ratio, zero = field.mul, field.add_mul, field.ratio, field.zero
+    heap = [-m for m in work]
     heapify(heap)
-    remainder: NPoly = {}
+    remainder: Packed = {}
     while heap:
-        m = heappop(heap)[1]
+        m = -heappop(heap)
         c = work.pop(m, None)
         if c is None:
             continue  # cancelled, or a second entry of a term already taken
-        for g, (lm, lc) in divisors:
-            if all(map(le, lm, m)):
+        if m & guard:
+            raise _Widen
+        for lm, lc, tail in divisors:
+            if not (m - lm) & guard:
                 break
         else:
             remainder[m] = c
             continue
-        # work -= (c/lc) * shift * g; g's leading term cancels m
-        shift = tuple(map(sub, m, lm))
-        factor = -(c / lc)
-        for gm, gc in g.items():
-            if gm == lm:
-                continue
-            t = tuple(map(add, gm, shift))
-            v = gc * factor
+        # a*work + nb*shift*g, where g's leading term cancels c*m
+        a, nb = ratio(c, lc)
+        if a != 1:
+            work = {t: mul(a, v) for t, v in work.items()}
+            remainder = {t: mul(a, v) for t, v in remainder.items()}
+        shift = m - lm
+        for gm, gc in tail:
+            t = gm + shift
             old = work.get(t)
             if old is None:
-                work[t] = v
-                heappush(heap, (desc(t), t))
+                work[t] = mul(nb, gc)
+                heappush(heap, -t)
             else:
-                v = old + v
-                if v.is_zero():
+                v = add_mul(old, nb, gc)
+                if v == zero:
                     del work[t]
                 else:
                     work[t] = v
@@ -157,71 +319,131 @@ def np_reduce(
 
 
 class _Buchberger:
-    """Buchberger state: the basis, each element's leading term, the heap of
-    pending pairs and the size budget.  After `add` the basis is a Groebner
-    basis of everything added so far, so later generators only form pairs
-    with it; `reduced` returns the reduced basis."""
+    """Buchberger state: the packed basis with each element's leading term,
+    the heap of pending pairs and the size budget.  After `add` the basis is
+    a Groebner basis of everything added so far, so later generators only
+    form pairs with it; `reduced` returns the reduced basis.  Every batch of
+    generators is kept, so that a term overflowing the layout can rerun the
+    whole computation at doubled width."""
 
-    def __init__(self, order: str, budget: GroebnerBudget) -> None:
-        self.key = ORDERS[order]
+    def __init__(self, layout: _Layout, field: _Coefficients, budget: GroebnerBudget) -> None:
+        self.field = field
         self.budget = budget
-        self.basis: List[NPoly] = []
-        self.leads: List[Tuple[NMonomial, FieldElement]] = []
-        self.pairs: list = []  # heap of (key(lcm), i, j, lcm) with j < i
+        self.batches: List[List[Packed]] = []
+        self._reset(layout)
 
-    def _join(self, r: NPoly) -> None:
-        basis, leads, key = self.basis, self.leads, self.key
-        lm, lc = leading(r, key)
-        g = np_scale(r, lc.inverse())
-        k = len(basis)
-        basis.append(g)
-        leads.append((lm, g[lm]))
-        if len(basis) > self.budget.max_basis:
+    def _reset(self, layout: _Layout) -> None:
+        self.layout = layout
+        self.divisors: list = []  # (lm, lc, tail) per basis element
+        self.supports: List[int] = []
+        self.pairs: list = []  # heap of (lcm, i, j) with j < i
+
+    @property
+    def leads(self) -> List[int]:
+        return [lm for lm, _lc, _tail in self.divisors]
+
+    def _join(self, r: Packed) -> None:
+        divisors, supports, layout = self.divisors, self.supports, self.layout
+        items = iter(self.field.normalize(r).items())
+        lm, lc = next(items)
+        k = len(divisors)
+        divisors.append((lm, lc, list(items)))
+        if len(divisors) > self.budget.max_basis:
             raise OracleOverflow(f"basis exceeded {self.budget.max_basis} elements")
+        support = layout.support(lm)
+        supports.append(support)
+        lcm, pairs = layout.lcm, self.pairs
         for j in range(k):
-            mj = leads[j][0]
-            if not any(a and b for a, b in zip(lm, mj)):
-                continue  # coprime leading monomials reduce to zero
-            lcm = tuple(map(max, lm, mj))
-            heappush(self.pairs, (key(lcm), k, j, lcm))
+            if supports[j] & support:  # coprime leading monomials reduce to zero
+                heappush(pairs, (lcm(lm, divisors[j][0]), k, j))
 
-    def add(self, gens: Sequence[NPoly]) -> None:
-        """Join the generators, then run pairs until none are left."""
-        basis, leads, key, pairs = self.basis, self.leads, self.key, self.pairs
+    def _run(self, gens: Sequence[Packed]) -> None:
+        divisors, pairs, field = self.divisors, self.pairs, self.field
+        guard = self.layout.guard
         for g in gens:
-            if g:
-                r = np_reduce(g, basis, key, leads) if basis else dict(g)
-                if r:
-                    self._join(r)
+            if divisors:
+                r = np_reduce(dict(g), divisors, field, guard)
+            else:
+                r = dict(sorted(g.items(), reverse=True))
+            if r:
+                self._join(r)
+        mul, add_mul, ratio, zero = field.mul, field.add_mul, field.ratio, field.zero
         while pairs:
             # normal strategy: smallest lcm of the leading monomials
-            _, i, j, lcm = heappop(pairs)
-            (mi, one), (mj, _) = leads[i], leads[j]  # basis elements are monic
-            si = np_mul_term(basis[i], tuple(map(sub, lcm, mi)), one)
-            sj = np_mul_term(basis[j], tuple(map(sub, lcm, mj)), -one)
-            r = np_reduce(np_add(si, sj), basis, key, leads)
+            lcm, i, j = heappop(pairs)
+            mi, ci, ti = divisors[i]
+            mj, cj, tj = divisors[j]
+            a, nb = ratio(ci, cj)  # a*ci + nb*cj == 0 cancels the lcm term
+            si, sj = lcm - mi, lcm - mj
+            work = {m + si: c for m, c in ti} if a == 1 else {m + si: mul(a, c) for m, c in ti}
+            for m, c in tj:
+                t = m + sj
+                old = work.get(t)
+                if old is None:
+                    work[t] = mul(nb, c)
+                else:
+                    v = add_mul(old, nb, c)
+                    if v == zero:
+                        del work[t]
+                    else:
+                        work[t] = v
+            r = np_reduce(work, divisors, field, guard)
             if r:
                 self._join(r)
 
+    def add(self, gens: Sequence[Packed]) -> None:
+        """Join generators packed in the current layout, then run pairs
+        until none are left."""
+        self.batches.append(list(gens))
+        todo = self.batches[-1:]
+        while True:
+            try:
+                for batch in todo:
+                    self._run(batch)
+                return
+            except _Widen:
+                old = self.layout
+                new = _Layout(old.nvars, old.order, 2 * old.width)
+                self.batches = [[new.convert(g, old) for g in batch] for batch in self.batches]
+                self._reset(new)
+                todo = self.batches
+
     def reduced(self) -> List[NPoly]:
-        """Inter-reduce the minimal elements; the reduced basis is unique."""
-        basis, leads, key = self.basis, self.leads, self.key
-        lms = [lm for lm, _ in leads]
+        """Inter-reduce the minimal elements into monic `NPoly`s, terms in
+        descending order; the reduced basis is unique."""
+        divisors, layout = self.divisors, self.layout
+        guard = layout.guard
+        lms = self.leads
         keep = [
             idx for idx, lm in enumerate(lms)
             if not any(
-                o != idx and _divides(lms[o], lm) and (lms[o] != lm or o < idx)
+                o != idx and not (lm - lms[o]) & guard and (lms[o] != lm or o < idx)
                 for o in range(len(lms))
             )
         ]
-        keep.sort(key=lambda idx: key(lms[idx]))
-        reduced = []
+        keep.sort(key=lambda idx: lms[idx])
+        out = []
         for idx in keep:
-            others = [o for o in keep if o != idx]
-            reduced.append(np_reduce(
-                basis[idx], [basis[o] for o in others], key, [leads[o] for o in others]
-            ))
-        return reduced
+            lm, lc, tail = divisors[idx]
+            others = [divisors[o] for o in keep if o != idx]
+            r = np_reduce(dict([(lm, lc)] + tail), others, self.field, guard)
+            coeffs = self.field.monic(list(r.values()))
+            out.append({layout.unpack(m): c for m, c in zip(r, coeffs)})
+        return out
+
+
+def _engine(gens: Sequence[NPoly], order: str, budget: GroebnerBudget):
+    """A Buchberger state holding the generators, or None when all are zero."""
+    gens = [g for g in gens if g]
+    if not gens:
+        return None
+    field = _coefficients(next(iter(gens[0].values())).context)
+    nvars = len(next(iter(gens[0])))
+    top = max(max(m) for g in gens for m in g) if nvars else 0
+    layout = _Layout(nvars, order, _width(top))
+    state = _Buchberger(layout, field, budget)
+    state.add([{layout.pack(m): c for m, c in field.load(g).items()} for g in gens])
+    return state
 
 
 def groebner_basis(
@@ -231,9 +453,8 @@ def groebner_basis(
 ) -> List[NPoly]:
     """Reduced Groebner basis by Buchberger's algorithm with the normal
     selection strategy and the coprimality criterion."""
-    state = _Buchberger(order, budget)
-    state.add(gens)
-    return state.reduced()
+    state = _engine(gens, order, budget)
+    return state.reduced() if state else []
 
 
 def quotient_dimension(leading_monomials: Sequence[NMonomial], nvars: int) -> int:
@@ -277,11 +498,16 @@ def _height(leading_monomials: Sequence[NMonomial], nvars: int) -> int:
     return nvars if dim < 0 else nvars - dim
 
 
+def _state_height(state: _Buchberger, nvars: int) -> int:
+    """Height read from the leading monomials of a (not necessarily reduced)
+    Groebner basis: they span the same leading-term ideal as the reduced one."""
+    return _height([state.layout.unpack(lm) for lm in state.leads], nvars)
+
+
 def ideal_height_of(gens: Sequence[NPoly], nvars: int,
                     budget: GroebnerBudget = GroebnerBudget()) -> int:
-    basis = groebner_basis(gens, "grevlex", budget)
-    key = ORDERS["grevlex"]
-    return _height([leading(g, key)[0] for g in basis], nvars)
+    state = _engine(gens, "grevlex", budget)
+    return _state_height(state, nvars) if state else _height([], nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -296,51 +522,68 @@ class JetSystem:
     generators: List[NPoly]  # x^(0), y^(0), z^(0), f^(0), ..., f^(m)
 
 
-def _series_mul(a: List[NPoly], b: List[NPoly], m: int) -> List[NPoly]:
-    out = [{} for _ in range(m + 1)]
+def _series_mul(a: List[Packed], b: List[Packed], m: int,
+                field: _Coefficients) -> List[Packed]:
+    mul, add_mul, zero = field.mul, field.add_mul, field.zero
+    out: List[Packed] = [{} for _ in range(m + 1)]
     for i, ai in enumerate(a):
         if not ai:
             continue
-        for j, bj in enumerate(b):
-            if i + j > m:
-                break
-            if bj:
-                out[i + j] = np_add(out[i + j], np_mul(ai, bj))
+        for j, bj in enumerate(b[:m + 1 - i]):
+            o = out[i + j]
+            for m1, c1 in ai.items():
+                for m2, c2 in bj.items():
+                    t = m1 + m2
+                    old = o.get(t)
+                    if old is None:
+                        o[t] = mul(c1, c2)
+                    else:
+                        v = add_mul(old, c1, c2)
+                        if v == zero:
+                            del o[t]
+                        else:
+                            o[t] = v
     return out
 
 
-def _coordinate(ctx: FieldContext, nvars: int, i: int, j: int) -> NPoly:
-    """The level-j coordinate of variable i, at index 3*j + i."""
-    mono = [0] * nvars
-    mono[3 * j + i] = 1
-    return {tuple(mono): ctx.one()}
-
-
-def _arc_equations(f: TriPoly, m: int, first: int) -> List[NPoly]:
-    """f^(0), ..., f^(m): the coefficients of t^0..t^m in f evaluated on the
-    arc whose i-th coordinate is the sum of x_i^(j) t^j over first <= j <= m.
-    Each coordinate's powers are expanded once and shared by the monomials."""
+def _arc_equations(f: TriPoly, m: int, first: int, layout: _Layout) -> List[Packed]:
+    """f^(0), ..., f^(m), packed: the coefficients of t^0..t^m in f evaluated
+    on the arc whose i-th coordinate is the sum of x_i^(j) t^j over
+    first <= j <= m, the level-j coordinate of variable i at index 3*j + i.
+    Over Q f is first scaled to integer coefficients.  Each coordinate's
+    powers are expanded once and shared by the monomials."""
     ctx = f.context
     if not ctx.is_rational and ctx.extension_degree != 1:
         raise ValueError("the jet oracle is restricted to prime fields and Q")
-    nvars = 3 * (m + 1)
-    one = [{} for _ in range(m + 1)]
-    one[0] = {(0,) * nvars: ctx.one()}
+    field = _coefficients(ctx)
+    add_mul, zero = field.add_mul, field.zero
+    one: List[Packed] = [{} for _ in range(m + 1)]
+    one[0] = {0: field.one}
     powers = []
     for i in range(3):
-        arc = [_coordinate(ctx, nvars, i, j) if j >= first else {} for j in range(m + 1)]
+        arc = [{layout.variable(3 * j + i): field.one} if j >= first else {}
+               for j in range(m + 1)]
         powers.append([one])
         for _ in range(max((mono[i] for mono in f.terms), default=0)):
-            powers[i].append(_series_mul(powers[i][-1], arc, m))
-    levels = [{} for _ in range(m + 1)]
-    for mono, coeff in f.terms.items():
+            powers[i].append(_series_mul(powers[i][-1], arc, m, field))
+    levels: List[Packed] = [{} for _ in range(m + 1)]
+    for mono, coeff in field.load(f.terms).items():
         factors = [powers[i][e] for i, e in enumerate(mono) if e] or [one]
         term = factors[0]
         for factor in factors[1:]:
-            term = _series_mul(term, factor, m)
-        for j in range(m + 1):
-            levels[j] = np_add(levels[j], np_scale(term[j], coeff))
+            term = _series_mul(term, factor, m, field)
+        for level, part in zip(levels, term):
+            for t, c in part.items():
+                v = add_mul(level.get(t, zero), coeff, c)
+                if v == zero:
+                    level.pop(t, None)
+                else:
+                    level[t] = v
     return levels
+
+
+def _jet_layout(f: TriPoly, nvars: int) -> _Layout:
+    return _Layout(nvars, "grevlex", _width(max(f.total_degree(), 1)))
 
 
 def build_jets(f: TriPoly, m: int) -> JetSystem:
@@ -350,10 +593,20 @@ def build_jets(f: TriPoly, m: int) -> JetSystem:
     """
     if m < 0:
         raise ValueError("level must be >= 0")
-    levels = _arc_equations(f, m, 0)
     nvars = 3 * (m + 1)
-    origin = [_coordinate(f.context, nvars, i, 0) for i in range(3)]
-    return JetSystem(m, nvars, f.context, origin + levels)
+    layout = _jet_layout(f, nvars)
+    levels = _arc_equations(f, m, 0, layout)
+    ctx = f.context
+    if ctx.is_rational and f.terms:
+        # the arcs were expanded for an integer multiple of f
+        mono, c = next(iter(f.terms.items()))
+        scale = _coefficients(ctx).load(f.terms)[mono] / c.payload
+        element = lambda v: FieldElement(ctx, v / scale)
+    else:
+        element = lambda v: FieldElement(ctx, (v,))
+    origin = [{layout.unpack(layout.variable(i)): ctx.one()} for i in range(3)]
+    gens = [{layout.unpack(t): element(v) for t, v in level.items()} for level in levels]
+    return JetSystem(m, nvars, ctx, origin + gens)
 
 
 def ideal_height(system: JetSystem,
@@ -431,13 +684,15 @@ def mld_profile(
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    levels = _arc_equations(f, m_max - 1, 1)
-    origin = [_coordinate(f.context, 3 * m_max, i, 0) for i in range(3)]
-    state = _Buchberger("grevlex", budget)
+    layout = _jet_layout(f, 3 * m_max)
+    levels = _arc_equations(f, m_max - 1, 1, layout)
+    field = _coefficients(f.context)
+    origin = [{layout.variable(i): field.one} for i in range(3)]
+    state = _Buchberger(layout, field, budget)
     entries = []
     for m, fm in enumerate(levels):
         state.add(origin + [fm] if m == 0 else [fm])
-        h = _height([lm for lm, _ in state.leads], 3 * (m + 1))
+        h = _state_height(state, 3 * (m + 1))
         entries.append((m, h, h - (m + 1)))
     profile = SmProfile(entries)
     values = [v for _, v in profile.contact_entries()]

@@ -15,16 +15,16 @@ from slchyp import (
     mld_profile,
     s_m,
 )
+from slchyp import extension_field
 from slchyp.jets import (
     ORDERS,
     groebner_basis,
     grevlex_key,
     leading,
-    np_add,
-    np_reduce,
-    np_scale,
     quotient_dimension,
 )
+import slchyp.jets as jets
+from slchyp.poly import np_add, np_scale
 
 
 def test_build_jets_product_rule():
@@ -209,6 +209,8 @@ PINNED_PROFILES = [
     ("y*(y^2+x*z)", 0, 6,
      [(0, 3, 2), (1, 3, 1), (2, 3, 0), (3, 4, 0), (4, 5, 0), (5, 6, 0)]),
     ("2+y*z", 3, 3, [(0, 3, 2), (1, 6, 4), (2, 9, 6)]),
+    ("x^2+y^3+z^5", 7, 7,
+     [(0, 3, 2), (1, 3, 1), (2, 4, 1), (3, 5, 1), (4, 6, 1), (5, 7, 1), (6, 8, 1)]),
 ]
 
 
@@ -218,6 +220,41 @@ def test_profiles_pinned(text, p, m_max, entries):
 
 
 # -- Groebner engine internals -------------------------------------------------
+
+
+def _lead(p, key):
+    m = max(p, key=key)
+    return m, p[m]
+
+
+def _minus_multiple(p, g, shift, c):
+    """p - c * x^shift * g."""
+    out = dict(p)
+    for gm, gc in g.items():
+        t = tuple(a + b for a, b in zip(gm, shift))
+        v = out[t] - c * gc if t in out else -(c * gc)
+        if v.is_zero():
+            out.pop(t, None)
+        else:
+            out[t] = v
+    return out
+
+
+def textbook_normal_form(p, divisors, key):
+    """Full normal form by plain multivariate division, dividing each
+    leading term by the first divisor whose leading monomial divides it."""
+    p, r = dict(p), {}
+    while p:
+        m, c = _lead(p, key)
+        for g in divisors:
+            gm, gc = _lead(g, key)
+            if all(a <= b for a, b in zip(gm, m)):
+                p = _minus_multiple(p, g, tuple(a - b for a, b in zip(m, gm)), c / gc)
+                break
+        else:
+            r[m] = c
+            del p[m]
+    return r
 
 
 def test_spolynomials_of_basis_reduce_to_zero(rng):
@@ -242,71 +279,47 @@ def test_spolynomials_of_basis_reduce_to_zero(rng):
             mi, ci = leading(gi, key)
             mj, cj = leading(gj, key)
             lcm = tuple(max(a, b) for a, b in zip(mi, mj))
-            from slchyp.jets import np_mul_term
-
-            si = np_mul_term(gi, tuple(l - a for l, a in zip(lcm, mi)), ci.inverse())
-            sj = np_mul_term(gj, tuple(l - a for l, a in zip(lcm, mj)), cj.inverse())
-            s = np_add(si, np_scale(sj, -ctx.one()))
-            assert np_reduce(s, basis, key) == {}
+            s = _minus_multiple({}, gi, tuple(l - a for l, a in zip(lcm, mi)), -ci.inverse())
+            s = _minus_multiple(s, gj, tuple(l - a for l, a in zip(lcm, mj)), cj.inverse())
+            assert textbook_normal_form(s, basis, key) == {}
 
 
 def reference_groebner(gens, key):
     """Textbook Buchberger (every pair, plain division), then the reduced
     basis sorted by leading monomial."""
 
-    def lead(p):
-        m = max(p, key=key)
-        return m, p[m]
-
-    def minus_multiple(p, g, shift, c):
-        out = dict(p)
-        for gm, gc in g.items():
-            t = tuple(a + b for a, b in zip(gm, shift))
-            v = out[t] - c * gc if t in out else -(c * gc)
-            if v.is_zero():
-                out.pop(t, None)
-            else:
-                out[t] = v
-        return out
-
-    def normal_form(p, divisors):
-        p, r = dict(p), {}
-        while p:
-            m, c = lead(p)
-            for g in divisors:
-                gm, gc = lead(g)
-                if all(a <= b for a, b in zip(gm, m)):
-                    p = minus_multiple(p, g, tuple(a - b for a, b in zip(m, gm)), c / gc)
-                    break
-            else:
-                r[m] = c
-                del p[m]
-        return r
-
     def monic(p):
-        return np_scale(p, lead(p)[1].inverse())
+        return np_scale(p, _lead(p, key)[1].inverse())
 
     basis = [monic(g) for g in gens if g]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
     while pairs:
         i, j = pairs.pop()
-        mi, mj = lead(basis[i])[0], lead(basis[j])[0]
+        mi, mj = _lead(basis[i], key)[0], _lead(basis[j], key)[0]
         lcm = tuple(max(a, b) for a, b in zip(mi, mj))
         one = basis[i][mi]
-        s = minus_multiple({}, basis[i], tuple(l - e for l, e in zip(lcm, mi)), -one)
-        s = minus_multiple(s, basis[j], tuple(l - e for l, e in zip(lcm, mj)), one)
-        r = normal_form(s, basis)
+        s = _minus_multiple({}, basis[i], tuple(l - e for l, e in zip(lcm, mi)), -one)
+        s = _minus_multiple(s, basis[j], tuple(l - e for l, e in zip(lcm, mj)), one)
+        r = textbook_normal_form(s, basis, key)
         if r:
             basis.append(monic(r))
             pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
     minimal = []
     for g in basis:
-        m = lead(g)[0]
-        if not any(all(a <= b for a, b in zip(lead(h)[0], m)) for h in minimal):
+        m = _lead(g, key)[0]
+        if not any(all(a <= b for a, b in zip(_lead(h, key)[0], m)) for h in minimal):
             minimal = [h for h in minimal
-                       if not all(a <= b for a, b in zip(m, lead(h)[0]))] + [g]
-    reduced = [monic(normal_form(g, [h for h in minimal if h is not g])) for g in minimal]
-    return sorted(reduced, key=lambda g: key(lead(g)[0]))
+                       if not all(a <= b for a, b in zip(m, _lead(h, key)[0]))] + [g]
+    reduced = [monic(textbook_normal_form(g, [h for h in minimal if h is not g], key))
+               for g in minimal]
+    return sorted(reduced, key=lambda g: key(_lead(g, key)[0]))
+
+
+def _random_coefficient(rnd, ctx):
+    if ctx.extension_degree > 1:
+        p = ctx.characteristic
+        return ctx.from_vector([rnd.randint(0, p - 1) for _ in range(ctx.extension_degree)])
+    return ctx.from_int(rnd.randint(-4, 4))
 
 
 def _random_ideal(rnd, ctx, nvars):
@@ -315,27 +328,71 @@ def _random_ideal(rnd, ctx, nvars):
         g = {}
         for _ in range(rnd.randint(1, 3)):
             m = tuple(rnd.randint(0, 2) for _ in range(nvars))
-            c = ctx.from_int(rnd.randint(-4, 4))
+            c = _random_coefficient(rnd, ctx)
             if not c.is_zero():
                 g[m] = g[m] + c if m in g else c
         gens.append({m: c for m, c in g.items() if not c.is_zero()})
     return gens
 
 
-@pytest.mark.parametrize("p", [5, 0])
-@pytest.mark.parametrize("order", ["grevlex", "lex"])
-def test_groebner_basis_matches_reference(rng, p, order):
-    ctx = ctx_for(p)
+def _check_against_reference(gens, order, ctx):
     key = ORDERS[order]
+    basis = groebner_basis(gens, order)
+    assert basis == reference_groebner(gens, key), gens
+    for g in basis:
+        # terms in descending order, leading coefficient one
+        assert list(g) == sorted(g, key=key, reverse=True)
+        assert g[next(iter(g))] == ctx.one()
+
+
+# F_9 runs the engine on extension payloads (coefficient tuples)
+@pytest.mark.parametrize("q", [5, 0, 2, 9])
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_groebner_basis_matches_reference(rng, q, order):
+    ctx = extension_field(3, 2) if q == 9 else ctx_for(q)
     cases = [_random_ideal(rng, ctx, rng.randint(2, 4)) for _ in range(25)]
-    cases.append(build_jets(poly("x^2+y^3+x*y*z", p), 1).generators)
+    if q != 9:
+        cases.append(build_jets(poly("x^2+y^3+x*y*z", q), 1).generators)
     for gens in cases:
-        basis = groebner_basis(gens, order)
-        assert basis == reference_groebner(gens, key), gens
-        for g in basis:
-            # terms in descending order, leading coefficient one
-            assert list(g) == sorted(g, key=key, reverse=True)
-            assert g[next(iter(g))] == ctx.one()
+        _check_against_reference(gens, order, ctx)
+
+
+# binomial ideals whose bases, in both orders, reach an exponent above four
+# times the largest one of the input (found by a seeded search)
+WIDENING_BINOMIALS = [
+    [((1, 7, 1), (0, 0, 8)), ((9, 8, 9), (7, 2, 3))],
+    [((3, 5, 6), (5, 0, 1)), ((6, 6, 7), (3, 2, 7))],
+    [((7, 1, 5), (2, 9, 1)), ((6, 3, 2), (0, 2, 8))],
+    [((7, 8, 5), (3, 1, 8)), ((8, 3, 9), (1, 1, 4))],
+]
+
+
+@pytest.mark.parametrize("p", [7, 0])
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_exponents_beyond_the_packed_width_rerun_wider(monkeypatch, p, order):
+    # The packed width starts at four times the input's largest exponent.  A term
+    # above it makes the engine rerun at doubled width, with the same basis.
+    # Under lex, x^200 - y and y^130*z - x reduce x^200 to y^26000*z^200.
+    ctx = ctx_for(p)
+    one, two = ctx.one(), ctx.from_int(2)
+    widths = []
+
+    class Layout(jets._Layout):
+        def __init__(self, nvars, order, width):
+            widths.append(width)
+            super().__init__(nvars, order, width)
+
+    monkeypatch.setattr(jets, "_Layout", Layout)
+    cases = [[{a: one, b: -two} for a, b in pair] for pair in WIDENING_BINOMIALS]
+    big = [{(200, 0, 0): one, (0, 1, 0): -one}, {(0, 130, 1): one, (1, 0, 0): -one}]
+    if order == "lex":
+        cases.append(big)
+    else:
+        _check_against_reference(big, order, ctx)
+    for gens in cases:
+        widths.clear()
+        _check_against_reference(gens, order, ctx)
+        assert len(widths) > 1 and widths == sorted(widths), widths
 
 
 def brute_monomial_dimension(lms, nvars):
