@@ -24,6 +24,7 @@ CASES = [
     ("x^2+y^3+x*z^2", 5, 3),
     ("x^2+y^3+z^5", 7, 2),
     ("x*y*z", 3, 3),
+    ("x^2+y^3+z^5", 7, 7),
 ]
 
 

@@ -18,8 +18,10 @@ Finite-field root finding is one pass: the squarefree part of g, the
 degrees of its irreducible factors, and, when the field may grow, the
 extension of degree their lcm, where equal-degree splitting
 (Cantor-Zassenhaus) takes the squarefree part apart with no further root
-search.  Extension moduli come from canonical_irreducible here (Rabin's test
-on UniPoly).
+search.  Extension moduli come from canonical_irreducible here: Serret's
+criterion decides the binomials t^d + c in closed form, and Rabin's test on
+UniPoly the candidates after them.  A root's multiplicity is found by
+repeated synthetic division by t - r.
 
 Everything is deterministic.  Root lists are sorted by the canonical element
 order (lexicographic on coefficient vectors; (|x|, sign) over Q), whatever
@@ -35,8 +37,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Iterator, List, Sequence, Tuple
+from itertools import islice, product
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .fields import (
     FieldContext,
@@ -340,16 +342,39 @@ def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     )
 
 
+def _irreducible_binomial(p: int, d: int) -> Optional[int]:
+    """The least c in [1, p) with t^d + c irreducible over F_p, or None.
+
+    Serret's criterion (Lidl-Niederreiter, Finite Fields, Thm 3.75): for
+    d >= 2, t^d - a is irreducible iff every prime r | d divides p - 1 and a
+    is not an r-th power (a^((p-1)/r) != 1), and p = 1 (mod 4) when 4 | d.
+    When those hold, a fraction prod(1 - 1/r) of the units qualifies, so the
+    search stops after a few candidates."""
+    primes = _prime_factors(d)
+    if any((p - 1) % r for r in primes) or (d % 4 == 0 and p % 4 != 1):
+        return None
+    for c in range(1, p):
+        a = p - c
+        if all(pow(a, (p - 1) // r, p) != 1 for r in primes):
+            return c
+    return None
+
+
 def canonical_irreducible(p: int, d: int) -> Tuple[int, ...]:
     """First monic irreducible of degree d over F_p in the canonical scan order.
 
     Candidates t^d + c_{d-1} t^{d-1} + ... + c_0 are enumerated with
     (c_0, ..., c_{d-1}) running through base-p counter order, so the choice
-    is reproducible across runs and machines.
+    is reproducible across runs and machines.  The first p candidates are
+    the binomials t^d + c_0, decided in closed form by Serret's criterion;
+    Rabin's test takes over at c_1 = 1.
     """
     if d == 1:
         return (0, 1)
-    for high_first in product(range(p), repeat=d):  # c_0 runs fastest
+    c = _irreducible_binomial(p, d)
+    if c is not None:
+        return (c,) + (0,) * (d - 1) + (1,)
+    for high_first in islice(product(range(p), repeat=d), p, None):  # c_0 runs fastest
         cand = high_first[::-1] + (1,)
         if poly_is_irreducible(cand, p):
             return cand
@@ -361,15 +386,24 @@ def canonical_irreducible(p: int, d: int) -> Tuple[int, ...]:
 
 
 def _root_multiplicity(g: UniPoly, r: FieldElement) -> Tuple[UniPoly, int]:
-    """Divide out (t - r) as often as possible; return (quotient, multiplicity)."""
-    lin = UniPoly.make(g.context, [-r, g.context.one()])
+    """Divide out (t - r) as often as possible; return (quotient, multiplicity).
+
+    Each step is one synthetic division: a Horner pass from the top
+    coefficient gives the quotient's coefficients, and its last value is
+    the remainder g(r)."""
+    coeffs = g.coeffs
     mult = 0
-    while True:
-        q, rem = g.divmod(lin)
-        if not rem.is_zero():
-            return g, mult
-        g = q
+    while len(coeffs) > 1:
+        acc = coeffs[-1]
+        quotient = [acc]
+        for c in coeffs[-2::-1]:
+            acc = acc * r + c
+            quotient.append(acc)
+        if not quotient.pop().is_zero():
+            break
+        coeffs = quotient[::-1]
         mult += 1
+    return (UniPoly.make(g.context, coeffs) if mult else g), mult
 
 
 def _rational_roots(g: UniPoly) -> List[Tuple[FieldElement, int]]:
@@ -580,7 +614,9 @@ class RootResult:
 
 
 def extend_context(ctx: FieldContext, extra_degree: int) -> Tuple[FieldContext, FieldEmbedding]:
-    """Enlarge F_{p^n} to F_{p^{n*extra}} with a canonical modulus and embedding."""
+    """Enlarge F_{p^n} to F_{p^{n*extra}} with a canonical modulus and embedding;
+    a total degree above MAX_EXTENSION_DEGREE raises ValueError, from
+    extension_field, before any search."""
     if ctx.is_rational:
         raise NeedsAlgebraicExtension("cannot extend the rationals")
     if extra_degree == 1:

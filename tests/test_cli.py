@@ -461,6 +461,17 @@ def test_verify_rejects_a_nonpositive_extension_degree(capsys, tmp_path, degree)
     assert time.perf_counter() - start < 1
     assert code == 1 and out["verified"] is False
 
+
+def test_verify_rejects_a_degree_above_the_bound_fast(capsys, tmp_path):
+    # extension_field(7, 5000) used to search for a modulus before any check
+    report = _edited("mld_e8_p7.json", ["verdict", "final_field", "extension_degree"], 5000)
+    report["verdict"]["field_extension_used"] = 5000
+    start = time.perf_counter()
+    code, out = _verify_in_process(capsys, report, tmp_path)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out["verified"] is False
+
+
 def test_verify_rejects_without_a_traceback():
     report = _edited("slc_fedder_p2.json", ["verdict", "witness", "weight"], 5)
     proc = run_cli("verify", "-", stdin=json.dumps(report))

@@ -2,14 +2,21 @@ import copy
 import itertools
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from slchyp import CoefficientError, FieldContext, RATIONALS, extension_field, prime_field
-from slchyp.fields import FieldElement, is_prime
-from slchyp.unipoly import UniPoly, canonical_irreducible, poly_is_irreducible
+from slchyp.fields import MAX_EXTENSION_DEGREE, FieldElement, is_prime
+from slchyp.unipoly import (
+    UniPoly,
+    _irreducible_binomial,
+    canonical_irreducible,
+    extend_context,
+    poly_is_irreducible,
+)
 
 # (p, n) of the extension fields the kernel is checked on, up to F_{7^9}
 KERNEL_FIELDS = [(2, 8), (3, 5), (5, 6), (7, 9), (127, 2)]
@@ -71,8 +78,9 @@ def test_canonical_irreducible_is_irreducible():
 
 
 # canonical_irreducible(p, d) as recorded when the scan still ran on F_p[t] int
-# lists; a change here changes every report over that field.  (10007, 3) and
-# (10007, 4) are left out: the scan tries ~p candidates there and takes seconds.
+# lists (and, for (10007, 3) and (10007, 4), where no binomial is irreducible,
+# as the full Rabin scan found them); a change here changes every report over
+# that field.
 CANONICAL_MODULI = {
     (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1),
     (2, 5): (1, 0, 1, 0, 0, 1), (2, 6): (1, 1, 0, 0, 0, 0, 1),
@@ -105,8 +113,16 @@ CANONICAL_MODULI = {
     (113, 2): (3, 0, 1), (113, 3): (1, 1, 0, 1), (113, 4): (3, 0, 0, 0, 1),
     (127, 2): (1, 0, 1), (127, 3): (3, 0, 0, 1), (127, 4): (3, 1, 0, 0, 1),
     (10009, 2): (7, 0, 1), (10009, 3): (3, 0, 0, 1), (10009, 4): (7, 0, 0, 0, 1),
-    (10007, 2): (1, 0, 1),
+    (10007, 2): (1, 0, 1), (10007, 3): (1, 1, 0, 1), (10007, 4): (6, 1, 0, 0, 1),
 }
+
+
+def test_serret_criterion_matches_rabin_on_binomials():
+    for p in (2, 3, 5, 7, 11, 13, 17, 29, 31, 37, 41):
+        for d in range(2, 9):
+            rabin = next((c for c in range(1, p)
+                          if poly_is_irreducible((c,) + (0,) * (d - 1) + (1,), p)), None)
+            assert _irreducible_binomial(p, d) == rabin, (p, d)
 
 
 def test_canonical_moduli_are_pinned():
@@ -140,6 +156,23 @@ def test_extension_degree_below_one_fails_fast():
     for degree in (0, -1):
         with pytest.raises(ValueError):
             extension_field(7, degree)
+
+
+def test_extension_degree_above_the_bound_fails_fast():
+    for degree in (MAX_EXTENSION_DEGREE + 1, 5000):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            extension_field(7, degree)
+        assert time.perf_counter() - start < 0.1
+    with pytest.raises(ValueError):
+        extend_context(extension_field(3, 3), MAX_EXTENSION_DEGREE)
+
+
+def test_classifier_degrees_sit_well_inside_the_bound():
+    # degree 9 is the largest the classifier reaches on coordinate_changes
+    assert 3 * 9 <= MAX_EXTENSION_DEGREE
+    assert extension_field(7, 9).extension_degree == 9
+
 
 def test_element_enumeration_is_lexicographic():
     F4 = extension_field(2, 2)
