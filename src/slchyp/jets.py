@@ -196,7 +196,6 @@ class _Coefficients:
     ratio(c, lc) gives (a, nb) with a*c + nb*lc == 0: over a field lc is
     one and a is 1; over Q a = lc/g and nb = -c/g, g = gcd(c, lc)."""
 
-    context: FieldContext
     zero: object
     one: object
     mul: Callable
@@ -226,13 +225,14 @@ def _coefficients(ctx: FieldContext) -> _Coefficients:
             for c in poly.values():
                 d = c.payload.denominator
                 den = den * d // gcd(den, d)
-            return {m: int(c.payload * den) for m, c in poly.items()}
+            return {m: c.payload.numerator * (den // c.payload.denominator)
+                    for m, c in poly.items()}
 
         def monic(cs):
             lc = cs[0]
             return [FieldElement(ctx, Fraction(c, lc)) for c in cs]
 
-        return _Coefficients(ctx, 0, 1, int_mul, lambda a, b, c: a + b * c,
+        return _Coefficients(0, 1, int_mul, lambda a, b, c: a + b * c,
                              ratio, normalize, load, monic)
     if n == 1:
         def normalize(r):
@@ -244,11 +244,10 @@ def _coefficients(ctx: FieldContext) -> _Coefficients:
             return [FieldElement(ctx, (c * inv % p,)) for c in cs]
 
         return _Coefficients(
-            ctx, 0, 1, lambda a, b: a * b % p, lambda a, b, c: (a + b * c) % p,
+            0, 1, lambda a, b: a * b % p, lambda a, b, c: (a + b * c) % p,
             lambda c, lc: (1, -c), normalize,
             lambda poly: {m: c.payload[0] for m, c in poly.items()}, monic)
     pmul = ctx._mul
-    one = ctx.one().payload
 
     def add_mul(a, b, c):
         return tuple([(x + y) % p for x, y in zip(a, pmul(b, c))])
@@ -265,7 +264,7 @@ def _coefficients(ctx: FieldContext) -> _Coefficients:
         return [FieldElement(ctx, pmul(c, inv)) for c in cs]
 
     return _Coefficients(
-        ctx, ctx.zero().payload, one, pmul, add_mul,
+        ctx.zero().payload, ctx.one().payload, pmul, add_mul,
         lambda c, lc: (1, tuple([(-x) % p for x in c])), normalize,
         lambda poly: {m: c.payload for m, c in poly.items()}, monic)
 
