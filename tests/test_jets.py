@@ -357,6 +357,25 @@ def test_groebner_basis_matches_reference(rng, q, order):
         _check_against_reference(gens, order, ctx)
 
 
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_packed_monomials_match_exponent_tuples(rng, order):
+    # order, divisibility, product, lcm and support of the packed ints agree
+    # with the exponent tuples they pack
+    key = ORDERS[order]
+    for nvars in (1, 2, 3, 5, 12):
+        layout = jets._Layout(nvars, order, 4)
+        for _ in range(300):
+            a, b = (tuple(rng.randint(0, 7) for _ in range(nvars)) for _ in range(2))
+            pa, pb = layout.pack(a), layout.pack(b)
+            assert layout.unpack(pa) == a
+            assert (pa < pb) == (key(a) < key(b))
+            assert (not (pb - pa) & layout.guard) == all(x <= y for x, y in zip(a, b))
+            assert pa + pb == layout.pack(tuple(x + y for x, y in zip(a, b)))
+            assert layout.lcm(pa, pb) == layout.pack(tuple(map(max, a, b)))
+            assert bool(layout.support(pa) & layout.support(pb)) == any(
+                x and y for x, y in zip(a, b))
+
+
 # binomial ideals whose bases, in both orders, reach an exponent above four
 # times the largest one of the input (found by a seeded search)
 WIDENING_BINOMIALS = [
