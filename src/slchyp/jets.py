@@ -321,11 +321,13 @@ class _Buchberger:
     """Buchberger state: the packed basis with each element's leading term,
     the heap of pending pairs and the size budget.  After `add` the basis is
     a Groebner basis of everything added so far, so later generators only
-    form pairs with it; `reduced` returns the reduced basis.  Every batch of
-    generators is kept, so that a term overflowing the layout can rerun the
-    whole computation at doubled width."""
+    form pairs with it; `reduced` returns the reduced basis.  Generators
+    always come packed in the layout the state was made with; every batch is
+    kept, so that a term overflowing the working layout can rerun the whole
+    computation at doubled width."""
 
     def __init__(self, layout: _Layout, field: _Coefficients, budget: GroebnerBudget) -> None:
+        self.packing = layout
         self.field = field
         self.budget = budget
         self.batches: List[List[Packed]] = []
@@ -360,6 +362,8 @@ class _Buchberger:
         divisors, pairs, field = self.divisors, self.pairs, self.field
         guard = self.layout.guard
         for g in gens:
+            if not g:
+                continue
             if divisors:
                 r = np_reduce(dict(g), divisors, field, guard)
             else:
@@ -391,20 +395,19 @@ class _Buchberger:
                 self._join(r)
 
     def add(self, gens: Sequence[Packed]) -> None:
-        """Join generators packed in the current layout, then run pairs
-        until none are left."""
+        """Join generators, then run pairs until none are left."""
         self.batches.append(list(gens))
         todo = self.batches[-1:]
         while True:
             try:
                 for batch in todo:
+                    if self.layout is not self.packing:
+                        batch = [self.layout.convert(g, self.packing) for g in batch]
                     self._run(batch)
                 return
             except _Widen:
                 old = self.layout
-                new = _Layout(old.nvars, old.order, 2 * old.width)
-                self.batches = [[new.convert(g, old) for g in batch] for batch in self.batches]
-                self._reset(new)
+                self._reset(_Layout(old.nvars, old.order, 2 * old.width))
                 todo = self.batches
 
     def reduced(self) -> List[NPoly]:
@@ -431,20 +434,6 @@ class _Buchberger:
         return out
 
 
-def _engine(gens: Sequence[NPoly], order: str, budget: GroebnerBudget):
-    """A Buchberger state holding the generators, or None when all are zero."""
-    gens = [g for g in gens if g]
-    if not gens:
-        return None
-    field = _coefficients(next(iter(gens[0].values())).context)
-    nvars = len(next(iter(gens[0])))
-    top = max(max(m) for g in gens for m in g) if nvars else 0
-    layout = _Layout(nvars, order, _width(top))
-    state = _Buchberger(layout, field, budget)
-    state.add([{layout.pack(m): c for m, c in field.load(g).items()} for g in gens])
-    return state
-
-
 def groebner_basis(
     gens: Sequence[NPoly],
     order: str = "grevlex",
@@ -452,8 +441,16 @@ def groebner_basis(
 ) -> List[NPoly]:
     """Reduced Groebner basis by Buchberger's algorithm with the normal
     selection strategy and the coprimality criterion."""
-    state = _engine(gens, order, budget)
-    return state.reduced() if state else []
+    gens = [g for g in gens if g]
+    if not gens:
+        return []
+    field = _coefficients(next(iter(gens[0].values())).context)
+    nvars = len(next(iter(gens[0])))
+    top = max(max(m) for g in gens for m in g) if nvars else 0
+    layout = _Layout(nvars, order, _width(top))
+    state = _Buchberger(layout, field, budget)
+    state.add([{layout.pack(m): c for m, c in field.load(g).items()} for g in gens])
+    return state.reduced()
 
 
 def quotient_dimension(leading_monomials: Sequence[NMonomial], nvars: int) -> int:
@@ -497,16 +494,10 @@ def _height(leading_monomials: Sequence[NMonomial], nvars: int) -> int:
     return nvars if dim < 0 else nvars - dim
 
 
-def _state_height(state: _Buchberger, nvars: int) -> int:
-    """Height read from the leading monomials of a (not necessarily reduced)
-    Groebner basis: they span the same leading-term ideal as the reduced one."""
-    return _height([state.layout.unpack(lm) for lm in state.leads], nvars)
-
-
 def ideal_height_of(gens: Sequence[NPoly], nvars: int,
                     budget: GroebnerBudget = GroebnerBudget()) -> int:
-    state = _engine(gens, "grevlex", budget)
-    return _state_height(state, nvars) if state else _height([], nvars)
+    # the terms of a reduced basis element come in descending order
+    return _height([next(iter(g)) for g in groebner_basis(gens, "grevlex", budget)], nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +682,7 @@ def mld_profile(
     entries = []
     for m, fm in enumerate(levels):
         state.add(origin + [fm] if m == 0 else [fm])
-        h = _state_height(state, 3 * (m + 1))
+        h = _height([state.layout.unpack(lm) for lm in state.leads], 3 * (m + 1))
         entries.append((m, h, h - (m + 1)))
     profile = SmProfile(entries)
     values = [v for _, v in profile.contact_entries()]

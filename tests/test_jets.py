@@ -414,6 +414,28 @@ def test_exponents_beyond_the_packed_width_rerun_wider(monkeypatch, p, order):
         assert len(widths) > 1 and widths == sorted(widths), widths
 
 
+def test_profile_rerun_wider_keeps_the_carried_heights(monkeypatch):
+    # a starting width that just fits the input forces reruns while the
+    # basis is carried across levels; every height must come out as at the
+    # usual width
+    widths = []
+
+    class Layout(jets._Layout):
+        def __init__(self, nvars, order, width):
+            widths.append(width)
+            super().__init__(nvars, order, width)
+
+    monkeypatch.setattr(jets, "_Layout", Layout)
+    monkeypatch.setattr(jets, "_width", int.bit_length)
+    widened = []
+    for text, p, m_max, entries in PINNED_PROFILES[:9]:
+        widths.clear()
+        assert mld_profile(poly(text, p), m_max).profile.entries == entries, text
+        if len(widths) > 1:
+            widened.append(text)
+    assert len(widened) >= 2, widened
+
+
 def brute_monomial_dimension(lms, nvars):
     """Largest coordinate subspace avoiding every leading support."""
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in lms]
