@@ -37,7 +37,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .fields import (
@@ -374,8 +373,10 @@ def canonical_irreducible(p: int, d: int) -> Tuple[int, ...]:
     c = _irreducible_binomial(p, d)
     if c is not None:
         return (c,) + (0,) * (d - 1) + (1,)
-    for high_first in islice(product(range(p), repeat=d), p, None):  # c_0 runs fastest
-        cand = high_first[::-1] + (1,)
+    # k counts in base p with c_i its i-th digit; counting keeps the memory
+    # constant, where a pool of range(p) would not for p near 10^9
+    for k in range(p, p ** d):
+        cand = tuple([k // p ** i % p for i in range(d)]) + (1,)
         if poly_is_irreducible(cand, p):
             return cand
     raise ValueError(f"no monic irreducible of degree {d} over F_{p}")

@@ -125,6 +125,15 @@ def test_serret_criterion_matches_rabin_on_binomials():
             assert _irreducible_binomial(p, d) == rabin, (p, d)
 
 
+def test_modulus_scan_past_the_binomials_is_lazy():
+    # p = 10^9 + 7 = 2 (mod 3): no t^3 + c is irreducible, and the scan goes
+    # on at c_1 = 1 without building a range(p) pool
+    p = 1000000007
+    m = canonical_irreducible(p, 3)
+    assert m[1:] == (1, 0, 1) and poly_is_irreducible(m, p)
+    assert not any(poly_is_irreducible((c, 1, 0, 1), p) for c in range(m[0]))
+
+
 def test_canonical_moduli_are_pinned():
     for (p, d), modulus in CANONICAL_MODULI.items():
         assert canonical_irreducible(p, d) == modulus, (p, d)
