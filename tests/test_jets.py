@@ -11,11 +11,11 @@ from slchyp import (
     TriPoly,
     build_jets,
     classify_mld,
+    extension_field,
     ideal_height,
     mld_profile,
     s_m,
 )
-from slchyp import extension_field
 from slchyp.jets import (
     ORDERS,
     groebner_basis,
