@@ -397,22 +397,34 @@ class _Buchberger:
     def add(self, gens: Sequence[Packed]) -> None:
         """Join generators, then run pairs until none are left."""
         self.batches.append(list(gens))
-        todo = self.batches[-1:]
-        while True:
-            try:
-                for batch in todo:
-                    if self.layout is not self.packing:
-                        batch = [self.layout.convert(g, self.packing) for g in batch]
-                    self._run(batch)
-                return
-            except _Widen:
-                old = self.layout
-                self._reset(_Layout(old.nvars, old.order, 2 * old.width))
-                todo = self.batches
+        self._replay(self.batches[-1:])
+
+    def _replay(self, batches: List[List[Packed]]) -> None:
+        try:
+            for batch in batches:
+                if self.layout is not self.packing:
+                    batch = [self.layout.convert(g, self.packing) for g in batch]
+                self._run(batch)
+        except _Widen:
+            self._rerun_wider()
+
+    def _rerun_wider(self) -> None:
+        old = self.layout
+        self._reset(_Layout(old.nvars, old.order, 2 * old.width))
+        self._replay(self.batches)
 
     def reduced(self) -> List[NPoly]:
         """Inter-reduce the minimal elements into monic `NPoly`s, terms in
-        descending order; the reduced basis is unique."""
+        descending order; the reduced basis is unique.  Under lex a tail
+        can reduce to exponents the basis never held, so this too may
+        rerun wider."""
+        while True:
+            try:
+                return self._inter_reduce()
+            except _Widen:
+                self._rerun_wider()
+
+    def _inter_reduce(self) -> List[NPoly]:
         divisors, layout = self.divisors, self.layout
         guard = layout.guard
         lms = self.leads

@@ -414,6 +414,36 @@ def test_exponents_beyond_the_packed_width_rerun_wider(monkeypatch, p, order):
         assert len(widths) > 1 and widths == sorted(widths), widths
 
 
+# lex ideals whose inter-reduction reaches an exponent above the width the
+# unreduced basis needed (found by a seeded search)
+WIDENING_IN_REDUCTION = [
+    [{(1, 4, 1): 3, (1, 2, 0): 3, (0, 1, 1): 4}, {(3, 1, 2): 4, (5, 2, 5): 6}],
+    [{(5, 2, 1): 4, (5, 4, 3): 4, (0, 2, 5): 4}, {(1, 5, 2): 2, (0, 5, 0): 6}],
+    [{(1, 1, 2): 2, (3, 3, 4): 3}, {(5, 0, 0): 1, (1, 3, 5): 2, (4, 2, 5): 1}],
+]
+
+
+@pytest.mark.parametrize("p", [7, 0])
+def test_inter_reduction_reruns_wider(monkeypatch, p):
+    ctx = ctx_for(p)
+    overflowed = []
+    inter_reduce = jets._Buchberger._inter_reduce
+
+    def watched(state):
+        try:
+            return inter_reduce(state)
+        except jets._Widen:
+            overflowed.append(state.layout.width)
+            raise
+
+    monkeypatch.setattr(jets._Buchberger, "_inter_reduce", watched)
+    for ideal in WIDENING_IN_REDUCTION:
+        overflowed.clear()
+        gens = [{m: ctx.from_int(c) for m, c in g.items()} for g in ideal]
+        _check_against_reference(gens, "lex", ctx)
+        assert overflowed, ideal
+
+
 def test_profile_rerun_wider_keeps_the_carried_heights(monkeypatch):
     # a starting width that just fits the input forces reruns while the
     # basis is carried across levels; every height must come out as at the
