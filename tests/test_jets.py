@@ -62,6 +62,15 @@ def test_build_jets_square_coefficients():
     assert f2[tuple(m_x0x2)] == ctx.from_int(2)
 
 
+def test_build_jets_keeps_rational_coefficients():
+    # the arcs are expanded for an integer multiple of f and divided back
+    f = poly("x^2+3*y^3+x*y*z")
+    third = f.context.from_fraction(-1, 3)
+    scaled = build_jets(f.scale(third), 2).generators[3:]
+    for g, h in zip(scaled, build_jets(f, 2).generators[3:]):
+        assert g == {m: c * third for m, c in h.items()}
+
+
 def test_series_consistency_random_arcs(rng):
     # evaluating f on a random truncated arc agrees with the jet equations
     for p in (5, 7):
