@@ -1,4 +1,6 @@
+import hashlib
 import math
+import pathlib
 import random
 import types
 from fractions import Fraction
@@ -361,3 +363,104 @@ def test_rational_roots_match_divisor_enumeration():
         assert roots == _rational_roots_reference(g), str(g)
         found += len(roots)
     assert found > 40
+
+
+# -- root finding pinned by a digest -------------------------------------------
+
+ROOT_CORPUS_DIGEST = pathlib.Path(__file__).parent / "golden" / "root_corpus_digest.sha256"
+# 14 finite fields, small enough to scan or large enough to split, plus Q
+ROOT_CORPUS_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (101, 1), (127, 1), (10007, 1),
+                      (2, 2), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2), (113, 2)]
+
+
+def _corpus_result(call):
+    """One line for a root-finding call: its result, or the exception it raised."""
+    try:
+        res = call()
+    except (NeedsAlgebraicExtension, ValueError) as exc:
+        return repr((type(exc).__name__, str(exc)))
+    if isinstance(res, unipoly.RootResult):
+        ctx, emb = res.context, res.embedding
+        roots = tuple((str(r), m) for r, m in res.roots)
+    else:  # (root, embedding) or (context, embedding)
+        head, emb = res
+        ctx, roots = emb.target, str(head)
+    gen = emb.generator_image
+    return repr(((ctx.characteristic, ctx.extension_degree, ctx.modulus), roots,
+                 emb.source.extension_degree, None if gen is None else str(gen)))
+
+
+def _root_corpus_lines():
+    """find_roots, nth_root and extend_context on seeded inputs, one line each."""
+    rng = random.Random(20261019)
+    lines = []
+
+    def roots_of(g):
+        lines.append(str(g))
+        for allow in (False, True):
+            lines.append(_corpus_result(lambda: find_roots(g, allow_extension=allow)))
+
+    def nth_roots_of(a, n):
+        lines.append(f"{a} {n}")
+        for allow in (False, True):
+            lines.append(_corpus_result(lambda: nth_root(a, n, allow_extension=allow)))
+
+    for p, n in ROOT_CORPUS_FIELDS:
+        ctx = extension_field(p, n)
+
+        def element():
+            return ctx.from_vector([rng.randrange(p) for _ in range(n)])
+
+        top = 4 if n > 1 or p > 1000 else 5  # keeps every splitting field in range
+        for _ in range(20):
+            roots_of(UniPoly.make(ctx, [element() for _ in range(rng.randint(1, top))]
+                                  + [ctx.one()]))
+        pool = sorted({element() for _ in range(8)}, key=lambda e: e.sort_key())
+        for _ in range(6):  # products of linear factors, some repeated
+            g = UniPoly.make(ctx, [ctx.one()])
+            for r in rng.sample(pool, rng.randint(1, min(4, len(pool)))):
+                for _ in range(rng.randint(1, 3)):
+                    g = g * UniPoly.make(ctx, [-r, ctx.one()])
+            roots_of(g)
+        if p <= 7:  # inseparable: h(t^p), and (t + a)^p (t + b)
+            spread = [ctx.zero()] * (2 * p + 1)
+            spread[0], spread[p], spread[2 * p] = element(), element(), ctx.one()
+            roots_of(UniPoly.make(ctx, spread))
+            linear = UniPoly.make(ctx, [element(), ctx.one()])
+            g = UniPoly.make(ctx, [element(), ctx.one()])
+            for _ in range(p):
+                g = g * linear
+            roots_of(g)
+        for k in (2, 3, 4, 5, 6):
+            a = element()
+            if not a.is_zero():
+                nth_roots_of(a, k)
+        for extra in (2, 3):
+            lines.append(f"extend {p} {n} {extra}")
+            lines.append(_corpus_result(lambda: extend_context(ctx, extra)))
+
+    Q = RATIONALS
+
+    def fraction(bound):
+        return Q.from_fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+    for _ in range(30):
+        g = UniPoly.make(Q, [fraction(12), fraction(12), Q.one()])
+        for _ in range(rng.randint(0, 3)):
+            g = g * UniPoly.make(Q, [-fraction(30), Q.one()])
+        roots_of(g)
+    for _ in range(12):
+        b = fraction(20)
+        if not b.is_zero():
+            k = rng.randint(2, 4)
+            nth_roots_of(b ** k, k)
+            nth_roots_of(b ** k + Q.one(), k)
+    lines.append(_corpus_result(lambda: extend_context(Q, 2)))
+    return lines
+
+
+def test_root_corpus_matches_its_digest():
+    lines = _root_corpus_lines()
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert len(lines) > 1000
+    assert digest == ROOT_CORPUS_DIGEST.read_text().split()[0]
