@@ -23,6 +23,15 @@ operators:
   against M on F_p[t] int lists, the only polynomial arithmetic here: the
   canonical modulus M comes from canonical_irreducible in unipoly.py.
 
+Each context also carries one record of payload operations, `ctx.ops`
+(`Payloads`), built once in its constructor: zero, one, add, sub, mul,
+inverse and from_int on raw payloads, and load/wrap between FieldElements
+and payloads.  A payload is a Fraction over Q, a plain int in [0, p) over
+F_p (not the 1-tuple a FieldElement holds), and the coefficient tuple over
+F_{p^n}, multiplied by the packed product above.  Loops that would build
+one FieldElement per coefficient operation (UniPoly, the jet oracle's
+Buchberger engine) run on payloads and build elements only at their edges.
+
 There are no log/antilog (Zech) tables: they cost memory proportional to
 the field size and would be a second multiplication path beside the packed
 product, which fields of every size need anyway.
@@ -38,6 +47,7 @@ shared freely between threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
@@ -142,6 +152,82 @@ def _reduced_product(p: int, modulus: Vector) -> Callable[[Vector, Vector], Vect
     return mul
 
 
+def _vector_inverse(p: int, modulus: Vector) -> Callable[[Vector], Vector]:
+    """Inversion of nonzero coefficient vectors in F_p[t]/(M), M = modulus."""
+    n = len(modulus) - 1
+
+    def inverse(a: Vector) -> Vector:
+        # Extended Euclid against the modulus, one leading term at a time,
+        # keeping s_i * a == r_i (mod M).  Every s_i has degree < n, so the
+        # cofactor update never runs past index n; its coefficients are
+        # reduced mod p only at the end.
+        r0, r1 = list(modulus), list(a)
+        while not r1[-1]:  # a is nonzero
+            r1.pop()
+        s0, s1 = [0] * n, [1] + [0] * (n - 1)
+        while len(r1) > 1:
+            inv_lead = pow(r1[-1], -1, p)
+            d = len(r1)
+            while len(r0) >= d:
+                k = len(r0) - d
+                c = r0[-1] * inv_lead % p
+                for i in range(d):
+                    r0[i + k] = (r0[i + k] - c * r1[i]) % p
+                for i in range(n - k):
+                    s0[i + k] -= c * s1[i]
+                while r0 and not r0[-1]:
+                    r0.pop()
+            r0, r1, s0, s1 = r1, r0, s1, s0
+        c = pow(r1[0], -1, p)
+        return tuple([x * c % p for x in s1])
+
+    return inverse
+
+
+@dataclass(frozen=True)
+class Payloads:
+    """Arithmetic on the raw payloads of one field (see the module docstring).
+
+    inverse takes a nonzero payload; load takes an element of the field and
+    wrap gives one back."""
+
+    zero: object
+    one: object
+    add: Callable
+    sub: Callable
+    mul: Callable
+    inverse: Callable
+    from_int: Callable  # int -> payload
+    load: Callable  # FieldElement -> payload
+    wrap: Callable  # payload -> FieldElement
+
+
+def _payloads(ctx: "FieldContext") -> Payloads:
+    p, n = ctx.characteristic, ctx.extension_degree
+
+    def wrap(c):
+        return FieldElement(ctx, c)
+
+    def load(e):
+        return e.payload
+
+    if p == 0:
+        return Payloads(Fraction(0), Fraction(1), operator.add, operator.sub,
+                        operator.mul, lambda a: 1 / a, Fraction, load, wrap)
+    if n == 1:
+        return Payloads(
+            0, 1, lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
+            lambda a, b: a * b % p, lambda a: pow(a, -1, p), lambda k: k % p,
+            lambda e: e.payload[0], lambda c: FieldElement(ctx, (c,)))
+    pad = (0,) * (n - 1)
+    return Payloads(
+        (0,) * n, (1,) + pad,
+        lambda a, b: tuple([(x + y) % p for x, y in zip(a, b)]),
+        lambda a, b: tuple([(x - y) % p for x, y in zip(a, b)]),
+        ctx._mul, _vector_inverse(p, ctx.modulus), lambda k: (k % p,) + pad,
+        load, wrap)
+
+
 def _check(ctx: "FieldContext", other: "FieldContext") -> None:
     if ctx is not other and ctx != other:
         raise ValueError("field context mismatch")
@@ -189,6 +275,7 @@ class FieldContext:
         object.__setattr__(self, "_one_payload", one)
         object.__setattr__(self, "_zero", self.from_int(0))
         object.__setattr__(self, "_one", self.from_int(1))
+        object.__setattr__(self, "ops", _payloads(self))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -366,32 +453,9 @@ class FieldElement:
         p = ctx.characteristic
         if p == 0:
             return FieldElement(ctx, 1 / self.payload)
-        n = ctx.extension_degree
-        if n == 1:
+        if ctx.extension_degree == 1:
             return FieldElement(ctx, (pow(self.payload[0], -1, p),))
-        # Extended Euclid against the modulus, one leading term at a time,
-        # keeping s_i * self == r_i (mod M).  Every s_i has degree < n, so
-        # the cofactor update never runs past index n; its coefficients are
-        # reduced mod p only at the end.
-        r0, r1 = list(ctx.modulus), list(self.payload)
-        while not r1[-1]:  # self is nonzero
-            r1.pop()
-        s0, s1 = [0] * n, [1] + [0] * (n - 1)
-        while len(r1) > 1:
-            inv_lead = pow(r1[-1], -1, p)
-            d = len(r1)
-            while len(r0) >= d:
-                k = len(r0) - d
-                c = r0[-1] * inv_lead % p
-                for i in range(d):
-                    r0[i + k] = (r0[i + k] - c * r1[i]) % p
-                for i in range(n - k):
-                    s0[i + k] -= c * s1[i]
-                while r0 and not r0[-1]:
-                    r0.pop()
-            r0, r1, s0, s1 = r1, r0, s1, s0
-        c = pow(r1[0], -1, p)
-        return FieldElement(ctx, tuple([x * c % p for x in s1]))
+        return FieldElement(ctx, ctx.ops.inverse(self.payload))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -506,13 +570,13 @@ class FieldEmbedding:
             return elt
         if self.source.extension_degree == 1:
             return self.target.from_int(elt.payload[0])
-        out = self.target.zero()
-        g = self.generator_image
-        power = self.target.one()
-        for c in elt.payload:
-            out = out + self.target.from_int(c) * power
-            power = power * g
-        return out
+        # the source element's polynomial at the generator's image (Horner)
+        ops = self.target.ops
+        add, mul, from_int, g = ops.add, ops.mul, ops.from_int, ops.load(self.generator_image)
+        acc = ops.zero
+        for c in reversed(elt.payload):
+            acc = add(mul(acc, g), from_int(c))
+        return ops.wrap(acc)
 
 
 def identity_embedding(ctx: FieldContext) -> FieldEmbedding:

@@ -234,39 +234,30 @@ def _coefficients(ctx: FieldContext) -> _Coefficients:
 
         return _Coefficients(0, 1, int_mul, lambda a, b, c: a + b * c,
                              ratio, normalize, load, monic)
-    if n == 1:
-        def normalize(r):
-            inv = pow(next(iter(r.values())), -1, p)
-            return {m: c * inv % p for m, c in r.items()} if inv != 1 else r
-
-        def monic(cs):
-            inv = pow(cs[0], -1, p)
-            return [FieldElement(ctx, (c * inv % p,)) for c in cs]
-
-        return _Coefficients(
-            0, 1, lambda a, b: a * b % p, lambda a, b, c: (a + b * c) % p,
-            lambda c, lc: (1, -c), normalize,
-            lambda poly: {m: c.payload[0] for m, c in poly.items()}, monic)
-    pmul = ctx._mul
-
-    def add_mul(a, b, c):
-        return tuple([(x + y) % p for x, y in zip(a, pmul(b, c))])
-
-    def inverse(c):
-        return FieldElement(ctx, c).inverse().payload
+    ops = ctx.ops  # zero, one, mul and inverse come from the field's record
+    zero, one, mul, inverse = ops.zero, ops.one, ops.mul, ops.inverse
 
     def normalize(r):
         inv = inverse(next(iter(r.values())))
-        return {m: pmul(c, inv) for m, c in r.items()}
+        return {m: mul(c, inv) for m, c in r.items()} if inv != one else r
+
+    def load(poly):
+        return {m: ops.load(c) for m, c in poly.items()}
 
     def monic(cs):
         inv = inverse(cs[0])
-        return [FieldElement(ctx, pmul(c, inv)) for c in cs]
+        return [ops.wrap(mul(c, inv)) for c in cs]
 
-    return _Coefficients(
-        ctx.zero().payload, ctx.one().payload, pmul, add_mul,
-        lambda c, lc: (1, tuple([(-x) % p for x in c])), normalize,
-        lambda poly: {m: c.payload for m, c in poly.items()}, monic)
+    if n == 1:
+        return _Coefficients(zero, one, mul, lambda a, b, c: (a + b * c) % p,
+                             lambda c, lc: (1, -c), normalize, load, monic)
+
+    def add_mul(a, b, c):
+        return tuple([(x + y) % p for x, y in zip(a, mul(b, c))])
+
+    return _Coefficients(zero, one, mul, add_mul,
+                         lambda c, lc: (1, tuple([(-x) % p for x in c])),
+                         normalize, load, monic)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +596,7 @@ def build_jets(f: TriPoly, m: int) -> JetSystem:
         scale = _coefficients(ctx).load(f.terms)[mono] / c.payload
         element = lambda v: FieldElement(ctx, v / scale)
     else:
-        element = lambda v: FieldElement(ctx, (v,))
+        element = ctx.ops.wrap
     origin = [{layout.unpack(layout.variable(i)): ctx.one()} for i in range(3)]
     gens = [{layout.unpack(t): element(v) for t, v in level.items()} for level in levels]
     return JetSystem(m, nvars, ctx, origin + gens)

@@ -6,12 +6,17 @@ Over the rationals only rational roots are ever produced, by p-adic lifting
 and rational reconstruction; callers that need more raise
 NeedsAlgebraicExtension.
 
-Arithmetic goes one FieldElement at a time, except in UniPoly.pow_mod, which
+A UniPoly holds the raw payloads of its coefficients (the field's payload
+record, FieldContext.ops: ints mod p over F_p, coefficient tuples over
+F_{p^n}, Fractions over Q), and its arithmetic, gcd, evaluation and root
+multiplicities run on those lists; FieldElements are built only at the API
+edge (coeffs, evaluate, the roots returned).  UniPoly.pow_mod, which
 carries the cost of finite-field root finding ((t+c)^((q-1)/2) and t^q
-modulo the polynomial being split): there the whole residue polynomial is
-Kronecker-packed into one int, in blocks of 2n-1 slots per coefficient of
-F_{p^n}, with a slot width from p, n and deg w that no intermediate value
-overflows, so a modular square is a few int products and one % p per slot.
+modulo the polynomial being split), goes further: the whole residue
+polynomial is Kronecker-packed into one int, in blocks of 2n-1 slots per
+coefficient of F_{p^n}, with a slot width from p, n and deg w that no
+intermediate value overflows, so a modular square is a few int products and
+one % p per slot.
 Its docstring has the layout and the bound; nothing is cached across calls.
 
 Finite-field root finding is one pass: the squarefree part of g, the
@@ -19,7 +24,7 @@ degrees of its irreducible factors, and, when the field may grow, the
 extension of degree their lcm, where equal-degree splitting
 (Cantor-Zassenhaus) takes the squarefree part apart with no further root
 search.  Extension moduli come from canonical_irreducible here: Serret's
-criterion decides the binomials t^d + c in closed form, and Rabin's test on
+criterion decides the binomials t^d + c in closed form, and Ben-Or's test on
 UniPoly the candidates after them.  A root's multiplicity is found by
 repeated synthetic division by t - r.
 
@@ -44,6 +49,8 @@ from .fields import (
     FieldElement,
     FieldEmbedding,
     NeedsAlgebraicExtension,
+    Payloads,
+    _check,
     extension_field,
     identity_embedding,
     is_prime,
@@ -58,23 +65,31 @@ SPLIT_SEED = 0x5EED
 SPLIT_RANDOM_TRIES = 64
 
 
-@dataclass(frozen=True)
 class UniPoly:
-    """Dense univariate polynomial, coefficients low degree first."""
+    """Dense univariate polynomial over a FieldContext.
 
-    context: FieldContext
-    coeffs: Tuple[FieldElement, ...]
+    `cs` holds the raw payloads of the coefficients (`context.ops`), low
+    degree first, with no trailing zero; `coeffs` gives them as
+    FieldElements.  Equal by context and coefficients; never mutated."""
+
+    __slots__ = ("context", "cs")
+
+    def __init__(self, context: FieldContext, cs: Tuple) -> None:
+        self.context = context
+        self.cs = cs
 
     @staticmethod
     def make(context: FieldContext, coeffs: Sequence[FieldElement]) -> "UniPoly":
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        return UniPoly(context, tuple(cs))
+        for c in coeffs:
+            if c.context is not context:
+                _check(context, c.context)
+        load = context.ops.load
+        return _poly(context, [load(c) for c in coeffs])
 
     @staticmethod
     def from_ints(context: FieldContext, ints: Sequence[int]) -> "UniPoly":
-        return UniPoly.make(context, [context.from_int(k) for k in ints])
+        from_int = context.ops.from_int
+        return _poly(context, [from_int(k) for k in ints])
 
     @staticmethod
     def zero(context: FieldContext) -> "UniPoly":
@@ -82,72 +97,81 @@ class UniPoly:
 
     @staticmethod
     def x(context: FieldContext) -> "UniPoly":
-        return UniPoly.make(context, [context.zero(), context.one()])
+        ops = context.ops
+        return UniPoly(context, (ops.zero, ops.one))
 
     @staticmethod
     def constant(c: FieldElement) -> "UniPoly":
         return UniPoly.make(c.context, [c])
 
+    @property
+    def coeffs(self) -> Tuple[FieldElement, ...]:
+        return tuple(map(self.context.ops.wrap, self.cs))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not UniPoly:
+            return NotImplemented
+        return self.cs == other.cs and self.context == other.context
+
+    def __hash__(self) -> int:
+        return hash((self.context, self.cs))
+
+    def __repr__(self) -> str:
+        return f"UniPoly(context={self.context!r}, cs={self.cs!r})"
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.cs
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.cs) - 1
 
-    def leading(self) -> FieldElement:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+    def _ops(self, other: "UniPoly") -> Payloads:
+        if other.context is not self.context:
+            _check(self.context, other.context)
+        return self.context.ops
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = self.context.zero()
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else zero
-            b = other.coeffs[i] if i < len(other.coeffs) else zero
-            out.append(a + b)
-        return UniPoly.make(self.context, out)
+        add = self._ops(other).add
+        a, b = self.cs, other.cs
+        if len(a) < len(b):
+            a, b = b, a
+        return _poly(self.context, [add(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(self.context, tuple(-c for c in self.coeffs))
+        ops = self.context.ops
+        zero, sub = ops.zero, ops.sub
+        return UniPoly(self.context, tuple([sub(zero, c) for c in self.cs]))
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
+        ops = self._ops(other)
+        zero, sub = ops.zero, ops.sub
+        a, b = self.cs, other.cs
+        out = [sub(x, y) for x, y in zip(a, b)]
+        out += a[len(b):]
+        out += [sub(zero, y) for y in b[len(a):]]
+        return _poly(self.context, out)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero(self.context)
-        zero = self.context.zero()
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+        ops = self._ops(other)
+        a, b = self.cs, other.cs
+        if not a or not b:
+            return UniPoly(self.context, ())
+        zero, add, mul = ops.zero, ops.add, ops.mul
+        out = [zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x == zero:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly.make(self.context, out)
-
-    def scale(self, c: FieldElement) -> "UniPoly":
-        return UniPoly.make(self.context, [a * c for a in self.coeffs])
+            for j, y in enumerate(b, i):
+                out[j] = add(out[j], mul(x, y))
+        return _poly(self.context, out)
 
     def divmod(self, other: "UniPoly") -> Tuple["UniPoly", "UniPoly"]:
+        ops = self._ops(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        d = other.degree()
-        inv = other.leading().inverse()
-        zero = self.context.zero()
-        q = [zero] * max(len(rem) - d, 0)
-        while len(rem) - 1 >= d and rem:
-            k = len(rem) - 1 - d
-            c = rem[-1] * inv
-            q[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[i + k] = rem[i + k] - c * b
-            while rem and rem[-1].is_zero():
-                rem.pop()
-        return UniPoly.make(self.context, q), UniPoly.make(self.context, rem)
+        q, r = _divmod(self.cs, other.cs, ops)
+        return UniPoly(self.context, tuple(q)), UniPoly(self.context, tuple(r))
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
@@ -158,25 +182,23 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
-        return self.scale(self.leading().inverse())
+        return UniPoly(self.context, tuple(_monic(self.cs, self.context.ops)))
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        ops = self._ops(other)
+        a, b = self.cs, other.cs
+        while b:
+            a, b = b, _divmod(a, b, ops)[1]
+        return UniPoly(self.context, tuple(_monic(a, ops)) if a else ())
 
     def derivative(self) -> "UniPoly":
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(self.coeffs[i] * self.context.from_int(i))
-        return UniPoly.make(self.context, out)
+        ops = self.context.ops
+        mul, from_int = ops.mul, ops.from_int
+        return _poly(self.context, [mul(c, from_int(i)) for i, c in enumerate(self.cs) if i])
 
     def evaluate(self, x: FieldElement) -> FieldElement:
-        acc = self.context.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        ops = self.context.ops
+        return ops.wrap(_value(self.cs, ops.load(x), ops))
 
     def pow_mod(self, e: int, mod: "UniPoly") -> "UniPoly":
         """self^e mod `mod` over a finite field F_{p^n}, square-and-multiply
@@ -192,8 +214,8 @@ class UniPoly:
         T^(d+k) mod w (k < d-1), which folds the high blocks back
         independently of each other; and a fold of every block with the
         field's rows u^(n+k) mod M followed by one % p per slot.  The residue
-        stays packed from the first square to the last and becomes
-        FieldElements once, at the end.
+        stays packed from the first square to the last and is unpacked into
+        payloads once, at the end.
 
         Slot bound: a product slot is at most d n (p-1)^2 and the high blocks
         add at most (d-1) n (p-1)^2, all with nonnegative terms; the field
@@ -218,7 +240,7 @@ class UniPoly:
         if e < 0:
             raise ValueError("pow_mod needs a nonnegative exponent")
         if e == 0:
-            return UniPoly.make(ctx, [ctx.one()])
+            return UniPoly(ctx, (ctx.ops.one,))
         if mod.degree() == 0:
             return UniPoly.zero(ctx)
         return _packed_pow(self % mod, e, mod.monic())
@@ -240,6 +262,61 @@ class UniPoly:
                 head = "" if c.is_one() else f"({c})*"
                 parts.append(f"{head}t" if i == 1 else f"{head}t^{i}")
         return " + ".join(reversed(parts))
+
+
+# ---------------------------------------------------------------------------
+# payload lists: the coefficients of a UniPoly, low degree first
+
+
+def _poly(ctx: FieldContext, cs: List) -> UniPoly:
+    """The UniPoly with payloads cs (consumed), trailing zeros dropped."""
+    zero = ctx.ops.zero
+    while cs and cs[-1] == zero:
+        cs.pop()
+    return UniPoly(ctx, tuple(cs))
+
+
+def _divmod(a: Sequence, b: Sequence, ops: Payloads) -> Tuple[List, List]:
+    """Quotient and remainder of a by the nonzero b, all three without
+    trailing zeros."""
+    rem = list(a)
+    d = len(b) - 1
+    if len(rem) <= d:
+        return [], rem
+    zero, one, sub, mul = ops.zero, ops.one, ops.sub, ops.mul
+    inv = ops.inverse(b[-1])
+    tail = b[:-1]
+    q = [zero] * (len(rem) - d)
+    while len(rem) > d:
+        # the top coefficient cancels by construction and is popped
+        k = len(rem) - 1 - d
+        c = rem.pop()
+        if inv != one:
+            c = mul(c, inv)
+        q[k] = c
+        for i, y in enumerate(tail, k):
+            rem[i] = sub(rem[i], mul(c, y))
+        while rem and rem[-1] == zero:
+            rem.pop()
+    return q, rem
+
+
+def _monic(cs: Sequence, ops: Payloads) -> List:
+    """The nonzero cs divided by its top coefficient."""
+    inv = ops.inverse(cs[-1])
+    if inv == ops.one:
+        return list(cs)
+    mul = ops.mul
+    return [mul(c, inv) for c in cs[:-1]] + [ops.one]
+
+
+def _value(cs: Sequence, x, ops: Payloads):
+    """cs at the payload x, by Horner's rule."""
+    add, mul = ops.add, ops.mul
+    acc = ops.zero
+    for c in reversed(cs):
+        acc = add(mul(acc, x), c)
+    return acc
 
 
 def _packed_pow(r: UniPoly, e: int, w: UniPoly) -> UniPoly:
@@ -286,26 +363,27 @@ def _packed_pow(r: UniPoly, e: int, w: UniPoly) -> UniPoly:
                 high >>= block
         return canon(acc, shifts)
 
-    def pack(coeffs: Sequence[FieldElement]) -> int:
-        values = [c for a in coeffs for c in a.payload]
+    def pack(cs: Sequence) -> int:
+        values = cs if n == 1 else [c for a in cs for c in a]
         return sum(c << s for c, s in zip(values, shifts))
 
     # rows[k] = T^(d+k) mod w: T^d = -(w_0 + ... + w_{d-1} T^(d-1)), and
     # each next row is the previous one times T, reduced with rows[0];
     # reduce() reads only the rows it needs, which exist by then
-    rows = [pack([-c for c in w.coeffs[:d]])]
+    sub, zero = ctx.ops.sub, ctx.ops.zero
+    rows = [pack([sub(zero, c) for c in w.cs[:d]])]
     for _ in range(d - 2):
         rows.append(reduce(rows[-1] << block))
-    base = pack(r.coeffs)
+    base = pack(r.cs)
     x = base
     for bit in bin(e)[3:]:
         x = reduce(x * x)
         if bit == "1":
             x = reduce(x * base)
-    return UniPoly.make(ctx, [
-        FieldElement(ctx, tuple([(x >> s) & slot for s in shifts[j * n:(j + 1) * n]]))
-        for j in range(d)
-    ])
+    values = [(x >> s) & slot for s in shifts]
+    if n > 1:
+        values = [tuple(values[j:j + n]) for j in range(0, n * d, n)]
+    return _poly(ctx, values)
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +405,25 @@ def _prime_factors(n: int) -> List[int]:
 
 
 def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Rabin's test (SIAM J. Comput. 9, 1980) for a monic M of degree d over
-    F_p, given by its int coefficients low degree first: M is irreducible iff
-    t^(p^d) = t mod M and gcd(M, t^(p^(d/r)) - t) = 1 for each prime r | d."""
+    """Ben-Or's test (FOCS 1981; von zur Gathen-Gerhard, Modern Computer
+    Algebra ch. 14) for a monic M of degree d over F_p, given by its int
+    coefficients low degree first: M is irreducible iff gcd(M, t^(p^i) - t)
+    = 1 for every i <= d/2, since t^(p^i) - t is the product of the monic
+    irreducibles of degree dividing i and a reducible M has a factor of
+    degree at most d/2.  h = t^(p^i) mod M takes one p-th power per step,
+    and the test stops at the first common factor, so most reducible
+    candidates cost a step or two."""
     d = len(coeffs) - 1
     if d < 2:
         return d == 1
     ctx = prime_field(p)
     m, t = UniPoly.from_ints(ctx, coeffs), UniPoly.x(ctx)
-    return t.pow_mod(p ** d, m) == t and all(
-        m.gcd(t.pow_mod(p ** (d // r), m) - t).degree() == 0
-        for r in _prime_factors(d)
-    )
+    h = t
+    for _ in range(d // 2):
+        h = h.pow_mod(p, m)
+        if m.gcd(h - t).degree() > 0:
+            return False
+    return True
 
 
 def _irreducible_binomial(p: int, d: int) -> Optional[int]:
@@ -366,7 +451,7 @@ def canonical_irreducible(p: int, d: int) -> Tuple[int, ...]:
     (c_0, ..., c_{d-1}) running through base-p counter order, so the choice
     is reproducible across runs and machines.  The first p candidates are
     the binomials t^d + c_0, decided in closed form by Serret's criterion;
-    Rabin's test takes over at c_1 = 1.
+    Ben-Or's test takes over at c_1 = 1.
     """
     if d == 1:
         return (0, 1)
@@ -392,19 +477,21 @@ def _root_multiplicity(g: UniPoly, r: FieldElement) -> Tuple[UniPoly, int]:
     Each step is one synthetic division: a Horner pass from the top
     coefficient gives the quotient's coefficients, and its last value is
     the remainder g(r)."""
-    coeffs = g.coeffs
+    ops = g.context.ops
+    add, mul, zero, x = ops.add, ops.mul, ops.zero, ops.load(r)
+    cs = g.cs
     mult = 0
-    while len(coeffs) > 1:
-        acc = coeffs[-1]
+    while len(cs) > 1:
+        acc = cs[-1]
         quotient = [acc]
-        for c in coeffs[-2::-1]:
-            acc = acc * r + c
+        for c in cs[-2::-1]:
+            acc = add(mul(acc, x), c)
             quotient.append(acc)
-        if not quotient.pop().is_zero():
+        if quotient.pop() != zero:
             break
-        coeffs = quotient[::-1]
+        cs = quotient[::-1]
         mult += 1
-    return (UniPoly.make(g.context, coeffs) if mult else g), mult
+    return (UniPoly(g.context, tuple(cs)) if mult else g), mult
 
 
 def _rational_roots(g: UniPoly) -> List[Tuple[FieldElement, int]]:
@@ -431,7 +518,7 @@ def _rational_roots(g: UniPoly) -> List[Tuple[FieldElement, int]]:
     h = _primitive_ints(g)
     mult0 = next(i for i, c in enumerate(h) if c)  # t^mult0 exactly divides g
     roots: List[Tuple[FieldElement, int]] = [(ctx.zero(), mult0)] if mult0 else []
-    g, h = UniPoly(ctx, g.coeffs[mult0:]), h[mult0:]
+    g, h = UniPoly(ctx, g.cs[mult0:]), h[mult0:]
     if len(h) < 2:
         return roots
     sf_taken = False
@@ -449,23 +536,24 @@ def _rational_roots(g: UniPoly) -> List[Tuple[FieldElement, int]]:
     dh = [i * c for i, c in enumerate(h)][1:]
     a0 = abs(h[0])
     bound = 2 * a0 * abs(h[-1])
-    for r in _roots_in_field(hp):
-        u, m = r.payload[0], p
+    for u in _roots_in_field(hp):
+        m = p
         while m <= bound:
             m *= m
             u = (u - _horner(h, u) * pow(_horner(dh, u), -1, m)) % m
-        cand = FieldElement(ctx, _reconstruct(u, m, a0))
-        if g.evaluate(cand).is_zero():
-            g, mult = _root_multiplicity(g, cand)
-            roots.append((cand, mult))
+        cand = _reconstruct(u, m, a0)
+        if _value(g.cs, cand, ctx.ops) == 0:
+            root = FieldElement(ctx, cand)
+            g, mult = _root_multiplicity(g, root)
+            roots.append((root, mult))
     roots.sort(key=lambda rm: rm[0].sort_key())
     return roots
 
 
 def _primitive_ints(g: UniPoly) -> List[int]:
     """The coefficients of g over Q scaled to coprime integers."""
-    lcm = math.lcm(*(c.payload.denominator for c in g.coeffs))
-    ints = [int(c.payload * lcm) for c in g.coeffs]
+    lcm = math.lcm(*(c.denominator for c in g.cs))
+    ints = [int(c * lcm) for c in g.cs]
     content = math.gcd(*ints)
     return [c // content for c in ints]
 
@@ -498,10 +586,7 @@ def _squarefree_part(g: UniPoly) -> UniPoly:
         if p == 0:
             return UniPoly.make(ctx, [ctx.one()])
         # g(t) = h(t^p); take p-th roots of coefficients and recurse
-        coeffs = []
-        for i in range(0, len(g.coeffs), p):
-            coeffs.append(g.coeffs[i].pth_root())
-        return _squarefree_part(UniPoly.make(ctx, coeffs))
+        return _squarefree_part(UniPoly.make(ctx, [c.pth_root() for c in g.coeffs[::p]]))
     red = g // g.gcd(d)
     # the reduced part can still hide p-th powers of inseparable factors
     if p > 0:
@@ -512,21 +597,25 @@ def _squarefree_part(g: UniPoly) -> UniPoly:
     return red.monic()
 
 
-def _roots_in_field(sf: UniPoly) -> List[FieldElement]:
-    """Roots of the squarefree sf lying in its own (finite) field of definition."""
+def _roots_in_field(sf: UniPoly) -> List:
+    """Payloads of the roots of the squarefree sf lying in its own (finite)
+    field of definition, in canonical order."""
     ctx = sf.context
     q = ctx.order()
+    ops = ctx.ops
     if q <= EXHAUSTIVE_ROOT_LIMIT:
-        return [x for x in ctx.elements() if sf.evaluate(x).is_zero()]
+        return [x for x in map(ops.load, ctx.elements())
+                if _value(sf.cs, x, ops) == ops.zero]
     # gcd with t^q - t isolates the rational-point part, then split
     t = UniPoly.x(ctx)
     frob = t.pow_mod(q, sf)
     linear_part = sf.gcd(frob - t)
-    return sorted(_split_linear(linear_part), key=lambda e: e.sort_key())
+    return sorted(_split_linear(linear_part))
 
 
-def _split_linear(w: UniPoly) -> List[FieldElement]:
-    """Split a product of distinct monic linear factors into its roots.
+def _split_linear(w: UniPoly) -> List:
+    """Split a product of distinct monic linear factors into the payloads of
+    its roots.
 
     Equal-degree splitting (Cantor-Zassenhaus): each factor is split by a gcd
     with a polynomial built from a field element c, namely (t+c)^((q-1)/2) - 1
@@ -536,14 +625,16 @@ def _split_linear(w: UniPoly) -> List[FieldElement]:
     failures on one factor the canonical element scan takes over, so splitting
     always terminates.  The roots come back in no particular order; callers
     sort them, so root order is canonical whatever order the splits happen in.
+    Payloads of F_q sort in the canonical element order.
     """
     rng = random.Random(SPLIT_SEED)
-    roots: List[FieldElement] = []
+    ops = w.context.ops
+    roots: List = []
     pending = [w]
     while pending:
         w = pending.pop()
         if w.degree() == 1:
-            roots.append(-w.coeffs[0] / w.coeffs[1])
+            roots.append(ops.sub(ops.zero, _monic(w.cs, ops)[0]))
         elif w.degree() > 1:
             h = _split_once(w, rng)
             pending += [h, w // h]
@@ -631,7 +722,7 @@ def extend_context(ctx: FieldContext, extra_degree: int) -> Tuple[FieldContext, 
     # modulus, which is irreducible of degree n | n*extra, so it splits into
     # distinct linear factors in the big field
     roots = _split_linear(UniPoly.from_ints(big, ctx.modulus))
-    return big, FieldEmbedding(ctx, big, min(roots, key=lambda e: e.sort_key()))
+    return big, FieldEmbedding(ctx, big, big.ops.wrap(min(roots)))
 
 
 def find_roots(g: UniPoly, allow_extension: bool) -> RootResult:
@@ -665,11 +756,11 @@ def find_roots(g: UniPoly, allow_extension: bool) -> RootResult:
             ctx, emb = extend_context(ctx, lcm)
             g = g.map_coefficients(emb, ctx)
             sf = sf.map_coefficients(emb, ctx)
-        distinct = _split_linear(sf)
+        distinct = sorted(_split_linear(sf))
     else:
         distinct = _roots_in_field(sf)
     out = []
-    for r in sorted(distinct, key=lambda e: e.sort_key()):
+    for r in map(ctx.ops.wrap, distinct):
         g, m = _root_multiplicity(g, r)
         out.append((r, m))
     return RootResult(ctx, emb, tuple(out))

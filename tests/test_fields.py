@@ -114,6 +114,8 @@ CANONICAL_MODULI = {
     (127, 2): (1, 0, 1), (127, 3): (3, 0, 0, 1), (127, 4): (3, 1, 0, 0, 1),
     (10009, 2): (7, 0, 1), (10009, 3): (3, 0, 0, 1), (10009, 4): (7, 0, 0, 0, 1),
     (10007, 2): (1, 0, 1), (10007, 3): (1, 1, 0, 1), (10007, 4): (6, 1, 0, 0, 1),
+    # as Rabin's test found it, before the scan used Ben-Or's
+    (10007, 32): (55, 1) + (0,) * 30 + (1,),
 }
 
 
@@ -320,3 +322,40 @@ def test_separately_built_equal_contexts_agree():
     assert a * b == a * a and len({a, b, FieldElement(fresh, (3, 4))}) == 1
     assert FieldContext(11).from_int(3) == prime_field(11).from_int(3)
     assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(shared) == shared
+
+
+# -- the payload record against FieldElement arithmetic -----------------------
+
+PAYLOAD_FIELDS = [(0, 1), (7, 1), (3, 2), (101, 4)]
+
+
+def _payload_field(p, n):
+    return RATIONALS if p == 0 else extension_field(p, n)
+
+
+def _seeded_elements(ctx, rng, count):
+    if ctx.is_rational:
+        return [ctx.from_fraction(rng.randint(-60, 60), rng.randint(1, 60)) for _ in range(count)]
+    p, n = ctx.characteristic, ctx.extension_degree
+    return [ctx.from_vector([rng.randrange(p) for _ in range(n)]) for _ in range(count)]
+
+
+@pytest.mark.parametrize("p,n", PAYLOAD_FIELDS)
+def test_payload_record_agrees_with_field_elements(p, n):
+    ctx = _payload_field(p, n)
+    ops = ctx.ops
+    kind = Fraction if p == 0 else int if n == 1 else tuple
+    elements = _seeded_elements(ctx, random.Random(41 * p + n), 20) + [ctx.zero(), ctx.one()]
+    assert ops.wrap(ops.zero) == ctx.zero() and ops.wrap(ops.one) == ctx.one()
+    for k in (-3, 0, 1, 5, 1000):
+        assert ops.wrap(ops.from_int(k)) == ctx.from_int(k)
+    for a in elements:
+        x = ops.load(a)
+        assert type(x) is kind and ops.wrap(x) == a
+        if not a.is_zero():
+            assert ops.wrap(ops.inverse(x)) == a.inverse()
+        for b in elements:
+            y = ops.load(b)
+            assert ops.wrap(ops.add(x, y)) == a + b
+            assert ops.wrap(ops.sub(x, y)) == a - b
+            assert ops.wrap(ops.mul(x, y)) == a * b

@@ -9,6 +9,7 @@ import pytest
 
 from slchyp import NeedsAlgebraicExtension, RATIONALS, classify_mld, extension_field, prime_field
 from slchyp import unipoly
+from slchyp.fields import FieldElement
 from slchyp.parse import parse_poly
 from slchyp.unipoly import UniPoly, extend_context, find_roots, nth_root, poly_is_irreducible
 
@@ -363,6 +364,109 @@ def test_rational_roots_match_divisor_enumeration():
         assert roots == _rational_roots_reference(g), str(g)
         found += len(roots)
     assert found > 40
+
+
+
+# -- payload arithmetic against textbook FieldElement loops --------------------
+
+
+def _ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return cs
+
+
+def _ref_mul(a, b, zero):
+    out = [zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _ref_trim(out)
+
+
+def _ref_divmod(a, b, zero):
+    rem, q = list(a), [zero] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        k = len(rem) - len(b)
+        c = rem[-1] / b[-1]
+        q[k] = c
+        for i, y in enumerate(b):
+            rem[i + k] = rem[i + k] - c * y
+        rem = _ref_trim(rem)
+    return _ref_trim(q), rem
+
+
+def _ref_gcd(a, b, zero):
+    while b:
+        a, b = b, _ref_divmod(a, b, zero)[1]
+    return [c / a[-1] for c in a] if a else []
+
+
+def _ref_value(a, x, zero):
+    acc = zero
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+REFERENCE_FIELDS = [(0, 1), (7, 1), (3, 2), (101, 4)]
+
+
+def _seeded_coeffs(ctx, rng, length):
+    if ctx.is_rational:
+        return [ctx.from_fraction(rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(length)]
+    p, n = ctx.characteristic, ctx.extension_degree
+    return [ctx.from_vector([rng.randrange(p) for _ in range(n)]) for _ in range(length)]
+
+
+@pytest.mark.parametrize("p,n", REFERENCE_FIELDS)
+def test_unipoly_arithmetic_matches_the_elementwise_reference(p, n):
+    ctx = RATIONALS if p == 0 else extension_field(p, n)
+    zero = ctx.zero()
+    rng = random.Random(53 * p + n)
+    polys = [_seeded_coeffs(ctx, rng, rng.randint(0, 7)) for _ in range(14)]
+    common = _seeded_coeffs(ctx, rng, 3)  # a shared factor, so some gcds are not 1
+    polys += [_ref_mul(a, common, zero) for a in polys[:6]]
+    points = _seeded_coeffs(ctx, rng, 3) + [zero]
+    for a in polys:
+        f = UniPoly.make(ctx, a)
+        a = _ref_trim(a)
+        assert list(f.coeffs) == a
+        for x in points:
+            assert f.evaluate(x) == _ref_value(a, x, zero)
+        for b in polys:
+            g = UniPoly.make(ctx, b)
+            b = _ref_trim(b)
+            assert list((f * g).coeffs) == _ref_mul(a, b, zero)
+            assert list(f.gcd(g).coeffs) == _ref_gcd(a, b, zero)
+            if b:
+                q, r = f.divmod(g)
+                assert (list(q.coeffs), list(r.coeffs)) == _ref_divmod(a, b, zero)
+
+
+def test_root_finding_over_extension_fields_builds_no_element_products(monkeypatch):
+    # gcd and find_roots run on payloads: no FieldElement product in their
+    # loops, also when the field grows and the coefficients are embedded
+    products = [0]
+    original = FieldElement.__mul__
+
+    def counted(self, other):
+        products[0] += 1
+        return original(self, other)
+
+    ctx = extension_field(101, 2)
+    rng = random.Random(7)
+    cases = []
+    for _ in range(6):
+        g = UniPoly.make(ctx, _seeded_coeffs(ctx, rng, rng.randint(1, 4)) + [ctx.one()])
+        cases.append((g, g * UniPoly.make(ctx, _seeded_coeffs(ctx, rng, 2))))
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    for g, h in cases:
+        g.gcd(h)
+        for allow_extension in (False, True):
+            find_roots(h, allow_extension=allow_extension)
+    assert products[0] == 0
 
 
 # -- root finding pinned by a digest -------------------------------------------
