@@ -528,8 +528,8 @@ def prime_field(p: int) -> FieldContext:
 
 # The largest extension degree extension_field builds, so that a claimed
 # degree fails before any modulus search: the classifier has reached degree 9
-# on its benchmark corpora, and the search takes ~0.2 s at (127, 32) but
-# minutes at (127, 64).
+# on its benchmark corpora, and the search takes ~0.06 s at (127, 32) but
+# ~50 s at (127, 64).
 MAX_EXTENSION_DEGREE = 32
 
 

@@ -65,18 +65,16 @@ SPLIT_SEED = 0x5EED
 SPLIT_RANDOM_TRIES = 64
 
 
+@dataclass(frozen=True)
 class UniPoly:
     """Dense univariate polynomial over a FieldContext.
 
     `cs` holds the raw payloads of the coefficients (`context.ops`), low
     degree first, with no trailing zero; `coeffs` gives them as
-    FieldElements.  Equal by context and coefficients; never mutated."""
+    FieldElements."""
 
-    __slots__ = ("context", "cs")
-
-    def __init__(self, context: FieldContext, cs: Tuple) -> None:
-        self.context = context
-        self.cs = cs
+    context: FieldContext
+    cs: Tuple
 
     @staticmethod
     def make(context: FieldContext, coeffs: Sequence[FieldElement]) -> "UniPoly":
@@ -107,17 +105,6 @@ class UniPoly:
     @property
     def coeffs(self) -> Tuple[FieldElement, ...]:
         return tuple(map(self.context.ops.wrap, self.cs))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not UniPoly:
-            return NotImplemented
-        return self.cs == other.cs and self.context == other.context
-
-    def __hash__(self) -> int:
-        return hash((self.context, self.cs))
-
-    def __repr__(self) -> str:
-        return f"UniPoly(context={self.context!r}, cs={self.cs!r})"
 
     def is_zero(self) -> bool:
         return not self.cs

@@ -359,3 +359,22 @@ def test_payload_record_agrees_with_field_elements(p, n):
             assert ops.wrap(ops.add(x, y)) == a + b
             assert ops.wrap(ops.sub(x, y)) == a - b
             assert ops.wrap(ops.mul(x, y)) == a * b
+
+
+def test_irreducibility_test_stops_at_the_first_common_factor(monkeypatch):
+    # one p-th power per step: a candidate with a root in F_p is rejected
+    # after the first, an irreducible one of degree 32 takes 16
+    exponents = []
+    original = UniPoly.pow_mod
+
+    def recorded(self, e, mod):
+        exponents.append(e)
+        return original(self, e, mod)
+
+    monkeypatch.setattr(UniPoly, "pow_mod", recorded)
+    p = 10007
+    assert not poly_is_irreducible((p - 2, 1) + (0,) * 30 + (1,), p)  # t = 1 is a root
+    assert exponents == [p]
+    exponents.clear()
+    assert poly_is_irreducible(CANONICAL_MODULI[p, 32], p)
+    assert exponents == [p] * 16

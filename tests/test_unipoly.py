@@ -366,7 +366,6 @@ def test_rational_roots_match_divisor_enumeration():
     assert found > 40
 
 
-
 # -- payload arithmetic against textbook FieldElement loops --------------------
 
 
