@@ -57,7 +57,8 @@ far beyond the input's) stops the computation, which reruns from its
 generators at doubled width.  That costs time, never a different answer.
 
 Coefficients are raw payloads with one record of operations per field kind
-(`_coefficients`):
+(`_coefficients`, which takes zero, one, mul and inverse over a finite
+field from the field's payload record `ctx.ops`):
 
 * F_p: ints in [0, p); basis elements are monic.
 * F_{p^n}: coefficient tuples, multiplied by the context's packed product;
