@@ -37,6 +37,7 @@ from .classifier import (
 from .fields import (
     CoefficientError,
     FieldContext,
+    FieldEmbedding,
     NeedsAlgebraicExtension,
     RATIONALS,
     extension_field,
@@ -367,9 +368,7 @@ def _lift(f: TriPoly, base: FieldContext, final: FieldContext) -> TriPoly:
     # inputs are parsed over the prime field, so lifting is coefficientwise
     if base.extension_degree != 1:
         raise ValueError("unexpected non-prime base field")
-    return f.map_coefficients(
-        lambda c: final.from_int(c.payload[0]), final
-    )
+    return f.map_coefficients(FieldEmbedding(base, final, None), final)
 
 
 def main() -> None:

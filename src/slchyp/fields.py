@@ -2,16 +2,21 @@
 
 A FieldContext is an immutable description of the ambient field.  Finite
 fields of extension degree n > 1 are represented as F_p[t]/(M) for a monic
-irreducible modulus M; elements are coefficient vectors (int tuples, low
-degree first) of length n with entries in [0, p).  Prime-field elements are
-1-tuples, and rational elements wrap fractions.Fraction, which keeps them
-reduced with a positive denominator.
+irreducible modulus M.  A FieldElement holds its context and a payload: a
+fractions.Fraction over Q (reduced, positive denominator), a plain int in
+[0, p) over F_p, and the coefficient vector (int tuple, low degree first,
+entries in [0, p)) of length n over F_{p^n}.
 
-Each field kind has one arithmetic path, chosen inline in the FieldElement
-operators:
+Each context carries one record of payload operations, `ctx.ops`
+(`Payloads`), built once in its constructor: zero, one, add, sub, neg, mul,
+inverse and from_int on raw payloads.  It is the one arithmetic path of
+each field kind; the FieldElement operators are single calls into it, and
+loops that would build one FieldElement per coefficient operation (UniPoly,
+the jet oracle's Buchberger engine) run on payloads directly and build
+elements only at their edges.
 
 * Q: Fraction arithmetic.
-* F_p: arithmetic on the single int; the inverse is pow(a, -1, p).
+* F_p: int arithmetic mod p; the inverse is pow(a, -1, p).
 * F_{p^n}: addition is coefficientwise.  Multiplication packs both vectors
   into ints with equal-width bit slots (Kronecker substitution), so the
   convolution of the coefficient vectors is one int product.  The product's
@@ -22,15 +27,6 @@ operators:
   final reduction.  The inverse is the extended Euclidean algorithm
   against M on F_p[t] int lists, the only polynomial arithmetic here: the
   canonical modulus M comes from canonical_irreducible in unipoly.py.
-
-Each context also carries one record of payload operations, `ctx.ops`
-(`Payloads`), built once in its constructor: zero, one, add, sub, mul,
-inverse and from_int on raw payloads, and load/wrap between FieldElements
-and payloads.  A payload is a Fraction over Q, a plain int in [0, p) over
-F_p (not the 1-tuple a FieldElement holds), and the coefficient tuple over
-F_{p^n}, multiplied by the packed product above.  Loops that would build
-one FieldElement per coefficient operation (UniPoly, the jet oracle's
-Buchberger engine) run on payloads and build elements only at their edges.
 
 There are no log/antilog (Zech) tables: they cost memory proportional to
 the field size and would be a second multiplication path beside the packed
@@ -47,6 +43,7 @@ shared freely between threads.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,46 +183,36 @@ def _vector_inverse(p: int, modulus: Vector) -> Callable[[Vector], Vector]:
 
 @dataclass(frozen=True)
 class Payloads:
-    """Arithmetic on the raw payloads of one field (see the module docstring).
-
-    inverse takes a nonzero payload; load takes an element of the field and
-    wrap gives one back."""
+    """Arithmetic on the raw payloads of one field (see the module docstring);
+    inverse takes a nonzero payload."""
 
     zero: object
     one: object
     add: Callable
     sub: Callable
+    neg: Callable
     mul: Callable
     inverse: Callable
     from_int: Callable  # int -> payload
-    load: Callable  # FieldElement -> payload
-    wrap: Callable  # payload -> FieldElement
 
 
-def _payloads(ctx: "FieldContext") -> Payloads:
-    p, n = ctx.characteristic, ctx.extension_degree
-
-    def wrap(c):
-        return FieldElement(ctx, c)
-
-    def load(e):
-        return e.payload
-
+def _payloads(p: int, n: int, modulus: Optional[Vector]) -> Payloads:
     if p == 0:
         return Payloads(Fraction(0), Fraction(1), operator.add, operator.sub,
-                        operator.mul, lambda a: 1 / a, Fraction, load, wrap)
+                        operator.neg, operator.mul, lambda a: 1 / a, Fraction)
     if n == 1:
         return Payloads(
             0, 1, lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
-            lambda a, b: a * b % p, lambda a: pow(a, -1, p), lambda k: k % p,
-            lambda e: e.payload[0], lambda c: FieldElement(ctx, (c,)))
+            lambda a: -a % p, lambda a, b: a * b % p, lambda a: pow(a, -1, p),
+            lambda k: k % p)
     pad = (0,) * (n - 1)
     return Payloads(
         (0,) * n, (1,) + pad,
         lambda a, b: tuple([(x + y) % p for x, y in zip(a, b)]),
         lambda a, b: tuple([(x - y) % p for x, y in zip(a, b)]),
-        ctx._mul, _vector_inverse(p, ctx.modulus), lambda k: (k % p,) + pad,
-        load, wrap)
+        lambda a: tuple([-x % p for x in a]),
+        _reduced_product(p, modulus), _vector_inverse(p, modulus),
+        lambda k: (k % p,) + pad)
 
 
 def _check(ctx: "FieldContext", other: "FieldContext") -> None:
@@ -253,7 +240,6 @@ class FieldContext:
         if p == 0:
             if n != 1 or self.modulus is not None:
                 raise ValueError("rational context has degree 1 and no modulus")
-            zero, one = 0, 1  # ints: Fraction == int is the fast comparison
         else:
             if not is_prime(p):
                 raise ValueError(f"characteristic {p} is not prime")
@@ -268,14 +254,15 @@ class FieldContext:
                     raise ValueError("modulus must be monic of degree n")
                 if any(not (0 <= c < p) for c in m):
                     raise ValueError("modulus coefficients must lie in [0, p)")
-                object.__setattr__(self, "_mul", _reduced_product(p, m))
-            zero, one = (0,) * n, (1,) + (0,) * (n - 1)
-        # payloads equal to those of 0 and 1, for the is_zero/is_one tests
+        ops = _payloads(p, n, self.modulus)
+        object.__setattr__(self, "ops", ops)
+        # payloads equal to those of 0 and 1, for the is_zero/is_one tests;
+        # over Q the ints, because Fraction == int is the fast comparison
+        zero, one = (ops.zero, ops.one) if p else (0, 1)
         object.__setattr__(self, "_zero_payload", zero)
         object.__setattr__(self, "_one_payload", one)
         object.__setattr__(self, "_zero", self.from_int(0))
         object.__setattr__(self, "_one", self.from_int(1))
-        object.__setattr__(self, "ops", _payloads(self))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -319,10 +306,7 @@ class FieldContext:
         return self._one
 
     def from_int(self, k: int) -> "FieldElement":
-        p = self.characteristic
-        if p == 0:
-            return FieldElement(self, Fraction(k))
-        return FieldElement(self, (k % p,) + self._zero_payload[1:])
+        return FieldElement(self, self.ops.from_int(k))
 
     def from_fraction(self, num: int, den: int) -> "FieldElement":
         if den == 0:
@@ -346,7 +330,7 @@ class FieldContext:
                 raise ValueError("vector longer than extension degree")
             vec = vec[:n]
         vec = vec + (0,) * (n - len(vec))
-        return FieldElement(self, vec)
+        return FieldElement(self, vec if n > 1 else vec[0])
 
     def generator(self) -> "FieldElement":
         """The residue of t in F_p[t]/(M); only for extension degree > 1."""
@@ -359,23 +343,17 @@ class FieldContext:
         if self.is_rational:
             raise ValueError("cannot enumerate the rationals")
         p, n = self.characteristic, self.extension_degree
-
-        def rec(prefix):
-            if len(prefix) == n:
-                yield FieldElement(self, tuple(prefix))
-                return
-            for c in range(p):
-                yield from rec(prefix + [c])
-
-        yield from rec([])
+        for c in range(p) if n == 1 else itertools.product(range(p), repeat=n):
+            yield FieldElement(self, c)
 
 
-Payload = Union[Fraction, Tuple[int, ...]]
+Payload = Union[Fraction, int, Tuple[int, ...]]
 
 
 class FieldElement:
-    """A value of a FieldContext; rationals carry a Fraction, finite fields
-    a coefficient vector over F_p.  Equal by value; never mutated."""
+    """A value of a FieldContext; its payload is a Fraction over Q, an int
+    over F_p and a coefficient vector over F_{p^n}.  Equal by value; never
+    mutated."""
 
     __slots__ = ("context", "payload")
 
@@ -410,51 +388,28 @@ class FieldElement:
         ctx = self.context
         if other.context is not ctx:
             _check(ctx, other.context)
-        a, b, p = self.payload, other.payload, ctx.characteristic
-        if p == 0:
-            return FieldElement(ctx, a + b)
-        if ctx.extension_degree == 1:
-            return FieldElement(ctx, ((a[0] + b[0]) % p,))
-        return FieldElement(ctx, tuple([(x + y) % p for x, y in zip(a, b)]))
+        return FieldElement(ctx, ctx.ops.add(self.payload, other.payload))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         ctx = self.context
         if other.context is not ctx:
             _check(ctx, other.context)
-        a, b, p = self.payload, other.payload, ctx.characteristic
-        if p == 0:
-            return FieldElement(ctx, a - b)
-        if ctx.extension_degree == 1:
-            return FieldElement(ctx, ((a[0] - b[0]) % p,))
-        return FieldElement(ctx, tuple([(x - y) % p for x, y in zip(a, b)]))
+        return FieldElement(ctx, ctx.ops.sub(self.payload, other.payload))
 
     def __neg__(self) -> "FieldElement":
         ctx = self.context
-        p = ctx.characteristic
-        if p == 0:
-            return FieldElement(ctx, -self.payload)
-        return FieldElement(ctx, tuple([(-x) % p for x in self.payload]))
+        return FieldElement(ctx, ctx.ops.neg(self.payload))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         ctx = self.context
         if other.context is not ctx:
             _check(ctx, other.context)
-        a, b, p = self.payload, other.payload, ctx.characteristic
-        if p == 0:
-            return FieldElement(ctx, a * b)
-        if ctx.extension_degree == 1:
-            return FieldElement(ctx, (a[0] * b[0] % p,))
-        return FieldElement(ctx, ctx._mul(a, b))
+        return FieldElement(ctx, ctx.ops.mul(self.payload, other.payload))
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         ctx = self.context
-        p = ctx.characteristic
-        if p == 0:
-            return FieldElement(ctx, 1 / self.payload)
-        if ctx.extension_degree == 1:
-            return FieldElement(ctx, (pow(self.payload[0], -1, p),))
         return FieldElement(ctx, ctx.ops.inverse(self.payload))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
@@ -483,18 +438,16 @@ class FieldElement:
     # -- ordering / display ----------------------------------------------
 
     def sort_key(self):
-        """Canonical total order: coefficient-vector lexicographic order for
-        finite fields; (|x|, nonnegative-first) for rationals."""
+        """Canonical total order: the residue for prime fields,
+        coefficient-vector lexicographic order for extensions, and
+        (|x|, nonnegative-first) for rationals."""
         if self.context.is_rational:
             return (abs(self.payload), 0 if self.payload >= 0 else 1)
         return self.payload
 
     def __str__(self) -> str:
-        ctx = self.context
-        if ctx.is_rational:
+        if self.context.extension_degree == 1:
             return str(self.payload)
-        if ctx.extension_degree == 1:
-            return str(self.payload[0])
         parts = []
         for i, c in enumerate(self.payload):
             if c == 0:
@@ -507,10 +460,10 @@ class FieldElement:
         return "+".join(parts) if parts else "0"
 
     def to_json(self):
-        if self.context.is_rational:
-            fr: Fraction = self.payload
-            return str(fr)
-        return list(self.payload)
+        ctx = self.context
+        if ctx.is_rational:
+            return str(self.payload)
+        return list(self.payload) if ctx.extension_degree > 1 else [self.payload]
 
 
 RATIONALS = FieldContext(0)
@@ -564,19 +517,17 @@ class FieldEmbedding:
     def __call__(self, elt: FieldElement) -> FieldElement:
         if elt.context is not self.source and elt.context != self.source:
             raise ValueError("element does not belong to the embedding source")
-        if self.source is self.target:
-            return elt
-        if self.source.is_rational:
+        if self.source is self.target or self.source.is_rational:
             return elt
         if self.source.extension_degree == 1:
-            return self.target.from_int(elt.payload[0])
+            return self.target.from_int(elt.payload)
         # the source element's polynomial at the generator's image (Horner)
         ops = self.target.ops
-        add, mul, from_int, g = ops.add, ops.mul, ops.from_int, ops.load(self.generator_image)
+        add, mul, from_int, g = ops.add, ops.mul, ops.from_int, self.generator_image.payload
         acc = ops.zero
         for c in reversed(elt.payload):
             acc = add(mul(acc, g), from_int(c))
-        return ops.wrap(acc)
+        return FieldElement(self.target, acc)
 
 
 def identity_embedding(ctx: FieldContext) -> FieldEmbedding:

@@ -16,8 +16,9 @@ same), and carries one Groebner basis from level to level: f^(m) lives on
 the coordinates of levels <= m, so level m adds it to the basis of level
 m - 1 and only the new pairs are formed.  Heights are read from the leading
 monomials of the carried basis, which span the leading-term ideal whether or
-not the basis is inter-reduced.  `build_jets` and `ideal_height` keep the
-per-level computation on full arcs as the reference.
+not the basis is inter-reduced; `ideal_height_of` reads them the same way,
+from a basis it never inter-reduces.  `build_jets` and `ideal_height` keep
+the per-level computation on full arcs as the reference.
 
 The Buchberger engine is generic over the exact coefficient fields and also
 serves the cubic-cone classifier (lex order for elimination).  Each basis
@@ -58,7 +59,8 @@ generators at doubled width.  That costs time, never a different answer.
 
 Coefficients are raw payloads with one record of operations per field kind
 (`_coefficients`, which takes zero, one, mul and inverse over a finite
-field from the field's payload record `ctx.ops`):
+field from the field's payload record `ctx.ops`; a FieldElement's payload
+over a finite field is already the raw coefficient):
 
 * F_p: ints in [0, p); basis elements are monic.
 * F_{p^n}: coefficient tuples, multiplied by the context's packed product;
@@ -243,11 +245,11 @@ def _coefficients(ctx: FieldContext) -> _Coefficients:
         return {m: mul(c, inv) for m, c in r.items()} if inv != one else r
 
     def load(poly):
-        return {m: ops.load(c) for m, c in poly.items()}
+        return {m: c.payload for m, c in poly.items()}
 
     def monic(cs):
         inv = inverse(cs[0])
-        return [ops.wrap(mul(c, inv)) for c in cs]
+        return [FieldElement(ctx, mul(c, inv)) for c in cs]
 
     if n == 1:
         return _Coefficients(zero, one, mul, lambda a, b, c: (a + b * c) % p,
@@ -438,6 +440,22 @@ class _Buchberger:
         return out
 
 
+def _buchberger(gens: Sequence[NPoly], order: str,
+                budget: GroebnerBudget) -> Optional[_Buchberger]:
+    """The Buchberger state run on the nonzero gens to a Groebner basis,
+    or None when there are none."""
+    gens = [g for g in gens if g]
+    if not gens:
+        return None
+    field = _coefficients(next(iter(gens[0].values())).context)
+    nvars = len(next(iter(gens[0])))
+    top = max(max(m) for g in gens for m in g) if nvars else 0
+    layout = _Layout(nvars, order, _width(top))
+    state = _Buchberger(layout, field, budget)
+    state.add([{layout.pack(m): c for m, c in field.load(g).items()} for g in gens])
+    return state
+
+
 def groebner_basis(
     gens: Sequence[NPoly],
     order: str = "grevlex",
@@ -445,16 +463,8 @@ def groebner_basis(
 ) -> List[NPoly]:
     """Reduced Groebner basis by Buchberger's algorithm with the normal
     selection strategy and the coprimality criterion."""
-    gens = [g for g in gens if g]
-    if not gens:
-        return []
-    field = _coefficients(next(iter(gens[0].values())).context)
-    nvars = len(next(iter(gens[0])))
-    top = max(max(m) for g in gens for m in g) if nvars else 0
-    layout = _Layout(nvars, order, _width(top))
-    state = _Buchberger(layout, field, budget)
-    state.add([{layout.pack(m): c for m, c in field.load(g).items()} for g in gens])
-    return state.reduced()
+    state = _buchberger(gens, order, budget)
+    return state.reduced() if state else []
 
 
 def quotient_dimension(leading_monomials: Sequence[NMonomial], nvars: int) -> int:
@@ -500,8 +510,12 @@ def _height(leading_monomials: Sequence[NMonomial], nvars: int) -> int:
 
 def ideal_height_of(gens: Sequence[NPoly], nvars: int,
                     budget: GroebnerBudget = GroebnerBudget()) -> int:
-    # the terms of a reduced basis element come in descending order
-    return _height([next(iter(g)) for g in groebner_basis(gens, "grevlex", budget)], nvars)
+    """Height of the ideal of gens on nvars variables, read from the leading
+    monomials of a grevlex Groebner basis that is not inter-reduced: they
+    span the same leading-term ideal as the reduced basis."""
+    state = _buchberger(gens, "grevlex", budget)
+    leads = [state.layout.unpack(lm) for lm in state.leads] if state else []
+    return _height(leads, nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +611,7 @@ def build_jets(f: TriPoly, m: int) -> JetSystem:
         scale = _coefficients(ctx).load(f.terms)[mono] / c.payload
         element = lambda v: FieldElement(ctx, v / scale)
     else:
-        element = ctx.ops.wrap
+        element = lambda v: FieldElement(ctx, v)
     origin = [{layout.unpack(layout.variable(i)): ctx.one()} for i in range(3)]
     gens = [{layout.unpack(t): element(v) for t, v in level.items()} for level in levels]
     return JetSystem(m, nvars, ctx, origin + gens)

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fields import FieldContext, FieldElement
@@ -262,9 +264,7 @@ class TriPoly:
                 raise NonLocalSubstitution(
                     "substitution image has a nonzero constant term"
                 )
-        cache: List[Dict[int, TriPoly]] = [
-            {0: TriPoly.constant(self.context.one())} for _ in range(3)
-        ]
+        cache: List[Dict[int, TriPoly]] = [{1: g} for g in images]
 
         def power(i: int, e: int) -> "TriPoly":
             c = cache[i]
@@ -276,14 +276,21 @@ class TriPoly:
                 c[e] = res
             return c[e]
 
-        acc = TriPoly.zero(self.context)
+        # each coefficient scales its product of image powers straight into
+        # one sum, in the term order that successive TriPoly sums would give
+        out: Dict[Monomial, FieldElement] = {}
         for m, coeff in self.terms.items():
-            term = TriPoly.constant(coeff)
-            for i in range(3):
-                if m[i]:
-                    term = term * power(i, m[i])
-            acc = acc + term
-        return acc
+            factors = [power(i, e) for i, e in enumerate(m) if e]
+            terms = reduce(mul, factors).terms if factors else {m: self.context.one()}
+            for mono, c in terms.items():
+                v = coeff * c
+                if mono in out:
+                    v = out[mono] + v
+                    if v.is_zero():
+                        del out[mono]
+                        continue
+                out[mono] = v
+        return TriPoly(self.context, out)
 
     # -- conversions --------------------------------------------------------
 

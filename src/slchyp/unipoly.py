@@ -6,17 +6,17 @@ Over the rationals only rational roots are ever produced, by p-adic lifting
 and rational reconstruction; callers that need more raise
 NeedsAlgebraicExtension.
 
-A UniPoly holds the raw payloads of its coefficients (the field's payload
-record, FieldContext.ops: ints mod p over F_p, coefficient tuples over
-F_{p^n}, Fractions over Q), and its arithmetic, gcd, evaluation and root
-multiplicities run on those lists; FieldElements are built only at the API
-edge (coeffs, evaluate, the roots returned).  UniPoly.pow_mod, which
-carries the cost of finite-field root finding ((t+c)^((q-1)/2) and t^q
-modulo the polynomial being split), goes further: the whole residue
-polynomial is Kronecker-packed into one int, in blocks of 2n-1 slots per
-coefficient of F_{p^n}, with a slot width from p, n and deg w that no
-intermediate value overflows, so a modular square is a few int products and
-one % p per slot.
+A UniPoly holds the payloads of its coefficients (FieldElement.payload:
+ints mod p over F_p, coefficient tuples over F_{p^n}, Fractions over Q),
+and its arithmetic, gcd, evaluation and root multiplicities run on those
+lists through the field's payload record FieldContext.ops; FieldElements
+are built only at the API edge (coeffs, evaluate, the roots returned).
+UniPoly.pow_mod, which carries the cost of finite-field root finding
+((t+c)^((q-1)/2) and t^q modulo the polynomial being split), goes
+further: the whole residue polynomial is Kronecker-packed into one int, in
+blocks of 2n-1 slots per coefficient of F_{p^n}, with a slot width from p,
+n and deg w that no intermediate value overflows, so a modular square is a
+few int products and one % p per slot.
 Its docstring has the layout and the bound; nothing is cached across calls.
 
 Finite-field root finding is one pass: the squarefree part of g, the
@@ -81,8 +81,7 @@ class UniPoly:
         for c in coeffs:
             if c.context is not context:
                 _check(context, c.context)
-        load = context.ops.load
-        return _poly(context, [load(c) for c in coeffs])
+        return _poly(context, [c.payload for c in coeffs])
 
     @staticmethod
     def from_ints(context: FieldContext, ints: Sequence[int]) -> "UniPoly":
@@ -104,7 +103,8 @@ class UniPoly:
 
     @property
     def coeffs(self) -> Tuple[FieldElement, ...]:
-        return tuple(map(self.context.ops.wrap, self.cs))
+        ctx = self.context
+        return tuple([FieldElement(ctx, c) for c in self.cs])
 
     def is_zero(self) -> bool:
         return not self.cs
@@ -184,8 +184,7 @@ class UniPoly:
         return _poly(self.context, [mul(c, from_int(i)) for i, c in enumerate(self.cs) if i])
 
     def evaluate(self, x: FieldElement) -> FieldElement:
-        ops = self.context.ops
-        return ops.wrap(_value(self.cs, ops.load(x), ops))
+        return FieldElement(self.context, _value(self.cs, x.payload, self.context.ops))
 
     def pow_mod(self, e: int, mod: "UniPoly") -> "UniPoly":
         """self^e mod `mod` over a finite field F_{p^n}, square-and-multiply
@@ -465,7 +464,7 @@ def _root_multiplicity(g: UniPoly, r: FieldElement) -> Tuple[UniPoly, int]:
     coefficient gives the quotient's coefficients, and its last value is
     the remainder g(r)."""
     ops = g.context.ops
-    add, mul, zero, x = ops.add, ops.mul, ops.zero, ops.load(r)
+    add, mul, zero, x = ops.add, ops.mul, ops.zero, r.payload
     cs = g.cs
     mult = 0
     while len(cs) > 1:
@@ -591,8 +590,8 @@ def _roots_in_field(sf: UniPoly) -> List:
     q = ctx.order()
     ops = ctx.ops
     if q <= EXHAUSTIVE_ROOT_LIMIT:
-        return [x for x in map(ops.load, ctx.elements())
-                if _value(sf.cs, x, ops) == ops.zero]
+        return [e.payload for e in ctx.elements()
+                if _value(sf.cs, e.payload, ops) == ops.zero]
     # gcd with t^q - t isolates the rational-point part, then split
     t = UniPoly.x(ctx)
     frob = t.pow_mod(q, sf)
@@ -621,7 +620,7 @@ def _split_linear(w: UniPoly) -> List:
     while pending:
         w = pending.pop()
         if w.degree() == 1:
-            roots.append(ops.sub(ops.zero, _monic(w.cs, ops)[0]))
+            roots.append(ops.neg(_monic(w.cs, ops)[0]))
         elif w.degree() > 1:
             h = _split_once(w, rng)
             pending += [h, w // h]
@@ -709,7 +708,7 @@ def extend_context(ctx: FieldContext, extra_degree: int) -> Tuple[FieldContext, 
     # modulus, which is irreducible of degree n | n*extra, so it splits into
     # distinct linear factors in the big field
     roots = _split_linear(UniPoly.from_ints(big, ctx.modulus))
-    return big, FieldEmbedding(ctx, big, big.ops.wrap(min(roots)))
+    return big, FieldEmbedding(ctx, big, FieldElement(big, min(roots)))
 
 
 def find_roots(g: UniPoly, allow_extension: bool) -> RootResult:
@@ -747,7 +746,8 @@ def find_roots(g: UniPoly, allow_extension: bool) -> RootResult:
     else:
         distinct = _roots_in_field(sf)
     out = []
-    for r in map(ctx.ops.wrap, distinct):
+    for c in distinct:
+        r = FieldElement(ctx, c)
         g, m = _root_multiplicity(g, r)
         out.append((r, m))
     return RootResult(ctx, emb, tuple(out))

@@ -21,6 +21,7 @@ from slchyp import (
     fedder_is_fpure,
     mld_profile,
 )
+from slchyp.fields import FieldEmbedding
 from slchyp.frobenius import monomial_outside_pth_powers
 from slchyp.normalize.auto import LinearStep
 
@@ -250,7 +251,7 @@ def test_criterion_5_property_suites():
         lifted = f
         if v.context != f.context:
             lifted = f.map_coefficients(
-                lambda c: v.context.from_int(c.payload[0]), v.context
+                FieldEmbedding(f.context, v.context, None), v.context
             )
         if v.automorphism.apply(lifted).in_w(v.initial_weight) != v.initial_form:
             ok = False

@@ -11,6 +11,7 @@ from slchyp import (
     classify_slc,
     discrepancy,
 )
+from slchyp.fields import FieldEmbedding
 from slchyp.classifier import BRANCHES, SLC_NOT_APPLICABLE, terminal_branch
 from slchyp.normalize.auto import LinearStep
 
@@ -96,7 +97,7 @@ def test_witness_soundness_replay():
         lifted = f
         if v.context != f.context:
             lifted = f.map_coefficients(
-                lambda c: v.context.from_int(c.payload[0]), v.context
+                FieldEmbedding(f.context, v.context, None), v.context
             )
         transformed = v.automorphism.apply(lifted)
         initial = transformed.in_w(v.initial_weight)

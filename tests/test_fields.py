@@ -31,10 +31,10 @@ def test_rational_elements_are_reduced_fractions():
 def test_prime_field_arithmetic():
     F7 = prime_field(7)
     a, b = F7.from_int(5), F7.from_int(4)
-    assert (a * b).payload == (6,)
-    assert (a + b).payload == (2,)
-    assert (a - b).payload == (1,)
-    assert (a / b).payload == (3,)  # 5 * 4^{-1} = 5*2 = 10 = 3
+    assert a * b == F7.from_int(6)
+    assert a + b == F7.from_int(2)
+    assert a - b == F7.from_int(1)
+    assert a / b == F7.from_int(3)  # 5 * 4^{-1} = 5*2 = 10 = 3
     assert (a.inverse() * a).is_one()
 
 
@@ -195,7 +195,21 @@ def test_coefficient_error_when_denominator_divisible_by_p():
     F3 = prime_field(3)
     with pytest.raises(CoefficientError):
         F3.from_fraction(1, 6)
-    assert F3.from_fraction(1, 2).payload == (2,)  # 2^{-1} = 2 mod 3
+    assert F3.from_fraction(1, 2) == F3.from_int(2)  # 2^{-1} = 2 mod 3
+
+
+def test_prime_field_payloads_are_ints_and_serialize_as_one_entry_lists():
+    F7, F49 = prime_field(7), extension_field(7, 2)
+    a, b = F7.from_int(5), F7.from_int(4)
+    built = [a, b, a * b, a + b, a - b, -a, a.inverse(), a / b, a ** 3,
+             F7.from_int(-2), F7.from_fraction(1, 3), F7.from_vector((12, 0)),
+             F7.zero(), F7.one(), *F7.elements()]
+    for e in built:
+        assert type(e.payload) is int and 0 <= e.payload < 7
+        assert e.to_json() == [e.payload] and str(e) == str(e.payload)
+    assert a.to_json() == [5] and F7.from_fraction(1, 3).to_json() == [5]
+    # the extension field keeps its coefficient vectors
+    assert F49.from_int(5).payload == (5, 0) and F49.from_int(5).to_json() == [5, 0]
 
 
 @given(st.integers(min_value=-40, max_value=40), st.integers(min_value=-40, max_value=40))
@@ -324,7 +338,7 @@ def test_separately_built_equal_contexts_agree():
     assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(shared) == shared
 
 
-# -- the payload record against FieldElement arithmetic -----------------------
+# -- the payload record and the element operators against references --------
 
 PAYLOAD_FIELDS = [(0, 1), (7, 1), (3, 2), (101, 4)]
 
@@ -340,25 +354,47 @@ def _seeded_elements(ctx, rng, count):
     return [ctx.from_vector([rng.randrange(p) for _ in range(n)]) for _ in range(count)]
 
 
+def _reference_arithmetic(ctx):
+    """(add, sub, neg, mul, inverse) on payloads, written independently of
+    ctx.ops: Fraction arithmetic over Q, ints mod p over F_p, and
+    coefficientwise sums with _ref_mul/_ref_inverse over F_{p^n}."""
+    p, n = ctx.characteristic, ctx.extension_degree
+    if p == 0:
+        return (lambda a, b: a + b, lambda a, b: a - b, lambda a: -a,
+                lambda a, b: a * b, lambda a: Fraction(1) / a)
+    if n == 1:
+        return (lambda a, b: (a + b) % p, lambda a, b: (a - b) % p, lambda a: (p - a) % p,
+                lambda a, b: a * b % p, lambda a: pow(a, -1, p))
+    return (lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
+            lambda a, b: tuple((x - y) % p for x, y in zip(a, b)),
+            lambda a: tuple((p - x) % p for x in a),
+            lambda a, b: _ref_mul(a, b, ctx.modulus, p),
+            lambda a: _ref_inverse(a, ctx.modulus, p))
+
+
 @pytest.mark.parametrize("p,n", PAYLOAD_FIELDS)
 def test_payload_record_agrees_with_field_elements(p, n):
     ctx = _payload_field(p, n)
     ops = ctx.ops
+    add, sub, neg, mul, inverse = _reference_arithmetic(ctx)
     kind = Fraction if p == 0 else int if n == 1 else tuple
     elements = _seeded_elements(ctx, random.Random(41 * p + n), 20) + [ctx.zero(), ctx.one()]
-    assert ops.wrap(ops.zero) == ctx.zero() and ops.wrap(ops.one) == ctx.one()
+    assert ops.zero == ctx.zero().payload and ops.one == ctx.one().payload
+    assert ctx.zero().is_zero() and ctx.one().is_one()
     for k in (-3, 0, 1, 5, 1000):
-        assert ops.wrap(ops.from_int(k)) == ctx.from_int(k)
+        expected = Fraction(k) if p == 0 else k % p if n == 1 else (k % p,) + (0,) * (n - 1)
+        assert ops.from_int(k) == expected and ctx.from_int(k).payload == expected
     for a in elements:
-        x = ops.load(a)
-        assert type(x) is kind and ops.wrap(x) == a
+        x = a.payload
+        assert type(x) is kind
+        assert ops.neg(x) == neg(x) and (-a).payload == neg(x)
         if not a.is_zero():
-            assert ops.wrap(ops.inverse(x)) == a.inverse()
+            assert ops.inverse(x) == inverse(x) and a.inverse().payload == inverse(x)
         for b in elements:
-            y = ops.load(b)
-            assert ops.wrap(ops.add(x, y)) == a + b
-            assert ops.wrap(ops.sub(x, y)) == a - b
-            assert ops.wrap(ops.mul(x, y)) == a * b
+            y = b.payload
+            assert ops.add(x, y) == add(x, y) and (a + b).payload == add(x, y)
+            assert ops.sub(x, y) == sub(x, y) and (a - b).payload == sub(x, y)
+            assert ops.mul(x, y) == mul(x, y) and (a * b).payload == mul(x, y)
 
 
 def test_irreducibility_test_stops_at_the_first_common_factor(monkeypatch):

@@ -366,6 +366,30 @@ def test_groebner_basis_matches_reference(rng, q, order):
         _check_against_reference(gens, order, ctx)
 
 
+@pytest.mark.parametrize("q", [5, 0, 9])
+def test_ideal_height_reads_the_unreduced_basis(rng, q, monkeypatch):
+    # heights need only leading monomials, which the basis has before any
+    # inter-reduction; the reference reads them from the reduced basis
+    ctx = extension_field(3, 2) if q == 9 else ctx_for(q)
+    cases = []
+    for _ in range(25):
+        nvars = rng.randint(2, 4)
+        cases.append((_random_ideal(rng, ctx, nvars), nvars))
+    if q != 9:
+        cases.append((build_jets(poly("x^2+y^3+x*y*z", q), 1).generators, 6))
+    expected = []
+    for gens, nvars in cases:
+        leads = [_lead(g, grevlex_key)[0] for g in reference_groebner(gens, grevlex_key)]
+        dim = quotient_dimension(leads, nvars)
+        expected.append(nvars if dim < 0 else nvars - dim)
+
+    def no_inter_reduction(self):
+        raise AssertionError("ideal_height_of inter-reduced its basis")
+
+    monkeypatch.setattr(jets._Buchberger, "reduced", no_inter_reduction)
+    assert [jets.ideal_height_of(gens, nvars) for gens, nvars in cases] == expected
+
+
 @pytest.mark.parametrize("order", ["grevlex", "lex"])
 def test_packed_monomials_match_exponent_tuples(rng, order):
     # order, divisibility, product, lcm and support of the packed ints agree

@@ -17,6 +17,7 @@ from slchyp import (
     normalize_w5,
     normalize_w6,
 )
+from slchyp.fields import FieldEmbedding
 from slchyp.normalize.auto import LinearStep, identity_matrix, kernel, mat_mul
 
 
@@ -75,7 +76,7 @@ def test_quadric_char2_list_membership():
         else:
             lifted = [
                 a.map_coefficients(
-                    lambda e: out.context.from_int(e.payload[0]), out.context
+                    FieldEmbedding(ctx, out.context, None), out.context
                 )
                 for a in allowed
             ]
@@ -102,7 +103,7 @@ def test_quadric_char_ne2_list_membership_finite():
             out = normalize_quadric(q)
             allowed = [
                 poly(t, p).map_coefficients(
-                    lambda e: out.context.from_int(e.payload[0]), out.context
+                    FieldEmbedding(ctx, out.context, None), out.context
                 )
                 if out.context != ctx
                 else poly(t, p)

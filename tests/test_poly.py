@@ -155,6 +155,27 @@ def test_substitute_rejects_constant_terms():
         f.substitute([poly("x+1"), poly("y"), poly("z")])
 
 
+def test_substitute_multiplies_only_image_powers(monkeypatch):
+    # coefficients go straight into one sum: no product has a constant
+    # factor and no TriPoly sum is formed per term
+    f = poly("3*x^2*y+5*y*z^3-x^4+2*x*y*z+7*z")
+    imgs = [poly("x+y^2"), poly("y-z^2"), poly("z+x*y")]
+    expected = f.substitute(imgs)
+    products, original = [], TriPoly.__mul__
+
+    def recorded(a, b):
+        products.append((a.total_degree(), b.total_degree()))
+        return original(a, b)
+
+    def no_sum(a, b):
+        raise AssertionError("substitute formed a TriPoly sum")
+
+    monkeypatch.setattr(TriPoly, "__mul__", recorded)
+    monkeypatch.setattr(TriPoly, "__add__", no_sum)
+    assert f.substitute(imgs) == expected
+    assert products and all(min(ds) > 0 for ds in products)
+
+
 @given(st.integers(min_value=0, max_value=2**31))
 def test_substitute_is_ring_homomorphism(seed):
     rnd = random.Random(seed)
