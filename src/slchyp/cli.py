@@ -59,8 +59,8 @@ EXIT_OVERFLOW = 4
 
 # the witness search is cubic in --max-weight, so larger bounds are refused
 MAX_WEIGHT = 64
-# the jet system has 3(m+1) variables; x^2+y^3+z^5 at p=7 takes ~16 s at
-# --m 7 and did not finish in 30 s at --m 8 (2-vCPU VM), so higher levels
+# the jet system has 3(m+1) variables; x^2+y^3+z^5 at p=7 takes ~2.5 s at
+# --m 7 and did not finish in 90 s at --m 8 (2-vCPU VM), so higher levels
 # are refused
 MAX_JET_LEVEL = 7
 

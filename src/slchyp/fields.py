@@ -11,9 +11,10 @@ Each context carries one record of payload operations, `ctx.ops`
 (`Payloads`), built once in its constructor: zero, one, add, sub, neg, mul,
 inverse and from_int on raw payloads.  It is the one arithmetic path of
 each field kind; the FieldElement operators are single calls into it, and
-loops that would build one FieldElement per coefficient operation (UniPoly,
-the jet oracle's Buchberger engine) run on payloads directly and build
-elements only at their edges.
+loops that would build one FieldElement per coefficient operation (TriPoly,
+UniPoly, the jet oracle's Buchberger engine) run on payloads directly and
+build elements only at their edges.  `payload_power` raises a payload to a
+nonnegative power with the same record.
 
 * Q: Fraction arithmetic.
 * F_p: int arithmetic mod p; the inverse is pow(a, -1, p).
@@ -215,6 +216,17 @@ def _payloads(p: int, n: int, modulus: Optional[Vector]) -> Payloads:
         lambda k: (k % p,) + pad)
 
 
+def payload_power(ops: Payloads, a: Payload, e: int) -> Payload:
+    """a^e for a payload a and an int e >= 0, by repeated squaring."""
+    result = ops.one
+    while e:
+        if e & 1:
+            result = ops.mul(result, a)
+        a = ops.mul(a, a)
+        e >>= 1
+    return result
+
+
 def _check(ctx: "FieldContext", other: "FieldContext") -> None:
     if ctx is not other and ctx != other:
         raise ValueError("field context mismatch")
@@ -332,6 +344,13 @@ class FieldContext:
         vec = vec + (0,) * (n - len(vec))
         return FieldElement(self, vec if n > 1 else vec[0])
 
+    def from_json(self, data) -> "FieldElement":
+        """The element that FieldElement.to_json wrote as data."""
+        if self.is_rational:
+            num, slash, den = str(data).partition("/")
+            return self.from_fraction(int(num), int(den)) if slash else self.from_int(int(num))
+        return self.from_vector(tuple(data))
+
     def generator(self) -> "FieldElement":
         """The residue of t in F_p[t]/(M); only for extension degree > 1."""
         if self.is_rational or self.extension_degree == 1:
@@ -418,14 +437,8 @@ class FieldElement:
     def __pow__(self, e: int) -> "FieldElement":
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.context.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        ctx = self.context
+        return FieldElement(ctx, payload_power(ctx.ops, self.payload, e))
 
     def pth_root(self) -> "FieldElement":
         """Unique p-th root in a finite field (inverse Frobenius)."""

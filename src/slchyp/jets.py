@@ -205,7 +205,7 @@ class _Coefficients:
     add_mul: Callable  # (a, b, c) -> a + b*c
     ratio: Callable
     normalize: Callable  # Packed in descending order -> monic or primitive
-    load: Callable  # NPoly -> tuple-keyed payloads (over Q a positive multiple)
+    load: Callable  # field payloads -> coefficients (over Q a positive integer multiple)
     monic: Callable  # payloads -> FieldElements, divided by the first one
 
 
@@ -226,10 +226,9 @@ def _coefficients(ctx: FieldContext) -> _Coefficients:
         def load(poly):
             den = 1
             for c in poly.values():
-                d = c.payload.denominator
+                d = c.denominator
                 den = den * d // gcd(den, d)
-            return {m: c.payload.numerator * (den // c.payload.denominator)
-                    for m, c in poly.items()}
+            return {m: c.numerator * (den // c.denominator) for m, c in poly.items()}
 
         def monic(cs):
             lc = cs[0]
@@ -244,8 +243,8 @@ def _coefficients(ctx: FieldContext) -> _Coefficients:
         inv = inverse(next(iter(r.values())))
         return {m: mul(c, inv) for m, c in r.items()} if inv != one else r
 
-    def load(poly):
-        return {m: c.payload for m, c in poly.items()}
+    def load(poly):  # a finite field's payloads are its coefficients
+        return poly
 
     def monic(cs):
         inv = inverse(cs[0])
@@ -452,7 +451,8 @@ def _buchberger(gens: Sequence[NPoly], order: str,
     top = max(max(m) for g in gens for m in g) if nvars else 0
     layout = _Layout(nvars, order, _width(top))
     state = _Buchberger(layout, field, budget)
-    state.add([{layout.pack(m): c for m, c in field.load(g).items()} for g in gens])
+    loaded = (field.load({m: c.payload for m, c in g.items()}) for g in gens)
+    state.add([{layout.pack(m): c for m, c in g.items()} for g in loaded])
     return state
 
 
@@ -608,7 +608,7 @@ def build_jets(f: TriPoly, m: int) -> JetSystem:
     if ctx.is_rational and f.terms:
         # the arcs were expanded for an integer multiple of f
         mono, c = next(iter(f.terms.items()))
-        scale = _coefficients(ctx).load(f.terms)[mono] / c.payload
+        scale = _coefficients(ctx).load(f.terms)[mono] / c
         element = lambda v: FieldElement(ctx, v / scale)
     else:
         element = lambda v: FieldElement(ctx, v)

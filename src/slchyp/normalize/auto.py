@@ -27,6 +27,7 @@ from ..fields import (
     FieldElement,
     FieldEmbedding,
     NeedsAlgebraicExtension,
+    _check,
 )
 from ..poly import TriPoly, VARIABLE_NAMES
 from ..unipoly import UniPoly, find_roots, nth_root
@@ -39,19 +40,6 @@ def mat_det(m: Matrix) -> FieldElement:
     d, e, f = m[1]
     g, h, i = m[2]
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def mat_mul(m: Matrix, n: Matrix) -> Matrix:
-    out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            acc = m[i][0] * n[0][j]
-            for k in range(1, 3):
-                acc = acc + m[i][k] * n[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def mat_inverse(m: Matrix) -> Matrix:
@@ -141,9 +129,6 @@ class LinearStep:
     def map_context(self, emb: FieldEmbedding) -> "LinearStep":
         return LinearStep(tuple(tuple(emb(c) for c in row) for row in self.matrix))
 
-    def inverse_matrix(self) -> Matrix:
-        return mat_inverse(self.matrix)
-
     def to_json(self):
         return {
             "kind": "linear",
@@ -194,16 +179,18 @@ class ScaleStep:
             raise ValueError("scale unit must be nonzero")
 
     def apply(self, f: TriPoly) -> TriPoly:
-        powers = {0: f.context.one()}
-        top = 0
+        ctx = f.context
+        if self.unit.context is not ctx:
+            _check(ctx, self.unit.context)
+        mul, unit = ctx.ops.mul, self.unit.payload
+        powers = [ctx.ops.one]
         terms = {}
         for m, c in f.terms.items():
             e = m[self.var]
-            while top < e:
-                top += 1
-                powers[top] = powers[top - 1] * self.unit
-            terms[m] = c * powers[e] if e else c
-        return TriPoly(f.context, terms)
+            while len(powers) <= e:
+                powers.append(mul(powers[-1], unit))
+            terms[m] = mul(c, powers[e]) if e else c
+        return TriPoly(ctx, terms)
 
     def map_context(self, emb: FieldEmbedding) -> "ScaleStep":
         return ScaleStep(self.var, emb(self.unit))
@@ -260,20 +247,11 @@ def automorphism_from_json(data, context: FieldContext) -> Automorphism:
 
     var_index = {name: i for i, name in enumerate(VARIABLE_NAMES)}
 
-    def element(c):
-        if context.is_rational:
-            text = str(c)
-            if "/" in text:
-                num, den = text.split("/")
-                return context.from_fraction(int(num), int(den))
-            return context.from_int(int(text))
-        return context.from_vector(tuple(c))
-
     steps: List[Step] = []
     for entry in data:
         kind = entry["kind"]
         if kind == "linear":
-            m = tuple(tuple(element(c) for c in row) for row in entry["matrix"])
+            m = tuple(tuple(context.from_json(c) for c in row) for row in entry["matrix"])
             steps.append(LinearStep(m))
         elif kind == "shift":
             steps.append(
@@ -281,9 +259,9 @@ def automorphism_from_json(data, context: FieldContext) -> Automorphism:
                           tripoly_from_json(context, entry["addend"]))
             )
         elif kind == "scale":
-            steps.append(ScaleStep(var_index[entry["variable"]], element(entry["unit"])))
+            steps.append(ScaleStep(var_index[entry["variable"]], context.from_json(entry["unit"])))
         elif kind == "unit_rescale":
-            steps.append(UnitRescaleStep(element(entry["unit"])))
+            steps.append(UnitRescaleStep(context.from_json(entry["unit"])))
         else:
             raise ValueError(f"unknown automorphism step kind {kind!r}")
     return Automorphism(tuple(steps))

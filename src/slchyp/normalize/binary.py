@@ -26,7 +26,7 @@ def binary_form_coefficients(F: TriPoly, first: int, second: int, degree: int):
     for m, c in F.terms.items():
         if m[first] + m[second] != degree or sum(m) != degree:
             raise ValueError("not a binary form of the stated degree")
-        out[m[second]] = c
+        out[m[second]] = FieldElement(ctx, c)
     return out
 
 

@@ -345,11 +345,9 @@ def _conic_transverse(nz: Normalizer, b0, b1, b2) -> NormalizationOutcome:
 
 def _sing_system(g: TriPoly):
     gens = [g] + [g.derivative(i) for i in range(3)]
-    out = []
-    for h in gens:
-        if not h.is_zero():
-            out.append({m: c for m, c in h.terms.items()})
-    return out
+    ctx = g.context
+    return [{m: FieldElement(ctx, c) for m, c in h.terms.items()}
+            for h in gens if not h.is_zero()]
 
 
 def _is_smooth(nz: Normalizer) -> bool:
@@ -465,6 +463,8 @@ def _solve_patches(nz: Normalizer) -> List[Line]:
     ctx = nz.context
     g = nz.f
     gens_tri = [g] + [g.derivative(i) for i in range(3)]
+    # the generators stay over g's field while nz.context may grow below
+    add, nil = g.context.ops.add, g.context._zero_payload
     points: List[Line] = []
     one, zero = ctx.one(), ctx.zero()
     for patch in (2, 1, 0):
@@ -476,8 +476,8 @@ def _solve_patches(nz: Normalizer) -> List[Line]:
             d = {}
             for m, c in h.terms.items():
                 key = (m[keep[0]], m[keep[1]])
-                d[key] = d[key] + c if key in d else c
-            d = {k: v for k, v in d.items() if not v.is_zero()}
+                d[key] = add(d[key], c) if key in d else c
+            d = {k: FieldElement(g.context, v) for k, v in d.items() if v != nil}
             if d:
                 gens.append(d)
             else:

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..poly import TriPoly
+from ..poly import TriPoly, Weight
 from ..unipoly import UniPoly
 from .auto import Normalizer, NormalizationOutcome, try_assignments
 from .binary import factor_binary, pair_change, single_change
 from .steps import W1, W2, _mono, _x2
 
-W211 = (2, 1, 1)
+W211 = Weight(2, 1, 1)
 
 
 def _hpart(nz: Normalizer) -> TriPoly:

@@ -13,18 +13,18 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..fields import FieldElement
-from ..poly import TriPoly
+from ..poly import TriPoly, Weight
 from ..unipoly import UniPoly
 from .auto import Normalizer, NormalizationOutcome, try_assignments
 from .binary import factor_binary, pair_change, single_change
 
-W1 = (1, 1, 1)
-W2 = (3, 2, 2)
-W3 = (6, 4, 3)
-W4 = (9, 6, 4)
-W5 = (15, 10, 6)
-W6 = (3, 2, 1)
-W7 = (21, 14, 6)
+W1 = Weight(1, 1, 1)
+W2 = Weight(3, 2, 2)
+W3 = Weight(6, 4, 3)
+W4 = Weight(9, 6, 4)
+W5 = Weight(15, 10, 6)
+W6 = Weight(3, 2, 1)
+W7 = Weight(21, 14, 6)
 
 CHAIN_WEIGHTS = [W2, W3, W4, W5, W6]
 

@@ -127,7 +127,7 @@ class _Parser:
             return TriPoly.constant(elt) if not elt.is_zero() else TriPoly.zero(self.context)
         if t.kind == "var":
             self.advance()
-            var = TriPoly.variable(self.context, _VARS[t.text])
+            exponent = 1
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "^":
                 self.advance()
@@ -135,8 +135,10 @@ class _Parser:
                 if e.kind != "int":
                     raise PolySyntaxError(e.pos, ("unsigned integer",), e.text or "end of input")
                 self.advance()
-                return var ** int(e.text)
-            return var
+                exponent = int(e.text)
+            m = [0, 0, 0]
+            m[_VARS[t.text]] = exponent
+            return TriPoly.monomial(self.context, tuple(m))
         if t.kind == "op" and t.text == "(":
             self.advance()
             inner = self.parse_expr()

@@ -1,8 +1,13 @@
 """Sparse trivariate polynomials over an exact field.
 
 TriPoly is the working representation for the input f and all its weighted
-initial forms.  Terms map exponent triples (a, b, c) to nonzero field
-elements.  Instances are treated as immutable.
+initial forms.  Terms map exponent triples (a, b, c) to the nonzero raw
+payloads of their coefficients (FieldElement.payload: Fractions over Q, ints
+mod p over F_p, coefficient tuples over F_{p^n}), and the arithmetic runs on
+them through the field's payload record FieldContext.ops, as UniPoly's does;
+FieldElements appear only at the scalar edge (the inputs of make, constant,
+monomial and scale, coefficient, sorted_terms and map_coefficients'
+callback).  Instances are treated as immutable.
 
 gcd, exact division and the squarefree test work on the same sparse terms:
 tri_gcd is a primitive pseudo-remainder sequence (Brown, J. ACM 18, 1971)
@@ -18,7 +23,7 @@ from functools import reduce
 from operator import mul
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .fields import FieldContext, FieldElement
+from .fields import FieldContext, FieldElement, Payload, _check, payload_power
 
 Monomial = Tuple[int, int, int]
 
@@ -51,45 +56,43 @@ class NonLocalSubstitution(ValueError):
     maximal ideal at the origin."""
 
 
-def np_add(a: Dict, b: Dict) -> Dict:
-    """Sum of two sparse polynomials given as exponent tuple -> nonzero
-    coefficient dicts (any number of variables)."""
-    out = dict(a)
-    for m, c in b.items():
-        if m in out:
-            s = out[m] + c
-            if s.is_zero():
+def _accumulate(out: Dict, terms: Iterable, context: FieldContext) -> Dict:
+    """out += terms in place, for (monomial, payload) pairs, dropping the
+    sums that vanish; returns out."""
+    add, zero = context.ops.add, context._zero_payload
+    for m, c in terms:
+        old = out.get(m)
+        if old is None:
+            out[m] = c
+        else:
+            c = add(old, c)
+            if c == zero:
                 del out[m]
             else:
-                out[m] = s
-        else:
-            out[m] = c
+                out[m] = c
     return out
 
 
-def np_scale(a: Dict, c: FieldElement) -> Dict:
-    if c.is_zero():
-        return {}
-    return {m: v * c for m, v in a.items()}
-
-
-def _display_order(terms: Dict[Monomial, FieldElement]):
+def _display_order(terms: Dict):
     return sorted(terms.items(), key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
 
 
 @dataclass
 class TriPoly:
-    """Sparse polynomial in x, y, z; no stored coefficient is zero."""
+    """Sparse polynomial in x, y, z; `terms` maps monomials to the nonzero
+    payloads of their coefficients (`context.ops`)."""
 
     context: FieldContext
-    terms: Dict[Monomial, FieldElement]
+    terms: Dict[Monomial, Payload]
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def make(context: FieldContext, terms: Dict[Monomial, FieldElement]) -> "TriPoly":
-        pruned = {m: c for m, c in terms.items() if not c.is_zero()}
-        return TriPoly(context, pruned)
+        for c in terms.values():
+            if c.context is not context:
+                _check(context, c.context)
+        return TriPoly(context, {m: c.payload for m, c in terms.items() if not c.is_zero()})
 
     @staticmethod
     def zero(context: FieldContext) -> "TriPoly":
@@ -113,17 +116,9 @@ class TriPoly:
 
     @staticmethod
     def from_int_terms(context: FieldContext, pairs: Iterable[Tuple[Monomial, int]]) -> "TriPoly":
-        terms: Dict[Monomial, FieldElement] = {}
-        for m, k in pairs:
-            m = tuple(m)
-            c = context.from_int(k)
-            if m in terms:
-                c = terms[m] + c
-            if c.is_zero():
-                terms.pop(m, None)
-            else:
-                terms[m] = c
-        return TriPoly(context, terms)
+        from_int, zero = context.ops.from_int, context._zero_payload
+        terms = [(tuple(m), from_int(k)) for m, k in pairs]
+        return TriPoly(context, _accumulate({}, [(m, c) for m, c in terms if c != zero], context))
 
     # -- predicates ---------------------------------------------------------
 
@@ -138,7 +133,8 @@ class TriPoly:
         )
 
     def coefficient(self, m: Monomial) -> FieldElement:
-        return self.terms.get(tuple(m), self.context.zero())
+        c = self.terms.get(tuple(m))
+        return self.context.zero() if c is None else FieldElement(self.context, c)
 
     def total_degree(self) -> int:
         if self.is_zero():
@@ -161,31 +157,43 @@ class TriPoly:
 
     def __add__(self, other: "TriPoly") -> "TriPoly":
         self._check(other)
-        return TriPoly(self.context, np_add(self.terms, other.terms))
+        terms = _accumulate(dict(self.terms), other.terms.items(), self.context)
+        return TriPoly(self.context, terms)
 
     def __neg__(self) -> "TriPoly":
-        return TriPoly(self.context, {m: -c for m, c in self.terms.items()})
+        neg = self.context.ops.neg
+        return TriPoly(self.context, {m: neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other: "TriPoly") -> "TriPoly":
         return self + (-other)
 
     def __mul__(self, other: "TriPoly") -> "TriPoly":
         self._check(other)
-        out: Dict[Monomial, FieldElement] = {}
+        ctx = self.context
+        mul, add, zero = ctx.ops.mul, ctx.ops.add, ctx._zero_payload
+        out: Dict[Monomial, Payload] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                c = c1 * c2
-                if m in out:
-                    c = out[m] + c
-                if c.is_zero():
-                    out.pop(m, None)
+                old = out.get(m)
+                if old is None:
+                    out[m] = mul(c1, c2)
                 else:
-                    out[m] = c
-        return TriPoly(self.context, out)
+                    c = add(old, mul(c1, c2))
+                    if c == zero:
+                        del out[m]
+                    else:
+                        out[m] = c
+        return TriPoly(ctx, out)
 
     def scale(self, c: FieldElement) -> "TriPoly":
-        return TriPoly(self.context, np_scale(self.terms, c))
+        ctx = self.context
+        if c.context is not ctx:
+            _check(ctx, c.context)
+        if c.is_zero():
+            return TriPoly(ctx, {})
+        mul, k = ctx.ops.mul, c.payload
+        return TriPoly(ctx, {m: mul(v, k) for m, v in self.terms.items()})
 
     def __pow__(self, e: int) -> "TriPoly":
         if e < 0:
@@ -199,58 +207,43 @@ class TriPoly:
             e >>= 1
         return result
 
-    def evaluate(self, vals: Sequence[FieldElement]) -> FieldElement:
-        acc = self.context.zero()
-        for m, c in self.terms.items():
-            term = c
-            for i in range(3):
-                if m[i]:
-                    term = term * (vals[i] ** m[i])
-            acc = acc + term
-        return acc
-
     def map_coefficients(self, fn: Callable[[FieldElement], FieldElement],
                          new_context: FieldContext) -> "TriPoly":
-        out: Dict[Monomial, FieldElement] = {}
-        for m, c in self.terms.items():
-            v = fn(c)
-            if not v.is_zero():
-                out[m] = v
-        return TriPoly(new_context, out)
+        ctx = self.context
+        images = ((m, fn(FieldElement(ctx, c))) for m, c in self.terms.items())
+        return TriPoly(new_context, {m: v.payload for m, v in images if not v.is_zero()})
 
     def derivative(self, var: int) -> "TriPoly":
-        out: Dict[Monomial, FieldElement] = {}
+        # distinct monomials have distinct derivatives, so nothing collects
+        ops = self.context.ops
+        mul, from_int, zero = ops.mul, ops.from_int, self.context._zero_payload
+        out: Dict[Monomial, Payload] = {}
         for m, c in self.terms.items():
             e = m[var]
-            if e == 0:
-                continue
-            v = c * self.context.from_int(e)
-            if v.is_zero():
-                continue
-            mm = list(m)
-            mm[var] = e - 1
-            key = tuple(mm)
-            v = out[key] + v if key in out else v
-            if v.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = v
+            if e:
+                v = mul(c, from_int(e))
+                if v != zero:
+                    out[m[:var] + (e - 1,) + m[var + 1:]] = v
         return TriPoly(self.context, out)
 
     # -- weighted structure -----------------------------------------------
 
     def ord_w(self, w: Sequence[int]):
-        """min of w.m over the support; +infinity for the zero polynomial."""
+        """min of w.m over the support; +infinity for the zero polynomial.
+        A w that is not a Weight is validated by Weight.of."""
         if self.is_zero():
             return float("inf")
-        w = Weight.of(w)
+        if w.__class__ is not Weight:
+            w = Weight.of(w)
         return min(w.dot(m) for m in self.terms)
 
     def in_w(self, w: Sequence[int]) -> "TriPoly":
-        """Sum of the terms of minimal w-weight (zero polynomial maps to itself)."""
+        """Sum of the terms of minimal w-weight (zero polynomial maps to itself).
+        A w that is not a Weight is validated by Weight.of."""
         if self.is_zero():
             return self
-        w = Weight.of(w)
+        if w.__class__ is not Weight:
+            w = Weight.of(w)
         o = min(w.dot(m) for m in self.terms)
         return TriPoly(self.context, {m: c for m, c in self.terms.items() if w.dot(m) == o})
 
@@ -260,7 +253,7 @@ class TriPoly:
             raise ValueError("need one image per variable")
         for g in images:
             self._check(g)
-            if not g.coefficient((0, 0, 0)).is_zero():
+            if (0, 0, 0) in g.terms:
                 raise NonLocalSubstitution(
                     "substitution image has a nonzero constant term"
                 )
@@ -278,19 +271,14 @@ class TriPoly:
 
         # each coefficient scales its product of image powers straight into
         # one sum, in the term order that successive TriPoly sums would give
-        out: Dict[Monomial, FieldElement] = {}
+        ctx = self.context
+        mul_payload = ctx.ops.mul
+        out: Dict[Monomial, Payload] = {}
         for m, coeff in self.terms.items():
             factors = [power(i, e) for i, e in enumerate(m) if e]
-            terms = reduce(mul, factors).terms if factors else {m: self.context.one()}
-            for mono, c in terms.items():
-                v = coeff * c
-                if mono in out:
-                    v = out[mono] + v
-                    if v.is_zero():
-                        del out[mono]
-                        continue
-                out[mono] = v
-        return TriPoly(self.context, out)
+            terms = reduce(mul, factors).terms if factors else {m: ctx.ops.one}
+            _accumulate(out, [(mono, mul_payload(coeff, c)) for mono, c in terms.items()], ctx)
+        return TriPoly(ctx, out)
 
     # -- conversions --------------------------------------------------------
 
@@ -304,7 +292,8 @@ class TriPoly:
     # -- display ------------------------------------------------------------
 
     def sorted_terms(self) -> List[Tuple[Monomial, FieldElement]]:
-        return _display_order(self.terms)
+        ctx = self.context
+        return [(m, FieldElement(ctx, c)) for m, c in _display_order(self.terms)]
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -345,21 +334,7 @@ class TriPoly:
 
 
 def tripoly_from_json(context: FieldContext, data) -> TriPoly:
-    terms: Dict[Monomial, FieldElement] = {}
-    for entry in data:
-        m = tuple(entry["m"])
-        c = entry["c"]
-        if context.is_rational:
-            if "/" in str(c):
-                num, den = str(c).split("/")
-                elt = context.from_fraction(int(num), int(den))
-            else:
-                elt = context.from_int(int(c))
-        else:
-            elt = context.from_vector(tuple(c))
-        if not elt.is_zero():
-            terms[m] = elt
-    return TriPoly(context, terms)
+    return TriPoly.make(context, {tuple(e["m"]): context.from_json(e["c"]) for e in data})
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +343,12 @@ def tripoly_from_json(context: FieldContext, data) -> TriPoly:
 
 def _lex_monic(f: TriPoly) -> TriPoly:
     """f scaled so its lexicographically largest term (x > y > z) is monic."""
+    ctx = f.context
     lead = f.terms[max(f.terms)]
-    return f if lead.is_one() else f.scale(lead.inverse())
+    if lead == ctx._one_payload:
+        return f
+    mul, inv = ctx.ops.mul, ctx.ops.inverse(lead)
+    return TriPoly(ctx, {m: mul(c, inv) for m, c in f.terms.items()})
 
 
 def _degree(f: TriPoly, v: int) -> int:
@@ -380,7 +359,7 @@ def _primitive(f: TriPoly, v: int) -> Tuple[TriPoly, TriPoly]:
     """(content, primitive part) of f as a polynomial in variable v over the
     later variables, both lex-monic; the content is the gcd of the
     coefficients, which involve fewer variables."""
-    coeffs: Dict[int, Dict[Monomial, FieldElement]] = {}
+    coeffs: Dict[int, Dict[Monomial, Payload]] = {}
     for m, c in f.terms.items():
         coeffs.setdefault(m[v], {})[m[:v] + (0,) + m[v + 1:]] = c
     content = None
@@ -455,15 +434,17 @@ def tri_gcd(f: TriPoly, g: TriPoly) -> TriPoly:
 def frobenius_descent(f: TriPoly) -> TriPoly:
     """For char p and f with all exponents divisible by p: the polynomial g
     with g^p = f (coefficientwise p-th roots exist, the field is perfect)."""
-    p = f.context.characteristic
+    ctx = f.context
+    p = ctx.characteristic
     if p == 0:
         raise ValueError("descent needs positive characteristic")
-    terms: Dict[Monomial, FieldElement] = {}
+    e = ctx.order() // p  # c^(q/p) is the p-th root of c
+    terms: Dict[Monomial, Payload] = {}
     for m, c in f.terms.items():
-        if any(e % p for e in m):
+        if any(k % p for k in m):
             raise ValueError("exponent not divisible by p")
-        terms[(m[0] // p, m[1] // p, m[2] // p)] = c.pth_root()
-    return TriPoly(f.context, terms)
+        terms[(m[0] // p, m[1] // p, m[2] // p)] = payload_power(ctx.ops, c, e)
+    return TriPoly(ctx, terms)
 
 
 def is_squarefree(f: TriPoly) -> bool:
@@ -521,17 +502,11 @@ def _squarefree_modular_screen(f: TriPoly) -> bool:
     one (the prime divides a discriminant) is left to the exact gcd."""
     from .fields import prime_field
 
-    lcm = math.lcm(*(c.payload.denominator for c in f.terms.values()))
-    ints = {m: int(c.payload * lcm) for m, c in f.terms.items()}
+    lcm = math.lcm(*(c.denominator for c in f.terms.values()))
+    ints = {m: int(c * lcm) for m, c in f.terms.items()}
     deg = f.total_degree()
     for p in _SCREEN_PRIMES:
-        ctx = prime_field(p)
-        terms = {}
-        for m, k in ints.items():
-            v = k % p
-            if v:
-                terms[m] = ctx.from_int(v)
-        g = TriPoly(ctx, terms)
+        g = TriPoly(prime_field(p), {m: k % p for m, k in ints.items() if k % p})
         if not g.is_zero() and g.total_degree() == deg:
             return is_squarefree(g)
     return False
@@ -557,20 +532,24 @@ def divide_exact(f: TriPoly, g: TriPoly) -> TriPoly:
     A leading term that g's does not divide, or a quotient term of total
     degree above deg f - deg g, shows that g does not divide f, so the loop
     stops early on non-divisible input."""
+    f._check(g)
     if g.is_zero():
         raise ZeroDivisionError
+    ctx = f.context
+    ops = ctx.ops
+    mul = ops.mul
     lead = max(g.terms)
-    inv = g.terms[lead].inverse()
-    neg = {m: -c for m, c in g.terms.items()}
+    inv = ops.inverse(g.terms[lead])
+    neg = {m: ops.neg(c) for m, c in g.terms.items()}
     room = f.total_degree() - g.total_degree()
-    quotient: Dict[Monomial, FieldElement] = {}
-    rem = f.terms
+    quotient: Dict[Monomial, Payload] = {}
+    rem = dict(f.terms)
     while rem:
         m = max(rem)
         q = (m[0] - lead[0], m[1] - lead[1], m[2] - lead[2])
         if min(q) < 0 or sum(q) > room:
             raise ArithmeticError("exact division failed")
-        c = quotient[q] = rem[m] * inv
-        rem = np_add(rem, {(a + q[0], b + q[1], e + q[2]): v * c
-                           for (a, b, e), v in neg.items()})
-    return _ascending(TriPoly(f.context, quotient))
+        c = quotient[q] = mul(rem[m], inv)
+        _accumulate(rem, [((a + q[0], b + q[1], e + q[2]), mul(v, c))
+                          for (a, b, e), v in neg.items()], ctx)
+    return _ascending(TriPoly(ctx, quotient))

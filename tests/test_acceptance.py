@@ -154,8 +154,8 @@ def test_criterion_2_fedder_suite():
         dense = TriPoly.constant(f.context.one())
         for _ in range(p - 1):
             acc = {}
-            for m1, c1 in dense.terms.items():
-                for m2, c2 in f.terms.items():
+            for m1, c1 in dense.sorted_terms():
+                for m2, c2 in f.sorted_terms():
                     m = tuple(a + b for a, b in zip(m1, m2))
                     c = c1 * c2
                     acc[m] = acc[m] + c if m in acc else c

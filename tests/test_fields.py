@@ -212,6 +212,19 @@ def test_prime_field_payloads_are_ints_and_serialize_as_one_entry_lists():
     assert F49.from_int(5).payload == (5, 0) and F49.from_int(5).to_json() == [5, 0]
 
 
+def test_from_json_inverts_to_json():
+    F4 = extension_field(2, 2)
+    built = [RATIONALS.from_fraction(-3, 2), RATIONALS.from_int(7), RATIONALS.zero(),
+             *prime_field(7).elements(), *F4.elements()]
+    for e in built:
+        assert e.context.from_json(e.to_json()) == e
+    for bad in ("3/", "1/2/3", "x"):
+        with pytest.raises(ValueError):
+            RATIONALS.from_json(bad)
+    with pytest.raises(CoefficientError):
+        RATIONALS.from_json("1/0")
+
+
 @given(st.integers(min_value=-40, max_value=40), st.integers(min_value=-40, max_value=40))
 def test_rational_field_laws(a, b):
     x = RATIONALS.from_int(a)

@@ -16,12 +16,12 @@ def dense_power(f, e):
     for _ in range(e):
         out = {}
         for m1, c1 in acc.items():
-            for m2, c2 in f.terms.items():
+            for m2, c2 in f.sorted_terms():
                 m = tuple(a + b for a, b in zip(m1, m2))
                 c = c1 * c2
                 out[m] = out[m] + c if m in out else c
         acc = {m: c for m, c in out.items() if not c.is_zero()}
-    return TriPoly(ctx, acc)
+    return TriPoly.make(ctx, acc)
 
 
 def brute_membership(g, p):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,7 +16,7 @@ from slchyp import (
     parse_poly,
     prime_field,
 )
-from slchyp.fields import extension_field
+from slchyp.fields import FieldElement, extension_field
 from slchyp import fields as fields_module, poly as poly_module
 from slchyp.poly import divide_exact, tri_gcd
 
@@ -26,7 +28,7 @@ import random
 
 def test_parse_direct_reading():
     f = poly("x^2 + y^3", 2)
-    assert f.terms == {(2, 0, 0): ctx_for(2).one(), (0, 3, 0): ctx_for(2).one()}
+    assert f.terms == {(2, 0, 0): 1, (0, 3, 0): 1}
 
 
 def test_parse_cancellation():
@@ -97,6 +99,26 @@ def test_weight_validation():
         Weight.of((0, 0, 0))
     with pytest.raises(ValueError):
         Weight.of((-1, 2, 1))
+    f = poly("x^2+y^3")
+    for w in ((0, 0, 0), (-1, 2, 1)):
+        with pytest.raises(ValueError):
+            f.in_w(w)
+        with pytest.raises(ValueError):
+            f.ord_w(w)
+
+
+def test_weights_are_not_revalidated(monkeypatch):
+    from slchyp.normalize.quartic import W211
+    from slchyp.normalize.steps import W2
+
+    f = poly("x^2+y^3+y^2*z^2+z^7")
+    expected = [(f.in_w(w), f.ord_w(w)) for w in (W2, W211)]
+
+    def revalidated(w):
+        raise AssertionError("Weight.of called on a Weight")
+
+    monkeypatch.setattr(Weight, "of", staticmethod(revalidated))
+    assert [(f.in_w(w), f.ord_w(w)) for w in (W2, W211)] == expected
 
 
 @given(st.integers(min_value=0, max_value=2**31))
@@ -332,3 +354,31 @@ def test_divide_exact_fails_fast_past_the_degree_bound():
     # x^38*y^2 has degree 40 > 40 - 1, so the quotient cannot be a polynomial
     with pytest.raises(ArithmeticError):
         divide_exact(poly("x^40"), poly("x-y^2"))
+
+
+PAYLOAD_FIELDS = {
+    "Q": (RATIONALS, Fraction), "F2": (prime_field(2), int), "F5": (prime_field(5), int),
+    "F7": (prime_field(7), int), "F4": (extension_field(2, 2), tuple),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOAD_FIELDS))
+def test_terms_hold_nonzero_payloads(name):
+    # terms store the raw payloads of ctx.ops and never a zero one; the
+    # scalar API still hands out FieldElements
+    ctx, kind = PAYLOAD_FIELDS[name]
+    zero = ctx.zero().payload
+    rnd = random.Random(f"payloads:{name}")
+    for _ in range(20):
+        f = _pinned_poly(rnd, ctx).scale(ctx.from_fraction(1, 3))
+        g = _pinned_poly(rnd, ctx)
+        images = [_pinned_poly(rnd, ctx) * TriPoly.variable(ctx, i) for i in range(3)]
+        assert (f - f).terms == {} and divide_exact(f * g, g) == f
+        results = [f, g, f * g, f.substitute(images), divide_exact(f * g, g)]
+        results += [f.derivative(i) for i in range(3)]
+        for h in results:
+            assert all(type(c) is kind and c != zero for c in h.terms.values())
+        for m, c in f.sorted_terms():
+            assert type(c) is FieldElement and c == FieldElement(ctx, f.terms[m])
+            assert f.coefficient(m) == c
+    assert poly("x^2", 7).coefficient((0, 1, 0)) == prime_field(7).zero()
