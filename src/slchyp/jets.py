@@ -59,8 +59,8 @@ generators at doubled width.  That costs time, never a different answer.
 
 Coefficients are raw payloads with one record of operations per field kind
 (`_coefficients`, which takes zero, one, mul and inverse over a finite
-field from the field's payload record `ctx.ops`; a FieldElement's payload
-over a finite field is already the raw coefficient):
+field from the field's payload record `ctx.ops`, whose payloads are the
+engine's coefficients as they are):
 
 * F_p: ints in [0, p); basis elements are monic.
 * F_{p^n}: coefficient tuples, multiplied by the context's packed product;
@@ -72,26 +72,29 @@ over a finite field is already the raw coefficient):
   over its gcd with the cancelled one.  Remainders are positive multiples
   of the monic ones, so the same leading monomials arise.
 
-`FieldElement` polynomials keyed by exponent tuples (`NPoly`) appear only
-at the edges: the input and output of `groebner_basis`, the generators of
-`build_jets`, and `ideal_height_of`.
+At the edges (the input and output of `groebner_basis`, the generators of
+`build_jets`, and `ideal_height_of`) a polynomial is an `NPoly`: a dict from
+exponent tuples to the field's payloads, the coefficients `TriPoly` and
+`UniPoly` store too (a Fraction over Q, an int mod p, a coefficient tuple
+over F_{p^n}).  A payload does not carry its field, so those functions take
+the field context.  The reduced basis is made monic with `ctx.ops`, which
+turns the integers of Q into Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import mul as int_mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .fields import FieldContext, FieldElement
+from .fields import FieldContext, Payload
 from .poly import TriPoly
 
 NMonomial = Tuple[int, ...]
-NPoly = Dict[NMonomial, FieldElement]
+NPoly = Dict[NMonomial, Payload]
 Packed = Dict[int, object]  # packed monomial -> raw coefficient
 
 
@@ -116,11 +119,6 @@ def lex_key(m: NMonomial):
 
 
 ORDERS = {"grevlex": grevlex_key, "lex": lex_key}
-
-
-def leading(a: NPoly, key) -> Tuple[NMonomial, FieldElement]:
-    m = max(a, key=key)
-    return m, a[m]
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +192,8 @@ class _Layout:
 
 @dataclass(frozen=True)
 class _Coefficients:
-    """Arithmetic on the raw payloads of one field.
+    """Arithmetic on the engine's coefficients over one field: the field's
+    payloads over a finite field, integers over Q.
 
     ratio(c, lc) gives (a, nb) with a*c + nb*lc == 0: over a field lc is
     one and a is 1; over Q a = lc/g and nb = -c/g, g = gcd(c, lc)."""
@@ -206,7 +205,6 @@ class _Coefficients:
     ratio: Callable
     normalize: Callable  # Packed in descending order -> monic or primitive
     load: Callable  # field payloads -> coefficients (over Q a positive integer multiple)
-    monic: Callable  # payloads -> FieldElements, divided by the first one
 
 
 @lru_cache(maxsize=None)
@@ -230,12 +228,8 @@ def _coefficients(ctx: FieldContext) -> _Coefficients:
                 den = den * d // gcd(den, d)
             return {m: c.numerator * (den // c.denominator) for m, c in poly.items()}
 
-        def monic(cs):
-            lc = cs[0]
-            return [FieldElement(ctx, Fraction(c, lc)) for c in cs]
-
         return _Coefficients(0, 1, int_mul, lambda a, b, c: a + b * c,
-                             ratio, normalize, load, monic)
+                             ratio, normalize, load)
     ops = ctx.ops  # zero, one, mul and inverse come from the field's record
     zero, one, mul, inverse = ops.zero, ops.one, ops.mul, ops.inverse
 
@@ -246,20 +240,16 @@ def _coefficients(ctx: FieldContext) -> _Coefficients:
     def load(poly):  # a finite field's payloads are its coefficients
         return poly
 
-    def monic(cs):
-        inv = inverse(cs[0])
-        return [FieldElement(ctx, mul(c, inv)) for c in cs]
-
     if n == 1:
         return _Coefficients(zero, one, mul, lambda a, b, c: (a + b * c) % p,
-                             lambda c, lc: (1, -c), normalize, load, monic)
+                             lambda c, lc: (1, -c), normalize, load)
 
     def add_mul(a, b, c):
         return tuple([(x + y) % p for x, y in zip(a, mul(b, c))])
 
     return _Coefficients(zero, one, mul, add_mul,
                          lambda c, lc: (1, tuple([(-x) % p for x in c])),
-                         normalize, load, monic)
+                         normalize, load)
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +309,10 @@ class _Buchberger:
     kept, so that a term overflowing the working layout can rerun the whole
     computation at doubled width."""
 
-    def __init__(self, layout: _Layout, field: _Coefficients, budget: GroebnerBudget) -> None:
+    def __init__(self, layout: _Layout, ctx: FieldContext, budget: GroebnerBudget) -> None:
         self.packing = layout
-        self.field = field
+        self.ops = ctx.ops
+        self.field = _coefficients(ctx)
         self.budget = budget
         self.batches: List[List[Packed]] = []
         self._reset(layout)
@@ -407,8 +398,9 @@ class _Buchberger:
         self._replay(self.batches)
 
     def reduced(self) -> List[NPoly]:
-        """Inter-reduce the minimal elements into monic `NPoly`s, terms in
-        descending order; the reduced basis is unique.  Under lex a tail
+        """Inter-reduce the minimal elements into monic `NPoly`s on the
+        field's payloads, terms in descending order; the reduced basis is
+        unique.  Under lex a tail
         can reduce to exponents the basis never held, so this too may
         rerun wider."""
         while True:
@@ -429,41 +421,43 @@ class _Buchberger:
             )
         ]
         keep.sort(key=lambda idx: lms[idx])
+        one, mul, inverse = self.ops.one, self.ops.mul, self.ops.inverse
         out = []
         for idx in keep:
             lm, lc, tail = divisors[idx]
             others = [divisors[o] for o in keep if o != idx]
             r = np_reduce(dict([(lm, lc)] + tail), others, self.field, guard)
-            coeffs = self.field.monic(list(r.values()))
-            out.append({layout.unpack(m): c for m, c in zip(r, coeffs)})
+            # over Q r holds integers: one * lead is the lead as a Fraction
+            inv = inverse(mul(one, next(iter(r.values()))))
+            out.append({layout.unpack(m): mul(c, inv) for m, c in r.items()})
         return out
 
 
-def _buchberger(gens: Sequence[NPoly], order: str,
+def _buchberger(ctx: FieldContext, gens: Sequence[NPoly], order: str,
                 budget: GroebnerBudget) -> Optional[_Buchberger]:
-    """The Buchberger state run on the nonzero gens to a Groebner basis,
-    or None when there are none."""
+    """The Buchberger state run on the nonzero gens over ctx to a Groebner
+    basis, or None when there are none."""
     gens = [g for g in gens if g]
     if not gens:
         return None
-    field = _coefficients(next(iter(gens[0].values())).context)
     nvars = len(next(iter(gens[0])))
     top = max(max(m) for g in gens for m in g) if nvars else 0
     layout = _Layout(nvars, order, _width(top))
-    state = _Buchberger(layout, field, budget)
-    loaded = (field.load({m: c.payload for m, c in g.items()}) for g in gens)
-    state.add([{layout.pack(m): c for m, c in g.items()} for g in loaded])
+    state = _Buchberger(layout, ctx, budget)
+    load = state.field.load
+    state.add([{layout.pack(m): c for m, c in load(g).items()} for g in gens])
     return state
 
 
 def groebner_basis(
+    ctx: FieldContext,
     gens: Sequence[NPoly],
     order: str = "grevlex",
     budget: GroebnerBudget = GroebnerBudget(),
 ) -> List[NPoly]:
-    """Reduced Groebner basis by Buchberger's algorithm with the normal
-    selection strategy and the coprimality criterion."""
-    state = _buchberger(gens, order, budget)
+    """Reduced Groebner basis of gens over ctx by Buchberger's algorithm
+    with the normal selection strategy and the coprimality criterion."""
+    state = _buchberger(ctx, gens, order, budget)
     return state.reduced() if state else []
 
 
@@ -508,12 +502,13 @@ def _height(leading_monomials: Sequence[NMonomial], nvars: int) -> int:
     return nvars if dim < 0 else nvars - dim
 
 
-def ideal_height_of(gens: Sequence[NPoly], nvars: int,
+def ideal_height_of(ctx: FieldContext, gens: Sequence[NPoly], nvars: int,
                     budget: GroebnerBudget = GroebnerBudget()) -> int:
-    """Height of the ideal of gens on nvars variables, read from the leading
-    monomials of a grevlex Groebner basis that is not inter-reduced: they
-    span the same leading-term ideal as the reduced basis."""
-    state = _buchberger(gens, "grevlex", budget)
+    """Height of the ideal of gens over ctx on nvars variables, read from
+    the leading monomials of a grevlex Groebner basis that is not
+    inter-reduced: they span the same leading-term ideal as the reduced
+    basis."""
+    state = _buchberger(ctx, gens, "grevlex", budget)
     leads = [state.layout.unpack(lm) for lm in state.leads] if state else []
     return _height(leads, nvars)
 
@@ -527,7 +522,7 @@ class JetSystem:
     m: int
     nvars: int
     context: FieldContext
-    generators: List[NPoly]  # x^(0), y^(0), z^(0), f^(0), ..., f^(m)
+    generators: List[NPoly]  # x^(0), y^(0), z^(0), f^(0), ..., f^(m), on payloads
 
 
 def _series_mul(a: List[Packed], b: List[Packed], m: int,
@@ -609,18 +604,16 @@ def build_jets(f: TriPoly, m: int) -> JetSystem:
         # the arcs were expanded for an integer multiple of f
         mono, c = next(iter(f.terms.items()))
         scale = _coefficients(ctx).load(f.terms)[mono] / c
-        element = lambda v: FieldElement(ctx, v / scale)
-    else:
-        element = lambda v: FieldElement(ctx, v)
-    origin = [{layout.unpack(layout.variable(i)): ctx.one()} for i in range(3)]
-    gens = [{layout.unpack(t): element(v) for t, v in level.items()} for level in levels]
-    return JetSystem(m, nvars, ctx, origin + gens)
+        levels = [{t: v / scale for t, v in level.items()} for level in levels]
+    origin = [{layout.variable(i): ctx.ops.one} for i in range(3)]
+    gens = [{layout.unpack(t): v for t, v in g.items()} for g in origin + levels]
+    return JetSystem(m, nvars, ctx, gens)
 
 
 def ideal_height(system: JetSystem,
                  budget: GroebnerBudget = GroebnerBudget()) -> int:
     """Height of (x^(0), y^(0), z^(0), f^(0), ..., f^(m))."""
-    return ideal_height_of(system.generators, system.nvars, budget)
+    return ideal_height_of(system.context, system.generators, system.nvars, budget)
 
 
 def s_m(f: TriPoly, m: int, budget: GroebnerBudget = GroebnerBudget()) -> int:
@@ -694,9 +687,8 @@ def mld_profile(
         raise ValueError("m_max must be >= 1")
     layout = _jet_layout(f, 3 * m_max)
     levels = _arc_equations(f, m_max - 1, 1, layout)
-    field = _coefficients(f.context)
-    origin = [{layout.variable(i): field.one} for i in range(3)]
-    state = _Buchberger(layout, field, budget)
+    state = _Buchberger(layout, f.context, budget)
+    origin = [{layout.variable(i): state.field.one} for i in range(3)]
     entries = []
     for m, fm in enumerate(levels):
         state.add(origin + [fm] if m == 0 else [fm])

@@ -20,10 +20,10 @@ conjugate configurations are told apart by rank and singular-point data.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..fields import FieldElement
-from ..jets import GroebnerBudget, ORDERS, groebner_basis, ideal_height_of, leading
+from ..fields import FieldContext, FieldElement, Payload, payload_power
+from ..jets import GroebnerBudget, groebner_basis, ideal_height_of
 from ..poly import (
     TriPoly,
     divide_exact,
@@ -31,7 +31,7 @@ from ..poly import (
     is_squarefree,
     squarefree_excess,
 )
-from ..unipoly import UniPoly
+from ..unipoly import UniPoly, _poly
 from .auto import (
     Normalizer,
     NormalizationOutcome,
@@ -343,16 +343,14 @@ def _conic_transverse(nz: Normalizer, b0, b1, b2) -> NormalizationOutcome:
 # irreducible cubics
 
 
-def _sing_system(g: TriPoly):
-    gens = [g] + [g.derivative(i) for i in range(3)]
-    ctx = g.context
-    return [{m: FieldElement(ctx, c) for m, c in h.terms.items()}
-            for h in gens if not h.is_zero()]
+def _sing_system(g: TriPoly) -> List[TriPoly]:
+    """g and its three partials, whose common zeros are g's singular points."""
+    return [g] + [g.derivative(i) for i in range(3)]
 
 
 def _is_smooth(nz: Normalizer) -> bool:
-    gens = _sing_system(nz.f)
-    return ideal_height_of(gens, 3, GroebnerBudget(max_basis=5000)) == 3
+    gens = [h.terms for h in _sing_system(nz.f)]
+    return ideal_height_of(nz.context, gens, 3, GroebnerBudget(max_basis=5000)) == 3
 
 
 def _no_rational_lines(nz: Normalizer) -> NormalizationOutcome:
@@ -447,48 +445,33 @@ def _node(nz: Normalizer, q0, q1, q2) -> NormalizationOutcome:
 
 def _rational_singular_points(nz: Normalizer) -> List[Line]:
     """Common zeros of (g, g_x, g_y, g_z) in P^2 over the current field,
-    via patchwise lex Groebner elimination.  Over the rationals only
-    rational points are produced; finite fields are enlarged as needed."""
-    while True:
-        mark = nz.mark()
-        points = _solve_patches(nz)
-        if nz.mark() == mark:
-            break
-        # the field grew while splitting an elimination polynomial; rerun so
-        # every patch is solved over the final field
-    return _distinct_points(points)
+    via patchwise lex Groebner elimination; over the rationals only
+    rational points are produced.  Over a finite field `_linear_factors`
+    has already enlarged the field until every line on g is rational, so g
+    is absolutely irreducible here and its one singular point is rational:
+    the field never grows."""
+    return _distinct_points(_solve_patches(nz))
 
 
 def _solve_patches(nz: Normalizer) -> List[Line]:
     ctx = nz.context
-    g = nz.f
-    gens_tri = [g] + [g.derivative(i) for i in range(3)]
-    # the generators stay over g's field while nz.context may grow below
-    add, nil = g.context.ops.add, g.context._zero_payload
-    points: List[Line] = []
+    add, nil = ctx.ops.add, ctx._zero_payload
     one, zero = ctx.one(), ctx.zero()
+    system = [h for h in _sing_system(nz.f) if not h.is_zero()]
+    points: List[Line] = []
     for patch in (2, 1, 0):
         keep = [i for i in range(3) if i != patch]
         gens = []
-        for h in gens_tri:
-            if h.is_zero():
-                continue
+        for h in system:
             d = {}
             for m, c in h.terms.items():
                 key = (m[keep[0]], m[keep[1]])
                 d[key] = add(d[key], c) if key in d else c
-            d = {k: FieldElement(g.context, v) for k, v in d.items() if v != nil}
-            if d:
-                gens.append(d)
-            else:
-                gens = None  # a generator vanishes identically on the patch
-                break
-        if gens is None:
-            raise AssertionError("cubic cone generator vanished on a patch")
-        sols = _solve_bivariate(nz, gens)
-        ctx = nz.context
-        one, zero = ctx.one(), ctx.zero()
-        for (a, b) in sols:
+            d = {k: v for k, v in d.items() if v != nil}
+            if not d:
+                raise AssertionError("cubic cone generator vanished on a patch")
+            gens.append(d)
+        for (a, b) in _solve_bivariate(nz, gens):
             P = [zero, zero, zero]
             P[keep[0]] = a
             P[keep[1]] = b
@@ -502,24 +485,28 @@ def _solve_patches(nz: Normalizer) -> List[Line]:
     return points
 
 
-def _np_to_unipoly(d, var: int, ctx) -> UniPoly:
-    deg = max(m[var] for m in d)
-    coeffs = [ctx.zero()] * (deg + 1)
-    for m, c in d.items():
-        coeffs[m[var]] = coeffs[m[var]] + c
-    return UniPoly.make(ctx, coeffs)
+def _unipoly(ctx: FieldContext, coeffs: Dict[int, Payload]) -> UniPoly:
+    """The UniPoly with the payload coeffs[k] at t^k."""
+    zero = ctx.ops.zero
+    return _poly(ctx, [coeffs.get(k, zero) for k in range(max(coeffs) + 1)])
 
 
 def _solve_bivariate(nz: Normalizer, gens) -> List[Tuple[FieldElement, FieldElement]]:
-    """All common zeros of a zero-dimensional bivariate system (rational
-    zeros only over Q)."""
+    """All common zeros of a zero-dimensional bivariate system of payload
+    dicts (rational zeros only over Q)."""
     ctx = nz.context
-    basis = groebner_basis(gens, order="lex", budget=GroebnerBudget(max_basis=2000))
-    if not basis:
-        return []
-    key = ORDERS["lex"]
-    if any(leading(b, key)[0] == (0, 0) for b in basis):
-        return []
+    ops = ctx.ops
+    mark = nz.mark()
+
+    def roots(u: UniPoly) -> List[FieldElement]:
+        found = nz.known_roots(u)
+        if nz.mark() != mark:
+            raise AssertionError("the field grew while solving for a singular point")
+        return [r for r, _ in found]
+
+    basis = groebner_basis(ctx, gens, order="lex", budget=GroebnerBudget(max_basis=2000))
+    if any(next(iter(b)) == (0, 0) for b in basis):
+        return []  # the unit ideal: no zero on this patch
     # elimination: the basis elements free of the first variable
     elim = [b for b in basis if all(m[0] == 0 for m in b)]
     if not elim:
@@ -528,28 +515,22 @@ def _solve_bivariate(nz: Normalizer, gens) -> List[Tuple[FieldElement, FieldElem
         raise AssertionError("singular locus is not zero-dimensional on a patch")
     u = None
     for b in elim:
-        up = _np_to_unipoly(b, 1, ctx)
+        up = _unipoly(ctx, {m[1]: c for m, c in b.items()})
         u = up if u is None else u.gcd(up)
     if u.degree() < 1:
         return []
-    mark = nz.mark()
-    roots_b = [r for r, _ in nz.known_roots(u)]
-    if nz.mark() != mark:
-        return []  # field grew; caller reruns all patches
     out = []
-    for rb in roots_b:
-        ctx2 = nz.context
+    for rb in roots(u):
         uni = None
         consts_ok = True
         for b in basis:
             # substitute the second variable
             coll = {}
             for m, c in b.items():
-                val = c * (rb ** m[1])
+                val = ops.mul(c, payload_power(ops, rb.payload, m[1]))
                 kk = m[0]
-                coll[kk] = coll[kk] + val if kk in coll else val
-            coeffs = [coll.get(i, ctx2.zero()) for i in range(max(coll) + 1)]
-            up = UniPoly.make(ctx2, coeffs)
+                coll[kk] = ops.add(coll[kk], val) if kk in coll else val
+            up = _unipoly(ctx, coll)
             if up.is_zero():
                 continue
             if up.degree() == 0:
@@ -562,8 +543,5 @@ def _solve_bivariate(nz: Normalizer, gens) -> List[Tuple[FieldElement, FieldElem
             raise AssertionError("unconstrained first variable at a root")
         if uni.degree() < 1:
             continue
-        roots_a = [r for r, _ in nz.known_roots(uni)]
-        if nz.mark() != mark:
-            return []
-        out += [(ra, rb) for ra in roots_a]
+        out += [(ra, rb) for ra in roots(uni)]
     return out

@@ -1,10 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 
 from conftest import ctx_for, poly, random_invertible_matrix
 
-from slchyp import classify_cubic_cone, discrepancy
+from slchyp import TriPoly, classify_cubic_cone, discrepancy
 from slchyp.normalize.auto import LinearStep
 
 
@@ -122,3 +123,31 @@ def test_replay_on_every_outcome():
 def test_rejects_non_cubic():
     with pytest.raises(ValueError):
         classify_cubic_cone(poly("x^2"))
+
+
+CUBIC_MONOMIALS = [m for m in product(range(4), repeat=3) if sum(m) == 3]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 0])
+def test_random_cubic_cones(p):
+    # seeded random cubics with 3-6 of the 10 cubic monomials: each one
+    # classifies, replays, and keeps its type under a random linear change
+    # followed by a unit rescale; nodes and cusps run the singular-locus solve
+    rnd = random.Random(f"cubic-cone:{p}")
+    ctx = ctx_for(p)
+
+    def coefficient(low):
+        return ctx.from_int(rnd.randint(low, 3) if p == 0 else rnd.randint(low, p - 1))
+
+    labels = []
+    while len(labels) < 40:
+        chosen = rnd.sample(CUBIC_MONOMIALS, rnd.randint(3, 6))
+        g = TriPoly.make(ctx, {m: coefficient(-3 if p == 0 else 0) for m in chosen})
+        if g.is_zero():
+            continue
+        out = classify_cubic_cone(g)
+        assert out.replay_matches(g), str(g)
+        moved = LinearStep(random_invertible_matrix(rnd, ctx)).apply(g).scale(coefficient(1))
+        assert classify_cubic_cone(moved).branch_label == out.branch_label, (str(g), p)
+        labels.append(out.branch_label)
+    assert {"cone:nodal", "cone:cuspidal"} & set(labels), labels

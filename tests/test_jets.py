@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from conftest import ctx_for, poly, random_poly
 
 from slchyp import (
+    FieldElement,
     GroebnerBudget,
     OracleOverflow,
     TriPoly,
@@ -20,38 +22,49 @@ from slchyp.jets import (
     ORDERS,
     groebner_basis,
     grevlex_key,
-    leading,
     quotient_dimension,
 )
 import slchyp.jets as jets
 
 
+# The engine's edges carry raw field payloads; the tests compare FieldElements.
+def _payload_dicts(gens):
+    return [{m: c.payload for m, c in g.items()} for g in gens]
+
+
+def _elements(ctx, polys):
+    return [{m: FieldElement(ctx, c) for m, c in g.items()} for g in polys]
+
+
+def _payload_type(ctx):
+    return Fraction if ctx.is_rational else int if ctx.extension_degree == 1 else tuple
+
+
 def test_build_jets_product_rule():
     f = poly("x*y")
-    sys1 = build_jets(f, 1)
     ctx = f.context
+    gens = _elements(ctx, build_jets(f, 1).generators)
     one = ctx.one()
     # f^(0) = x0 y0, f^(1) = x0 y1 + x1 y0  (variable layout: 3j + i)
     f0 = {(1, 1, 0, 0, 0, 0): one}
     f1 = {(1, 0, 0, 0, 1, 0): one, (0, 1, 0, 1, 0, 0): one}
-    assert sys1.generators[3] == f0
-    assert sys1.generators[4] == f1
+    assert gens[3] == f0
+    assert gens[4] == f1
 
 
 def test_build_jets_linear():
     f = poly("x")
-    sysm = build_jets(f, 2)
+    gens = _elements(f.context, build_jets(f, 2).generators)
     for j in range(3):
         mono = [0] * 9
         mono[3 * j] = 1
-        assert sysm.generators[3 + j] == {tuple(mono): f.context.one()}
+        assert gens[3 + j] == {tuple(mono): f.context.one()}
 
 
 def test_build_jets_square_coefficients():
     f = poly("x^2+y^3+z^5")
-    sys2 = build_jets(f, 2)
-    f2 = sys2.generators[5]
     ctx = f.context
+    f2 = _elements(ctx, build_jets(f, 2).generators)[5]
     m_x1x1 = [0] * 9
     m_x1x1[3] = 2  # (x^(1))^2
     m_x0x2 = [0] * 9
@@ -64,9 +77,10 @@ def test_build_jets_square_coefficients():
 def test_build_jets_keeps_rational_coefficients():
     # the arcs are expanded for an integer multiple of f and divided back
     f = poly("x^2+3*y^3+x*y*z")
-    third = f.context.from_fraction(-1, 3)
-    scaled = build_jets(f.scale(third), 2).generators[3:]
-    for g, h in zip(scaled, build_jets(f, 2).generators[3:]):
+    ctx = f.context
+    third = ctx.from_fraction(-1, 3)
+    scaled = _elements(ctx, build_jets(f.scale(third), 2).generators[3:])
+    for g, h in zip(scaled, _elements(ctx, build_jets(f, 2).generators[3:])):
         assert g == {m: c * third for m, c in h.items()}
 
 
@@ -76,7 +90,7 @@ def test_series_consistency_random_arcs(rng):
         ctx = ctx_for(p)
         f = random_poly(rng, ctx, max_terms=4, max_exp=3)
         m = 3
-        system = build_jets(f, m)
+        generators = _elements(ctx, build_jets(f, m).generators)
         arc = [[ctx.from_int(rng.randint(0, p - 1)) for _ in range(m + 1)]
                for _ in range(3)]
 
@@ -101,7 +115,7 @@ def test_series_consistency_random_arcs(rng):
 
         series = poly_eval_series()
         for j in range(m + 1):
-            gen = system.generators[3 + j]
+            gen = generators[3 + j]
             val = ctx.zero()
             for mono, c in gen.items():
                 acc = c
@@ -163,7 +177,7 @@ def test_budget_overflow_is_loud():
     gens = build_jets(f, 1).generators
     for order in ("grevlex", "lex"):
         with pytest.raises(OracleOverflow):
-            groebner_basis(gens, order, GroebnerBudget(max_basis=1))
+            groebner_basis(f.context, gens, order, GroebnerBudget(max_basis=1))
 
 
 def _random_singular_poly(rnd, ctx):
@@ -281,11 +295,11 @@ def test_spolynomials_of_basis_reduce_to_zero(rng):
                 gens.append(g)
         if not gens:
             continue
-        basis = groebner_basis(gens, "grevlex")
+        basis = _elements(ctx, groebner_basis(ctx, _payload_dicts(gens), "grevlex"))
         key = grevlex_key
         for gi, gj in combinations(basis, 2):
-            mi, ci = leading(gi, key)
-            mj, cj = leading(gj, key)
+            mi, ci = _lead(gi, key)
+            mj, cj = _lead(gj, key)
             lcm = tuple(max(a, b) for a, b in zip(mi, mj))
             s = _minus_multiple({}, gi, tuple(l - a for l, a in zip(lcm, mi)), -ci.inverse())
             s = _minus_multiple(s, gj, tuple(l - a for l, a in zip(lcm, mj)), cj.inverse())
@@ -346,12 +360,14 @@ def _random_ideal(rnd, ctx, nvars):
 
 def _check_against_reference(gens, order, ctx):
     key = ORDERS[order]
-    basis = groebner_basis(gens, order)
-    assert basis == reference_groebner(gens, key), gens
+    basis = groebner_basis(ctx, _payload_dicts(gens), order)
+    assert _elements(ctx, basis) == reference_groebner(gens, key), gens
+    kind = _payload_type(ctx)
     for g in basis:
-        # terms in descending order, leading coefficient one
+        # payloads, terms in descending order, leading coefficient one
+        assert all(type(c) is kind for c in g.values()), g
         assert list(g) == sorted(g, key=key, reverse=True)
-        assert g[next(iter(g))] == ctx.one()
+        assert g[next(iter(g))] == ctx.ops.one
 
 
 # F_9 runs the engine on extension payloads (coefficient tuples)
@@ -361,7 +377,9 @@ def test_groebner_basis_matches_reference(rng, q, order):
     ctx = extension_field(3, 2) if q == 9 else ctx_for(q)
     cases = [_random_ideal(rng, ctx, rng.randint(2, 4)) for _ in range(25)]
     if q != 9:
-        cases.append(build_jets(poly("x^2+y^3+x*y*z", q), 1).generators)
+        jet_gens = build_jets(poly("x^2+y^3+x*y*z", q), 1).generators
+        assert all(type(c) is _payload_type(ctx) for g in jet_gens for c in g.values())
+        cases.append(_elements(ctx, jet_gens))
     for gens in cases:
         _check_against_reference(gens, order, ctx)
 
@@ -376,7 +394,7 @@ def test_ideal_height_reads_the_unreduced_basis(rng, q, monkeypatch):
         nvars = rng.randint(2, 4)
         cases.append((_random_ideal(rng, ctx, nvars), nvars))
     if q != 9:
-        cases.append((build_jets(poly("x^2+y^3+x*y*z", q), 1).generators, 6))
+        cases.append((_elements(ctx, build_jets(poly("x^2+y^3+x*y*z", q), 1).generators), 6))
     expected = []
     for gens, nvars in cases:
         leads = [_lead(g, grevlex_key)[0] for g in reference_groebner(gens, grevlex_key)]
@@ -387,7 +405,8 @@ def test_ideal_height_reads_the_unreduced_basis(rng, q, monkeypatch):
         raise AssertionError("ideal_height_of inter-reduced its basis")
 
     monkeypatch.setattr(jets._Buchberger, "reduced", no_inter_reduction)
-    assert [jets.ideal_height_of(gens, nvars) for gens, nvars in cases] == expected
+    assert [jets.ideal_height_of(ctx, _payload_dicts(gens), nvars)
+            for gens, nvars in cases] == expected
 
 
 @pytest.mark.parametrize("order", ["grevlex", "lex"])
