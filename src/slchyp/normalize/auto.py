@@ -11,10 +11,17 @@ The normalization stages share one toolkit from here:
   - `kernel`: rank and kernel vector of a 3x3 matrix (Gauss-Jordan);
   - `quadratic_coefficient`: the coefficient of x_i x_j;
   - `linear_form`: the polynomial sum_j c_j x_j;
+  - `Normalizer.pair_linear`: a linear change of two variables (`swap` and
+    `direction_to_z` are two);
   - `Normalizer.move_to_z`: a linear change taking a point to [0:0:1];
-  - `Normalizer.known_roots`: the roots the field can supply (rational
-    roots over Q, all roots over F_q), next to the strict `root_of` and
-    `all_roots`.
+  - `complete_square` (characteristic != 2) and `absorb_squares`
+    (characteristic 2): the shift of x that clears x*m, resp. m^2, for
+    listed monomials m in y and z;
+  - root access: `Normalizer.known_roots` gives the roots the field can
+    supply (rational roots over Q, all roots over F_q), `all_roots` the
+    full multiset and `root_of` the first root, both strict over Q;
+  - `Normalizer.lift`: carries an element, a polynomial or a point computed
+    before a root call into the field that call may have enlarged.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from ..fields import (
     NeedsAlgebraicExtension,
     _check,
 )
-from ..poly import TriPoly, VARIABLE_NAMES
+from ..poly import Monomial, TriPoly, VARIABLE_NAMES
 from ..unipoly import UniPoly, find_roots, nth_root
 
 Matrix = Tuple[Tuple[FieldElement, ...], ...]
@@ -295,9 +302,8 @@ class Normalizer:
 
     def __init__(self, f: TriPoly):
         self.f = f
-        self.base_context = f.context
         self.steps: List[Step] = []
-        self._base_f = f
+        self._input = f
         self._embs: List[FieldEmbedding] = []
 
     @property
@@ -308,7 +314,7 @@ class Normalizer:
     def extension_degree_over_base(self) -> int:
         if self.context.is_rational:
             return 1
-        return self.context.extension_degree // max(self.base_context.extension_degree, 1)
+        return self.context.extension_degree // max(self._input.context.extension_degree, 1)
 
     # -- step application --------------------------------------------------
 
@@ -340,14 +346,25 @@ class Normalizer:
             return
         self._push(UnitRescaleStep(unit))
 
+    def pair_linear(self, i: int, j: int, m11, m12, m21, m22) -> None:
+        """x_i -> m11*x_i + m12*x_j, x_j -> m21*x_i + m22*x_j."""
+        rows = [list(row) for row in identity_matrix(self.context)]
+        rows[i][i], rows[i][j] = m11, m12
+        rows[j][i], rows[j][j] = m21, m22
+        self.linear(tuple(tuple(row) for row in rows))
+
     def swap(self, i: int, j: int) -> None:
-        ctx = self.context
-        m = [[ctx.one() if a == b else ctx.zero() for b in range(3)] for a in range(3)]
-        m[i][i] = ctx.zero()
-        m[j][j] = ctx.zero()
-        m[i][j] = ctx.one()
-        m[j][i] = ctx.one()
-        self.linear(tuple(tuple(row) for row in m))
+        one, zero = self.context.one(), self.context.zero()
+        self.pair_linear(i, j, zero, one, one, zero)
+
+    def direction_to_z(self, d0: FieldElement, d1: FieldElement) -> None:
+        """Send the direction [d0 : d1] of the (y, z)-plane to the z-axis:
+        y -> d0*z and z -> y + d1*z, or z -> d1*z alone when d0 = 0."""
+        one, zero = self.context.one(), self.context.zero()
+        if d0.is_zero():
+            self.pair_linear(1, 2, one, d0, zero, d1)
+        else:
+            self.pair_linear(1, 2, zero, d0, one, d1)
 
     def move_to_z(self, P: Sequence[FieldElement]) -> None:
         """Linear change taking the projective point P to [0:0:1]; the other
@@ -362,12 +379,6 @@ class Normalizer:
                     return
         raise ValueError("point is zero")
 
-    def yz_linear(self, m11, m12, m21, m22) -> None:
-        """y -> m11*y + m12*z, z -> m21*y + m22*z."""
-        ctx = self.context
-        one, zero = ctx.one(), ctx.zero()
-        self.linear(((one, zero, zero), (zero, m11, m12), (zero, m21, m22)))
-
     # -- field enlargement --------------------------------------------------
 
     def extend(self, emb: FieldEmbedding) -> None:
@@ -376,64 +387,45 @@ class Normalizer:
         if emb.target == self.context:
             return
         self.f = self.f.map_coefficients(emb, emb.target)
-        self._base_f = self._base_f.map_coefficients(emb, emb.target)
         self.steps = [s.map_context(emb) for s in self.steps]
         self._embs.append(emb)
+
+    def lift(self, value):
+        """`value` (a FieldElement, a TriPoly or a tuple of elements) moved
+        from any earlier field of this run into the current one."""
+        if isinstance(value, tuple):
+            return tuple(self.lift(c) for c in value)
+        if value.context == self.context:
+            return value
+        for emb in self._embs:
+            if value.context == emb.source:
+                if isinstance(value, FieldElement):
+                    value = emb(value)
+                else:
+                    value = value.map_coefficients(emb, emb.target)
+        if value.context != self.context:
+            raise ValueError("value is not over a field of this run")
+        return value
 
     # rollback support for trying alternative normalizations over Q (no
     # extensions ever happen there, so restoring is a plain state reset)
 
     def checkpoint(self):
-        return (self.f, tuple(self.steps), len(self._embs), self._base_f)
+        return (self.f, tuple(self.steps), len(self._embs))
 
     def restore(self, cp) -> None:
-        f, steps, n_embs, base_f = cp
+        f, steps, n_embs = cp
         if len(self._embs) != n_embs:
             raise RuntimeError("cannot roll back across a field extension")
         self.f = f
         self.steps = list(steps)
-        self._base_f = base_f
-
-    # local values captured before a root call can be carried across any
-    # extensions that the call triggered
-
-    def mark(self) -> int:
-        return len(self._embs)
-
-    def embed_elt(self, c: FieldElement, mark: int) -> FieldElement:
-        for emb in self._embs[mark:]:
-            c = emb(c)
-        return c
-
-    def embed_poly(self, f: TriPoly, mark: int) -> TriPoly:
-        for emb in self._embs[mark:]:
-            f = f.map_coefficients(emb, emb.target)
-        return f
 
     # -- deterministic root access ------------------------------------------
 
-    def root_of(self, g: UniPoly) -> FieldElement:
-        """Canonical root of g, enlarging a finite field as needed; raises
-        NeedsAlgebraicExtension over the rationals when no rational root."""
+    def _roots(self, g: UniPoly, allow_extension: bool):
         if g.context != self.context:
             raise ValueError("polynomial context mismatch")
-        if self.context.is_rational:
-            res = find_roots(g, allow_extension=False)
-            if not res.roots:
-                raise NeedsAlgebraicExtension(
-                    f"required a root of '{g}' over the rationals", polynomial=g
-                )
-            return res.first()
-        res = find_roots(g, allow_extension=True)
-        if res.context != self.context:
-            self.extend(res.embedding)
-        return res.first()
-
-    def all_roots(self, g: UniPoly):
-        """Full multiset of roots (enlarging finite fields; strict over Q)."""
-        if g.context != self.context:
-            raise ValueError("polynomial context mismatch")
-        res = find_roots(g, allow_extension=True)
+        res = find_roots(g, allow_extension=allow_extension)
         if res.context != self.context:
             self.extend(res.embedding)
         return res.roots
@@ -441,9 +433,21 @@ class Normalizer:
     def known_roots(self, g: UniPoly):
         """Roots the field can supply: the rational roots over Q (never
         raises), the full multiset over F_q (enlarging it as needed)."""
-        if self.context.is_rational:
-            return find_roots(g, allow_extension=False).roots
-        return self.all_roots(g)
+        return self._roots(g, not self.context.is_rational)
+
+    def all_roots(self, g: UniPoly):
+        """Full multiset of roots (enlarging finite fields; strict over Q)."""
+        return self._roots(g, True)
+
+    def root_of(self, g: UniPoly) -> FieldElement:
+        """Canonical root of g, enlarging a finite field as needed; raises
+        NeedsAlgebraicExtension over the rationals when no rational root."""
+        roots = self.known_roots(g)
+        if not roots:
+            raise NeedsAlgebraicExtension(
+                f"required a root of '{g}' over the rationals", polynomial=g
+            )
+        return roots[0][0]
 
     def nth_root_of(self, a: FieldElement, n: int) -> FieldElement:
         root, emb = nth_root(a, n, allow_extension=not self.context.is_rational)
@@ -462,7 +466,7 @@ class Normalizer:
             tuple(self._embs),
         )
         # replay integrity: the recorded steps reproduce the recorded output
-        if out.auto.apply(self._base_f) != self.f:
+        if not out.replay_matches(self._input):
             raise AssertionError("automorphism replay mismatch")
         return out
 
@@ -473,6 +477,30 @@ class Normalizer:
             self.extend(emb)
         for step in out.auto.steps:
             self._push(step)
+
+
+def complete_square(nz: Normalizer, tails: Sequence[Monomial]) -> None:
+    """Characteristic != 2: x -> x - (1/2) sum_m c_m m clears the terms
+    c_m x*m for the monomials m in y, z listed in `tails`."""
+    ctx = nz.context
+    addend = TriPoly.zero(ctx)
+    for m in tails:
+        addend = addend + TriPoly.monomial(ctx, m, nz.f.coefficient((1, m[1], m[2])))
+    nz.shift(0, addend.scale(-ctx.from_int(2).inverse()))
+    if not all(nz.f.coefficient((1, m[1], m[2])).is_zero() for m in tails):
+        raise AssertionError("x-terms survived the square completion")
+
+
+def absorb_squares(nz: Normalizer, halves: Sequence[Monomial]) -> None:
+    """Characteristic 2: x -> x + sum_m sqrt(c_m) m absorbs the terms
+    c_m m^2 into x^2, for the monomials m in y, z listed in `halves`."""
+    ctx = nz.context
+    addend = TriPoly.zero(ctx)
+    for m in halves:
+        c = nz.f.coefficient((0, 2 * m[1], 2 * m[2]))
+        if not c.is_zero():
+            addend = addend + TriPoly.monomial(ctx, m, c.pth_root())
+    nz.shift(0, addend)
 
 
 def try_assignments(nz: "Normalizer", assignments, attempt):

@@ -4,7 +4,7 @@ A form F in (u, v) of degree d factors over the algebraic closure as
 unit * u^(d - deg p) * product (v - r u) over the roots r of p(t) = F(1, t).
 Finite fields are enlarged through the Normalizer so the form always splits;
 over the rationals a form that does not split rationally raises
-NeedsAlgebraicExtension (strict mode).
+NeedsAlgebraicExtension.
 """
 
 from __future__ import annotations
@@ -31,33 +31,28 @@ def binary_form_coefficients(F: TriPoly, first: int, second: int, degree: int):
 
 
 def factor_binary(nz: Normalizer, F: TriPoly, first: int, second: int,
-                  degree: int) -> Tuple[FieldElement, List[Tuple[LinearPair, int]]]:
+                  degree: int) -> List[Tuple[LinearPair, int]]:
     """Split F (nonzero, supported on variables first/second, homogeneous of
     the given degree) into linear factors, enlarging the field if needed.
 
-    Returns (unit, [((a, b), mult), ...]) with each factor a*u + b*v, sorted
-    canonically (the factor u first, then by root order).
+    Returns [((a, b), mult), ...] with each factor a*u + b*v: the factor u
+    has (a, b) = (1, 0), the factor v - r*u for a root r has (-r, 1).  The
+    list is sorted by multiplicity, highest first, and then by the
+    `sort_key`s of (a, b).
     """
     if F.is_zero():
         raise ValueError("cannot factor the zero form")
-    mark = nz.mark()
     coeffs = binary_form_coefficients(F, first, second, degree)
     d = max(i for i, c in enumerate(coeffs) if not c.is_zero())
     p = UniPoly.make(nz.context, coeffs[: d + 1])
     inf_mult = degree - d  # multiplicity of the factor u
     roots = nz.all_roots(p) if d >= 1 else ()
-    ctx = nz.context
-    unit = nz.embed_elt(coeffs[d], mark)
-    factors: List[Tuple[LinearPair, int]] = []
-    one = ctx.one()
-    if inf_mult:
-        factors.append(((one, ctx.zero()), inf_mult))
-    for r, m in roots:
-        factors.append(((-r, one), m))  # v - r*u   <->  coefficients (-r, 1)
-    total = sum(m for _, m in factors)
-    if total != degree:
+    one, zero = nz.context.one(), nz.context.zero()
+    factors = [((one, zero), inf_mult)] if inf_mult else []
+    factors += [((-r, one), m) for r, m in roots]
+    if sum(m for _, m in factors) != degree:
         raise AssertionError("binary form failed to split completely")
-    return unit, factors
+    return sorted(factors, key=lambda fm: (-fm[1], tuple(c.sort_key() for c in fm[0])))
 
 
 def pair_change(nz: Normalizer, L1: LinearPair, L2: LinearPair,
@@ -70,32 +65,10 @@ def pair_change(nz: Normalizer, L1: LinearPair, L2: LinearPair,
     if det.is_zero():
         raise ValueError("factors are proportional")
     inv = det.inverse()
-    m11, m12 = b2 * inv, -b1 * inv
-    m21, m22 = -a2 * inv, a1 * inv
-    _apply_pair_matrix(nz, first, second, m11, m12, m21, m22)
+    nz.pair_linear(first, second, b2 * inv, -b1 * inv, -a2 * inv, a1 * inv)
 
 
 def single_change(nz: Normalizer, L: LinearPair, first: int, second: int) -> None:
     """Map the single form L to the first variable, completing invertibly."""
-    a, b = L
-    ctx = nz.context
-    one, zero = ctx.one(), ctx.zero()
-    if not a.is_zero():
-        comp = (zero, one)
-    else:
-        comp = (one, zero)
-    pair_change(nz, L, comp, first, second)
-
-
-def _apply_pair_matrix(nz: Normalizer, first: int, second: int,
-                       m11, m12, m21, m22) -> None:
-    ctx = nz.context
-    one, zero = ctx.one(), ctx.zero()
-    rows = [
-        [one if i == j else zero for j in range(3)] for i in range(3)
-    ]
-    rows[first][first] = m11
-    rows[first][second] = m12
-    rows[second][first] = m21
-    rows[second][second] = m22
-    nz.linear(tuple(tuple(r) for r in rows))
+    one, zero = nz.context.one(), nz.context.zero()
+    pair_change(nz, L, (zero, one) if not L[0].is_zero() else (one, zero), first, second)

@@ -157,15 +157,15 @@ def _find_linear_factor(nz: Normalizer, h: TriPoly) -> Optional[Tuple[TriPoly, L
         return TriPoly.constant(ctx.one()), _normalize_line(L)
     found: List[List[Line]] = []
     for drop in (2, 1, 0):
-        mark = nz.mark()
         pts = _binary_restriction_points(nz, h, drop)
         # carry everything computed so far into a field the call enlarged
-        h = nz.embed_poly(h, mark)
-        found = [[tuple(nz.embed_elt(c, mark) for c in P) for P in ps] for ps in found]
+        h = nz.lift(h)
+        found = [[nz.lift(P) for P in ps] for ps in found]
         found.append(pts)
     pts_z, pts_y, pts_x = found
     e0 = identity_matrix(nz.context)[0]
-    candidates = [_cross(p, q) for p in pts_z for q in pts_y if not _proj_equal(p, q)]
+    # a proportional pair crosses to zero, which _distinct_points drops
+    candidates = [_cross(p, q) for p in pts_z for q in pts_y]
     candidates += [_cross(p, e0) for p in pts_x]
     for L in _distinct_points(candidates):
         quo = _try_divide(h, linear_form(nz.context, L))
@@ -174,22 +174,13 @@ def _find_linear_factor(nz: Normalizer, h: TriPoly) -> Optional[Tuple[TriPoly, L
     return None
 
 
-def _proj_equal(p, q) -> bool:
-    return all(
-        (p[i] * q[j] - p[j] * q[i]).is_zero()
-        for i in range(3)
-        for j in range(i + 1, 3)
-    )
-
-
 def _linear_factors(nz: Normalizer, h: TriPoly):
     lines: List[Line] = []
     while h.total_degree() >= 1:
-        mark = nz.mark()
         found = _find_linear_factor(nz, h)
         # the search may have enlarged the field even when it found nothing
-        h = nz.embed_poly(h, mark)
-        lines = [tuple(nz.embed_elt(c, mark) for c in L) for L in lines]
+        h = nz.lift(h)
+        lines = [nz.lift(L) for L in lines]
         if found is None:
             break
         h, L = found
@@ -202,23 +193,15 @@ def _linear_factors(nz: Normalizer, h: TriPoly):
 
 
 def _repeated_line(nz: Normalizer) -> NormalizationOutcome:
-    g = nz.f
-    p = nz.context.characteristic
-    partials = [g.derivative(i) for i in range(3)]
-    if all(d.is_zero() for d in partials):
-        # p = 3 and g is a cube of a linear form
-        L = frobenius_descent(g)
-    else:
-        G = squarefree_excess(g)
-        if G.total_degree() == 1:
-            L = G
-        elif G.total_degree() == 2:
-            if all(G.derivative(i).is_zero() for i in range(3)):
-                L = frobenius_descent(G)
-            else:
-                L = squarefree_excess(G)
+    # strip g down to its repeated line: the excess gcd(g, partials) has
+    # lower degree, and with every partial zero (p = 3 and g a cube, or p = 2
+    # and a square) the form is a p-th power
+    L = nz.f
+    while L.total_degree() > 1:
+        if all(L.derivative(i).is_zero() for i in range(3)):
+            L = frobenius_descent(L)
         else:
-            raise AssertionError("unexpected repeated-part degree")
+            L = squarefree_excess(L)
     if L.total_degree() != 1:
         raise AssertionError("repeated factor is not a line")
     coeffs = tuple(L.coefficient(tuple(1 if i == j else 0 for j in range(3))) for i in range(3))
@@ -285,10 +268,7 @@ def _conic_tangent(nz: Normalizer, b0, b1, b2) -> NormalizationOutcome:
     else:
         d = (one, zero)
     # send the tangency point [0 : d0 : d1] to [0:0:1] fixing the line x=0
-    if not d[0].is_zero():
-        nz.yz_linear(zero, d[0], one, d[1])
-    else:
-        nz.yz_linear(one, d[0], zero, d[1])
+    nz.direction_to_z(*d)
     conic_now = divide_exact(nz.f, TriPoly.variable(nz.context, 0))
     if not (
         conic_now.coefficient((0, 0, 2)).is_zero()
@@ -496,11 +476,10 @@ def _solve_bivariate(nz: Normalizer, gens) -> List[Tuple[FieldElement, FieldElem
     dicts (rational zeros only over Q)."""
     ctx = nz.context
     ops = ctx.ops
-    mark = nz.mark()
 
     def roots(u: UniPoly) -> List[FieldElement]:
         found = nz.known_roots(u)
-        if nz.mark() != mark:
+        if nz.context != ctx:
             raise AssertionError("the field grew while solving for a singular point")
         return [r for r, _ in found]
 

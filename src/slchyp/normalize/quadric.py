@@ -135,7 +135,7 @@ def _normalize_char2(nz: Normalizer) -> None:
         # pure square: q = (sqrt(a) x + sqrt(b) y + sqrt(c) z)^2
         L = [quadratic_coefficient(nz.f, i, i).pth_root() for i in range(3)]
         nz.linear(matrix_mapping_form_to_var(L, 0, ctx))
-        assert nz.f == TriPoly.monomial(ctx, (2, 0, 0))
+        _expect(nz, [((2, 0, 0), 1)])
         return
     # radical of the alternating part: the kernel of its Gram matrix, which
     # is singular (alternating of odd size), is moved to [0:0:1]
@@ -143,7 +143,8 @@ def _normalize_char2(nz: Normalizer) -> None:
     nz.move_to_z(kernel([(zero, d, e), (d, zero, g), (e, g, zero)])[1])
     # now the bilinear part is c*xy and the square part is (rx+sy+tz)^2
     c = quadratic_coefficient(nz.f, 0, 1)
-    assert not c.is_zero() and all(quadratic_coefficient(nz.f, i, 2).is_zero() for i in (0, 1))
+    if c.is_zero() or not all(quadratic_coefficient(nz.f, i, 2).is_zero() for i in (0, 1)):
+        raise AssertionError("char-2 quadric radical is not at [0:0:1]")
     r, s, t = (quadratic_coefficient(nz.f, i, i).pth_root() for i in range(3))
     if not t.is_zero():
         ti = t.inverse()
@@ -156,13 +157,13 @@ def _normalize_char2(nz: Normalizer) -> None:
         nz.swap(0, 2)
         c = quadratic_coefficient(nz.f, 1, 2)
         nz.scale(1, c.inverse())
-        assert nz.f == TriPoly.from_int_terms(ctx, [((2, 0, 0), 1), ((0, 1, 1), 1)])
+        _expect(nz, [((2, 0, 0), 1), ((0, 1, 1), 1)])
         return
     if r.is_zero() and s.is_zero():
         nz.scale(0, c.inverse())
         # q = xy; y -> x + y turns it into x^2 + x*y
-        nz.linear(((one, zero, zero), (one, one, zero), (zero, zero, one)))
-        assert nz.f == TriPoly.from_int_terms(ctx, [((2, 0, 0), 1), ((1, 1, 0), 1)])
+        nz.pair_linear(0, 1, one, zero, one, one)
+        _expect(nz, [((2, 0, 0), 1), ((1, 1, 0), 1)])
         return
     if r.is_zero():
         nz.swap(0, 1)
@@ -170,13 +171,17 @@ def _normalize_char2(nz: Normalizer) -> None:
         c = quadratic_coefficient(nz.f, 0, 1)
     # q = c*xy + (rx+sy)^2 with r != 0: send rx+sy -> x
     ri = r.inverse()
-    nz.linear(((ri, s * ri, zero), (zero, one, zero), (zero, zero, one)))
+    nz.pair_linear(0, 1, ri, s * ri, zero, one)
     # q = x^2 + (c/r) xy + (cs/r) y^2; scale y to make the xy coefficient 1
-    cxy = quadratic_coefficient(nz.f, 0, 1)
-    nz.scale(1, cxy.inverse())
+    nz.scale(1, quadratic_coefficient(nz.f, 0, 1).inverse())
     v2 = quadratic_coefficient(nz.f, 1, 1)
     if not v2.is_zero():
         # kill the y^2 term with x -> x + w y, w^2 + w + v2 = 0
         w = nz.root_of(UniPoly.make(nz.context, [v2, nz.context.one(), nz.context.one()]))
         nz.shift(0, TriPoly.variable(nz.context, 1).scale(w))
-    assert nz.f == TriPoly.from_int_terms(nz.context, [((2, 0, 0), 1), ((1, 1, 0), 1)])
+    _expect(nz, [((2, 0, 0), 1), ((1, 1, 0), 1)])
+
+
+def _expect(nz: Normalizer, int_terms) -> None:
+    if nz.f != TriPoly.from_int_terms(nz.context, int_terms):
+        raise AssertionError(f"char-2 quadric normal form failed: {nz.f}")

@@ -17,7 +17,13 @@ from typing import Dict, Tuple
 
 from ..poly import TriPoly, Weight
 from ..unipoly import UniPoly
-from .auto import Normalizer, NormalizationOutcome, try_assignments
+from .auto import (
+    Normalizer,
+    NormalizationOutcome,
+    absorb_squares,
+    complete_square,
+    try_assignments,
+)
 from .binary import factor_binary, pair_change, single_change
 from .steps import W1, W2, _mono, _x2
 
@@ -66,28 +72,15 @@ def _q2_coeffs(nz: Normalizer):
 
 
 def _quartic_char2(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
-    ctx = nz.context
-    one = ctx.one()
     a1, a2, a3, *_ = _q2_coeffs(nz)
     # clear the x z^2 coefficient with a (y,z) change sending a projective
-    # zero of the x-part quadratic to the z direction
+    # zero of the x-part quadratic a2 y^2 + a1 yz + a3 z^2 to the z direction
     if not a3.is_zero():
-        # zero of Q = a2 y^2 + a1 yz + a3 z^2 in direction (t, 1): root of
-        # a2 t^2 + a1 t + a3
         if a2.is_zero():
-            direction = (one, ctx.zero())  # Q(1,0) = a2 = 0
+            nz.direction_to_z(nz.context.one(), nz.context.zero())
         else:
-            r = nz.root_of(UniPoly.make(ctx, [a3, a1, a2]))
-            direction = (r, nz.context.one())
-        ctx = nz.context
-        one = ctx.one()
-        d0, d1 = direction
-        # complete (d0, d1) as the z-image column
-        if not d0.is_zero():
-            m11, m21 = ctx.zero(), one
-        else:
-            m11, m21 = one, ctx.zero()
-        nz.yz_linear(m11, d0, m21, d1)
+            r = nz.root_of(UniPoly.make(nz.context, [a3, a1, a2]))
+            nz.direction_to_z(r, nz.context.one())
     a1, a2, a3, a4, *_ = _q2_coeffs(nz)
     if not a3.is_zero():
         raise AssertionError("xz^2 survived")
@@ -97,7 +90,7 @@ def _quartic_char2(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
         nz.shift(0, _mono(nz, (0, 2, 0), g))
     if _deep(nz):
         return "q:deep", {}
-    a1, a2, a3, a4, a5, a6, a7, a8 = _q2_coeffs(nz)
+    a1, a2, a3, a4, *_ = _q2_coeffs(nz)
     if not (a3.is_zero() and a4.is_zero()):
         raise AssertionError("char-2 quartic cleanup failed")
     if not a1.is_zero():
@@ -108,15 +101,12 @@ def _quartic_char2(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
 
 
 def _q2_elliptic(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
-    a1, a2, a3, a4, a5, a6, a7, a8 = _q2_coeffs(nz)
+    a2 = nz.f.coefficient((1, 2, 0))
     # make sure the y^3 z coefficient is nonzero, then scale it and xy^2 to 1
-    if a5.is_zero():
+    if nz.f.coefficient((0, 3, 1)).is_zero():
         nz.shift(0, _mono(nz, (0, 1, 1), a2.inverse()))
-        a1, a2, a3, a4, a5, a6, a7, a8 = _q2_coeffs(nz)
-    b2 = a2.inverse().pth_root()  # sqrt(1/a2)
-    nz.scale(1, b2)
-    a5 = nz.f.coefficient((0, 3, 1))
-    nz.scale(2, a5.inverse())
+    nz.scale(1, a2.inverse().pth_root())  # sqrt(1/a2)
+    nz.scale(2, nz.f.coefficient((0, 3, 1)).inverse())
     a1, a2, a3, a4, a5, a6, a7, a8 = _q2_coeffs(nz)
     if not (a2.is_one() and a5.is_one() and a1.is_zero() and a3.is_zero() and a4.is_zero()):
         raise AssertionError("char-2 elliptic form failed")
@@ -125,13 +115,7 @@ def _q2_elliptic(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
 
 def _q2_tail(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
     # a1 = a2 = 0: kill y^2z^2 and z^4 with x -> x + sqrt(a6) yz + sqrt(a8) z^2
-    a1, a2, a3, a4, a5, a6, a7, a8 = _q2_coeffs(nz)
-    addend = TriPoly.zero(nz.context)
-    if not a6.is_zero():
-        addend = addend + _mono(nz, (0, 1, 1), a6.pth_root())
-    if not a8.is_zero():
-        addend = addend + _mono(nz, (0, 0, 2), a8.pth_root())
-    nz.shift(0, addend)
+    absorb_squares(nz, [(0, 1, 1), (0, 0, 2)])
     if _deep(nz):
         return "q:deep", {}
     b3 = nz.f.coefficient((0, 3, 1))
@@ -143,12 +127,8 @@ def _q2_tail(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
         b3, b4 = nz.f.coefficient((0, 3, 1)), nz.f.coefficient((0, 1, 3))
     if not b4.is_zero():
         # yz(b3 y^2 + b4 z^2) = yz (sqrt(b3) y + sqrt(b4) z)^2: double the line
-        s3, s4 = b3.pth_root(), b4.pth_root()
-        one, zero = nz.context.one(), nz.context.zero()
-        nz.yz_linear(one, s4, zero, s3)
-        c5 = nz.f.coefficient((0, 2, 2))
-        if not c5.is_zero():
-            nz.shift(0, _mono(nz, (0, 1, 1), c5.pth_root()))
+        nz.pair_linear(1, 2, nz.context.one(), b4.pth_root(), nz.context.zero(), b3.pth_root())
+        absorb_squares(nz, [(0, 1, 1)])
     if _deep(nz):
         return "q:deep", {}
     e = nz.f.coefficient((0, 3, 1))
@@ -163,25 +143,10 @@ def _q2_tail(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
 
 
 def _quartic_odd(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
-    ctx = nz.context
-    half = ctx.from_int(2).inverse()
-    a1 = nz.f.coefficient((1, 1, 1))
-    a2 = nz.f.coefficient((1, 2, 0))
-    a3 = nz.f.coefficient((1, 0, 2))
-    if not (a1.is_zero() and a2.is_zero() and a3.is_zero()):
-        addend = (
-            _mono(nz, (0, 1, 1), a1) + _mono(nz, (0, 2, 0), a2) + _mono(nz, (0, 0, 2), a3)
-        ).scale(-half)
-        nz.shift(0, addend)
+    complete_square(nz, [(0, 1, 1), (0, 2, 0), (0, 0, 2)])
     if _deep(nz):
         return "q:deep", {}
-    C4 = _hpart(nz).in_w(W211)
-    if any(m[0] for m in C4.terms):
-        raise AssertionError("x-part survived the square completion")
-    unit, factors = factor_binary(nz, C4, 1, 2, 4)
-    factors = sorted(
-        factors, key=lambda fm: (-fm[1], tuple(c.sort_key() for c in fm[0]))
-    )
+    factors = factor_binary(nz, _hpart(nz).in_w(W211), 1, 2, 4)
     mults = [m for _, m in factors]
     if mults == [4]:
         single_change(nz, factors[0][0], 1, 2)
@@ -206,9 +171,7 @@ def _quartic_odd(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
         simples = [factors[1][0], factors[2][0]]
 
         def attempt_212(order):
-            La, Lb = order
-            pair_change(nz, L1, La, 1, 2)
-            mark = nz.mark()
+            pair_change(nz, L1, order[0], 1, 2)
             cy = nz.f.coefficient((0, 3, 1))   # c * alpha  on y^3 z
             cz = nz.f.coefficient((0, 2, 2))   # c * beta   on y^2 z^2
             if cy.is_zero() or cz.is_zero():
@@ -216,7 +179,7 @@ def _quartic_odd(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
             # scale (y, z) -> (g y, (cy/cz) g z) and pick g killing the unit
             ratio = cy / cz
             g = nz.nth_root_of((cy * ratio).inverse(), 4)
-            ratio = nz.embed_elt(ratio, mark)
+            ratio = nz.lift(ratio)
             nz.scale(1, g)
             nz.scale(2, ratio * g)
             _expect_tail(nz, [((0, 3, 1), 1), ((0, 2, 2), 1)])
@@ -239,19 +202,16 @@ def _quartic_odd(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
             + _mono(nz, (0, 1, 1), infm.coefficient((0, 2, 2)))
             + _mono(nz, (0, 0, 2), infm.coefficient((0, 1, 3)))
         )
-        mark0 = nz.mark()
-        _, fs2 = factor_binary(nz, q2poly, 1, 2, 2)
-        fs2 = sorted(fs2, key=lambda fm: tuple(c.sort_key() for c in fm[0]))
+        fs2 = factor_binary(nz, q2poly, 1, 2, 2)
         (a3c, b3c) = fs2[third][0]
         (a4c, b4c) = fs2[1 - third][0]
         if any(c.is_zero() for c in (a3c, b3c, a4c, b4c)):
             raise AssertionError("remaining lines are not in general position")
-        c_y3z = nz.embed_elt(infm.coefficient((0, 3, 1)), mark0)
-        mark1 = nz.mark()
+        c_y3z = nz.lift(infm.coefficient((0, 3, 1)))
         zeta = a3c / b3c
         # y^3 z picks up g^3 * (zeta * g) under y -> g y, z -> zeta g z
         g = nz.nth_root_of((c_y3z * zeta).inverse(), 4)
-        zeta = nz.embed_elt(zeta, mark1)
+        zeta = nz.lift(zeta)
         nz.scale(1, g)
         nz.scale(2, zeta * g)
         tail = _hpart(nz).in_w(W211)

@@ -15,7 +15,13 @@ from typing import Dict, Optional, Tuple
 from ..fields import FieldElement
 from ..poly import TriPoly, Weight
 from ..unipoly import UniPoly
-from .auto import Normalizer, NormalizationOutcome, try_assignments
+from .auto import (
+    Normalizer,
+    NormalizationOutcome,
+    absorb_squares,
+    complete_square,
+    try_assignments,
+)
 from .binary import factor_binary, pair_change, single_change
 
 W1 = Weight(1, 1, 1)
@@ -57,45 +63,27 @@ def _mono(nz: Normalizer, m, c: Optional[FieldElement] = None) -> TriPoly:
 
 
 def stage_w2(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
-    ctx = nz.context
-    inf = nz.f.in_w(W2)
-    C = inf - _x2(ctx)
+    C = nz.f.in_w(W2) - _x2(nz.context)
     if C.is_zero():
         return "w2:quartic", {}
-    unit, factors = factor_binary(nz, C, 1, 2, 3)
-    factors = sorted(
-        factors, key=lambda fm: (-fm[1], tuple(c.sort_key() for c in fm[0]))
-    )
-    mults = sorted((m for _, m in factors), reverse=True)
+    factors = factor_binary(nz, C, 1, 2, 3)
+    mults = [m for _, m in factors]
     if mults == [3]:
         single_change(nz, factors[0][0], 1, 2)
         c = nz.f.in_w(W2).coefficient((0, 3, 0))
-        gamma = nz.nth_root_of(c.inverse(), 3)
-        nz.scale(1, gamma)
+        nz.scale(1, nz.nth_root_of(c.inverse(), 3))
         if nz.f.in_w(W2) != _x2y3(nz.context):
             raise AssertionError("triple-line normalization failed")
         return "w2:y3", {}
-    if mults == [2, 1]:
-        pair_change(nz, factors[0][0], factors[1][0], 1, 2)
-        c = nz.f.in_w(W2).coefficient((0, 2, 1))
-        nz.scale(2, c.inverse())
-        expected = _x2(nz.context) + _mono(nz, (0, 2, 1))
-        if nz.f.in_w(W2) != expected:
-            raise AssertionError("double-line normalization failed")
-        return "w2:y2z", {}
-    # three distinct lines
+    # a double and a simple line, or three distinct lines: y^2 z (+ a y z^2)
     pair_change(nz, factors[0][0], factors[1][0], 1, 2)
-    inf2 = nz.f.in_w(W2)
-    cu = inf2.coefficient((0, 2, 1))
-    cv = inf2.coefficient((0, 1, 2))
-    s = (cu).inverse()
-    nz.scale(2, s)
-    inf3 = nz.f.in_w(W2)
-    a = inf3.coefficient((0, 1, 2))
+    nz.scale(2, nz.f.in_w(W2).coefficient((0, 2, 1)).inverse())
+    inf = nz.f.in_w(W2)
+    a = inf.coefficient((0, 1, 2))
     expected = _x2(nz.context) + _mono(nz, (0, 2, 1)) + _mono(nz, (0, 1, 2), a)
-    if inf3 != expected or a.is_zero():
-        raise AssertionError("distinct-lines normalization failed")
-    return "w2:yz-distinct", {"a": a}
+    if inf != expected or a.is_zero() != (mults == [2, 1]):
+        raise AssertionError("cubic-tail line normalization failed")
+    return ("w2:y2z", {}) if a.is_zero() else ("w2:yz-distinct", {"a": a})
 
 
 # ---------------------------------------------------------------------------
@@ -112,47 +100,31 @@ def stage_w3(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
         nz.shift(0, _mono(nz, (0, 0, 2), b))
     if not nz.f.coefficient((0, 0, 4)).is_zero():
         raise AssertionError("z^4 survived the square completion")
-    c = nz.f.coefficient((1, 0, 2))
-    if c.is_zero():
-        assert_chain(nz, 3)
-        return "w3:pass", {}
-    d = nz.nth_root_of(c.inverse(), 2)
-    nz.scale(2, d)
-    expected = _x2y3(nz.context) + _mono(nz, (1, 0, 2))
-    if nz.f.in_w(W3) != expected:
-        raise AssertionError("stage-3 normal form failed")
-    assert_chain(nz, 2)
-    return "w3:rdp-xz2", {}
+    return _rdp_tail(nz, 3, (1, 0, 2), "w3:rdp-xz2")
 
 
 def stage_w4(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
     assert_chain(nz, 3)
-    a = nz.f.coefficient((0, 1, 3))
-    if a.is_zero():
-        assert_chain(nz, 4)
-        return "w4:pass", {}
-    b = nz.nth_root_of(a.inverse(), 3)
-    nz.scale(2, b)
-    expected = _x2y3(nz.context) + _mono(nz, (0, 1, 3))
-    if nz.f.in_w(W4) != expected:
-        raise AssertionError("stage-4 normal form failed")
-    assert_chain(nz, 3)
-    return "w4:rdp-yz3", {}
+    return _rdp_tail(nz, 4, (0, 1, 3), "w4:rdp-yz3")
 
 
 def stage_w5(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
     assert_chain(nz, 4)
-    a = nz.f.coefficient((0, 0, 5))
-    if a.is_zero():
-        assert_chain(nz, 5)
-        return "w5:pass", {}
-    b = nz.nth_root_of(a.inverse(), 5)
-    nz.scale(2, b)
-    expected = _x2y3(nz.context) + _mono(nz, (0, 0, 5))
-    if nz.f.in_w(W5) != expected:
-        raise AssertionError("stage-5 normal form failed")
-    assert_chain(nz, 4)
-    return "w5:rdp-z5", {}
+    return _rdp_tail(nz, 5, (0, 0, 5), "w5:rdp-z5")
+
+
+def _rdp_tail(nz: Normalizer, k: int, mono, label: str) -> Tuple[str, Dict[str, object]]:
+    """Stage k with the tail monomial `mono` (z^e times x or y or 1): scale z
+    so its coefficient is one and return `label`, or pass when it is zero."""
+    c = nz.f.coefficient(mono)
+    if c.is_zero():
+        assert_chain(nz, k)
+        return f"w{k}:pass", {}
+    nz.scale(2, nz.nth_root_of(c.inverse(), mono[2]))
+    if nz.f.in_w(CHAIN_WEIGHTS[k - 2]) != _x2y3(nz.context) + _mono(nz, mono):
+        raise AssertionError(f"stage-{k} normal form failed")
+    assert_chain(nz, k - 1)
+    return label, {}
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +150,14 @@ def stage_w6(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
 
 
 def _stage_w6_char2(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
-    ctx = nz.context
-    a1, a2, a3, a4, a5 = _w6_coeffs(nz)
+    a1, a2, _, a4, _ = _w6_coeffs(nz)
     if not a1.is_zero():
         return "w6:fpure", {}
+    if not a4.is_zero():
+        nz.shift(1, _mono(nz, (0, 0, 2), a4.pth_root()))
     if not a2.is_zero():
-        if not a4.is_zero():
-            nz.shift(1, _mono(nz, (0, 0, 2), a4.pth_root()))
-        _, _, a3p, a4p, _ = _w6_coeffs(nz)
-        if not a4p.is_zero():
-            raise AssertionError("yz^4 survived")
-        c = nz.root_of(UniPoly.make(nz.context, [a3p, a2, nz.context.one()]))
+        a3 = nz.f.coefficient((0, 0, 6))
+        c = nz.root_of(UniPoly.make(nz.context, [a3, a2, nz.context.one()]))
         nz.shift(0, _mono(nz, (0, 0, 3), c))
         b1, b2, b3, b4, d = _w6_coeffs(nz)
         if not (b1.is_zero() and b3.is_zero() and b4.is_zero()):
@@ -196,15 +165,7 @@ def _stage_w6_char2(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
         assert_chain(nz, 5)
         return "w6:elliptic", {"xz3": b2, "y2z2": d}
     # a1 = a2 = 0: clean everything
-    if not a4.is_zero():
-        nz.shift(1, _mono(nz, (0, 0, 2), a4.pth_root()))
-    _, _, a3p, a4p, a5p = _w6_coeffs(nz)
-    addend = TriPoly.zero(ctx)
-    if not a3p.is_zero():
-        addend = addend + _mono(nz, (0, 0, 3), a3p.pth_root())
-    if not a5p.is_zero():
-        addend = addend + _mono(nz, (0, 1, 1), a5p.pth_root())
-    nz.shift(0, addend)
+    absorb_squares(nz, [(0, 0, 3), (0, 1, 1)])
     if nz.f.in_w(W6) != _x2y3(nz.context):
         raise AssertionError("char-2 stage-6 cleanup failed")
     assert_chain(nz, 5)
@@ -213,14 +174,8 @@ def _stage_w6_char2(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
 
 def _stage_w6_odd(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
     ctx = nz.context
-    a1, a2, a3, a4, a5 = _w6_coeffs(nz)
-    half = ctx.from_int(2).inverse()
-    if not (a1.is_zero() and a2.is_zero()):
-        addend = (_mono(nz, (0, 1, 1), a1) + _mono(nz, (0, 0, 3), a2)).scale(-half)
-        nz.shift(0, addend)
-    b1, b2, a3, a4, a5 = _w6_coeffs(nz)
-    if not (b1.is_zero() and b2.is_zero()):
-        raise AssertionError("x-terms survived the square completion")
+    complete_square(nz, [(0, 1, 1), (0, 0, 3)])
+    _, _, a3, a4, a5 = _w6_coeffs(nz)
     if not (a3.is_zero() and a4.is_zero() and a5.is_zero()):
         cubic = UniPoly.make(ctx, [a3, a4, a5, ctx.one()])
         c = nz.root_of(cubic)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .fields import FieldContext
-from .poly import TriPoly
+from .poly import TriPoly, _accumulate
 
 _VARS = {"x": 0, "y": 1, "z": 2}
 
@@ -89,15 +89,17 @@ class _Parser:
         raise PolySyntaxError(t.pos, (op,), t.text or "end of input")
 
     def parse_expr(self) -> TriPoly:
-        acc = self.parse_term()
+        # the terms are summed into one dict, in the order successive + gives
+        terms = dict(self.parse_term().terms)
         while True:
             t = self.peek()
             if t.kind == "op" and t.text in "+-":
                 self.advance()
                 rhs = self.parse_term()
-                acc = acc + rhs if t.text == "+" else acc - rhs
+                rhs = rhs if t.text == "+" else -rhs
+                _accumulate(terms, rhs.terms.items(), self.context)
             else:
-                return acc
+                return TriPoly(self.context, terms)
 
     def parse_term(self) -> TriPoly:
         acc = self.parse_factor()

@@ -477,17 +477,8 @@ def is_squarefree(f: TriPoly) -> bool:
             return False  # v still divides the quotient
     if f.context.is_rational and _squarefree_modular_screen(f):
         return True
-    partials = [f.derivative(i) for i in range(3)]
-    nonzero = [d for d in partials if not d.is_zero()]
-    if not nonzero:
-        # char 0: impossible for nonconstant f; char p: f = g^p
-        return False
-    g = f
-    for d in nonzero:
-        g = tri_gcd(g, d)
-        if g.total_degree() == 0:
-            return True
-    return g.total_degree() == 0
+    # with every partial zero (f = g^p in characteristic p) the excess is f
+    return squarefree_excess(f).total_degree() == 0
 
 
 _SCREEN_PRIMES = (10007, 10009, 10037, 10039, 10061)
@@ -513,15 +504,16 @@ def _squarefree_modular_screen(f: TriPoly) -> bool:
 
 
 def squarefree_excess(f: TriPoly) -> TriPoly:
-    """gcd(f, nonzero partials): constant iff f squarefree; otherwise carries
-    the repeated part (used to extract repeated lines from cubic cones)."""
-    partials = [f.derivative(i) for i in range(3)]
-    nonzero = [d for d in partials if not d.is_zero()]
-    if not nonzero:
-        return f
+    """gcd(f, nonzero partials), or f when every partial vanishes: constant
+    iff f squarefree (the gcd chain stops at the first constant); otherwise
+    carries the repeated part (used to extract repeated lines from cubic
+    cones)."""
     g = f
-    for d in nonzero:
-        g = tri_gcd(g, d)
+    for d in (f.derivative(i) for i in range(3)):
+        if not d.is_zero():
+            g = tri_gcd(g, d)
+            if g.total_degree() == 0:
+                break
     return g
 
 

@@ -1,4 +1,6 @@
+import ast
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -419,3 +421,16 @@ def test_kernel_on_seeded_matrices(p):
         _check_kernel(m, elements)
         ranks.add(kernel(m)[0])
     assert ranks >= {1, 2, 3}
+
+
+def test_no_assert_statement_in_the_package():
+    # normal-form checks raise AssertionError explicitly, so they still run
+    # under `python -O`, which strips assert statements
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "slchyp"
+    found = [
+        f"{path.relative_to(src)}:{node.lineno}"
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
