@@ -21,7 +21,7 @@ from .parse import PolySyntaxError, parse_poly
 from .poly import Monomial, NonLocalSubstitution, TriPoly, Weight, is_squarefree
 from .unipoly import UniPoly, find_roots, nth_root
 from .toricdiv import DiscrepancyReport, ToricDivisor, discrepancy, witness_search
-from .frobenius import CharZero, FPurityCertificate, fedder_is_fpure, lc_from_fpure
+from .frobenius import CharZero, FPurityCertificate, fedder_is_fpure
 from .normalize import (
     Automorphism,
     NormalizationOutcome,
@@ -95,7 +95,6 @@ __all__ = [
     "find_roots",
     "ideal_height",
     "is_squarefree",
-    "lc_from_fpure",
     "mld_profile",
     "normalize_quadric",
     "normalize_quartic_211",

@@ -8,7 +8,8 @@ terminal branches carry one of finitely many witness weights.
 
 The tree code only chooses a terminal label.  Each label is one entry of the
 BRANCHES table: its mld, witness weight, initial weight and certificate
-recipe.  `slchyp verify` checks reports against the same table.
+recipe.  `build_verdict` reads the verdict off that entry; `slchyp verify`
+rebuilds a report's verdict through it and `settle_slc`.
 
 Verdicts are certificate-shaped: nonnegative mld values come from an
 F-purity witness, a simple-elliptic or rational-double-point identification,
@@ -305,14 +306,30 @@ NEXT_STAGE = {
 }
 
 
-def _choose_branch(nz: Normalizer, trace: List[str]) -> Tuple[str, dict]:
-    """Walk the tree on nz, appending each label to trace; return the
-    terminal label and the parameters its certificate details quote."""
+def is_tree_path(path, o: int) -> bool:
+    """Whether path is a walk of the tree for an f of multiplicity o, label by
+    label: the multiplicity, then the cone or quadric stage, each pass label
+    of NEXT_STAGE followed by a label of the stage it enters, and a terminal
+    label last."""
+    if o not in (2, 3):
+        return path == [order_label(o)]
+    if len(path) < 2 or path[0] != f"multiplicity={o}":
+        return False
+    stage = "cone" if o == 3 else "quadric"
+    for label in path[1:-1]:
+        if not label.startswith(stage + ":") or label not in NEXT_STAGE:
+            return False
+        stage = NEXT_STAGE[label]
+    return path[-1].startswith(stage + ":") and terminal_branch(path[-1]) is not None
+
+
+def _choose_branch(nz: Normalizer, trace: List[str]) -> dict:
+    """Walk the tree on nz, appending each label to trace, the terminal label
+    last; return the parameters its certificate details quote."""
     o = nz.f.ord_w(W1)
     if o <= 1 or o >= 4:
-        label = order_label(o)
-        trace.append(label)
-        return label, {"o": o}
+        trace.append(order_label(o))
+        return {"o": o}
     trace.append(f"multiplicity={o}")
     # normalize the cubic cone or the quadric and replay it on the full f
     outcome = (classify_cubic_cone if o == 3 else normalize_quadric)(nz.f.in_w(W1))
@@ -328,21 +345,18 @@ def _choose_branch(nz: Normalizer, trace: List[str]) -> Tuple[str, dict]:
     while terminal_branch(label) is None:
         label, params = stages[NEXT_STAGE[label]](nz)
         trace.append(label)
-    return label, params
+    return params
 
 
-def classify_mld(f: TriPoly, char: Optional[int] = None) -> Verdict:
-    """Full classification of mld(0; Spec k[[x,y,z]], (f))."""
-    if f.is_zero():
-        raise ZeroPolynomial("cannot classify the zero polynomial")
-    if char is not None and char != f.context.characteristic:
-        raise ValueError("char argument disagrees with the coefficient field")
-    nz = Normalizer(f)
-    trace: List[str] = []
-    label, params = _choose_branch(nz, trace)
-    branch = terminal_branch(label)
+def build_verdict(f: TriPoly, auto: Automorphism, trace: List[str], params,
+                  extension_degree: int) -> Verdict:
+    """The verdict of the table entry that ends trace, read off f, the
+    polynomial auto made, over f's field; params fill the certificate
+    details.  classify_mld builds every verdict here, and `slchyp verify`
+    rebuilds the claimed one here from a report."""
+    branch = terminal_branch(trace[-1])
     iw = branch.initial_weight
-    initial_form = nz.f.in_w(iw)
+    initial_form = f.in_w(iw)
     rep = discrepancy(initial_form, branch.witness)
     wit = DiscrepancyReport(rep.divisor, rep.ord, rep.a, branch.computes_mld)
     if branch.mld is None:
@@ -357,30 +371,47 @@ def classify_mld(f: TriPoly, char: Optional[int] = None) -> Verdict:
         mld=mld,
         slc=None,
         witness=wit,
-        automorphism=Automorphism(tuple(nz.steps)),
+        automorphism=auto,
         initial_form=initial_form,
         initial_weight=iw,
         branch_trace=trace,
         certificates=branch.certificates(f.context.characteristic, initial_form, params),
-        field_extension_used=nz.extension_degree_over_base,
-        context=nz.context,
-        transformed=nz.f,
+        field_extension_used=extension_degree,
+        context=f.context,
+        transformed=f,
     )
 
 
-def classify_slc(f: TriPoly, char: Optional[int] = None) -> Verdict:
-    """Semi-log canonicity of Spec k[[x,y,z]]/(f) at the origin."""
+def classify_mld(f: TriPoly, char: Optional[int] = None) -> Verdict:
+    """Full classification of mld(0; Spec k[[x,y,z]], (f))."""
     if f.is_zero():
         raise ZeroPolynomial("cannot classify the zero polynomial")
+    if char is not None and char != f.context.characteristic:
+        raise ValueError("char argument disagrees with the coefficient field")
+    nz = Normalizer(f)
+    trace: List[str] = []
+    params = _choose_branch(nz, trace)
+    return build_verdict(nz.f, Automorphism(tuple(nz.steps)), trace, params,
+                         nz.extension_degree_over_base)
+
+
+def settle_slc(f: TriPoly, verdict: Verdict) -> Verdict:
+    """Fill in the slc claim of f's mld verdict: not applicable to a
+    non-reduced f, whose trace then ends in "non-reduced", and otherwise
+    true exactly when the mld is finite."""
     if not f.coefficient((0, 0, 0)).is_zero():
         raise ValueError("slc classification needs f in the maximal ideal")
-    verdict = classify_mld(f, char)
     if not is_squarefree(f):
         verdict.slc = SLC_NOT_APPLICABLE
         verdict.branch_trace.append("non-reduced")
     else:
         verdict.slc = not verdict.mld.is_neg_infinity
     return verdict
+
+
+def classify_slc(f: TriPoly, char: Optional[int] = None) -> Verdict:
+    """Semi-log canonicity of Spec k[[x,y,z]]/(f) at the origin."""
+    return settle_slc(f, classify_mld(f, char))
 
 
 # ---------------------------------------------------------------------------

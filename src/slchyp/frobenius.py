@@ -55,9 +55,3 @@ def fedder_is_fpure(f: TriPoly) -> FPurityCertificate:
     power = f ** (p - 1)
     witness = monomial_outside_pth_powers(power, p)
     return FPurityCertificate(witness is not None, p, witness)
-
-
-def lc_from_fpure(cert: FPurityCertificate) -> bool:
-    """F-pure implies log canonical at the origin.  False only means
-    "no certificate": the implication is one-way."""
-    return cert.is_fpure

@@ -242,9 +242,6 @@ class Automorphism:
             f = s.apply(f)
         return f
 
-    def map_context(self, emb: FieldEmbedding) -> "Automorphism":
-        return Automorphism(tuple(s.map_context(emb) for s in self.steps))
-
     def to_json(self):
         return [s.to_json() for s in self.steps]
 

@@ -119,13 +119,6 @@ def test_exit_code_oracle_overflow(monkeypatch):
     assert code == 4
 
 
-def test_deprecated_strict_q_is_accepted_and_ignored():
-    plain = run_cli("mld", "--char", "0", "--poly", "x^2+y^3")
-    strict = run_cli("mld", "--char", "0", "--poly", "x^2+y^3", "--strict-q")
-    assert plain.returncode == strict.returncode == 0
-    assert plain.stdout == strict.stdout
-
-
 def test_byte_identical_repeated_invocations():
     a = run_cli("slc", "--char", "3", "--poly", "x*y*z").stdout
     b = run_cli("slc", "--char", "3", "--poly", "x*y*z").stdout
@@ -393,11 +386,8 @@ def _semantic(path):
         path[:2] == ("verdict", "certificates") and path[-1] == "detail")
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_INVOCATIONS))
-def test_verify_rejects_every_perturbed_leaf(capsys, tmp_path, name):
-    # a bool flipped, an int +1, a string suffixed or a null made 0 anywhere
-    # in a golden report is a false claim, so verify must exit 1
-    report = json.loads((GOLDEN / name).read_text())
+def _accepted_perturbations(capsys, tmp_path, report):
+    """The semantic leaves of report whose perturbation verify accepts."""
     leaves = [path for path, _ in _leaves(report) if _semantic(path)]
     assert len(leaves) > 20
     accepted = []
@@ -410,7 +400,61 @@ def test_verify_rejects_every_perturbed_leaf(capsys, tmp_path, name):
         code, out = _verify_in_process(capsys, edited, tmp_path)
         if code != 1 or out["verified"] is not False:
             accepted.append(path)
-    assert accepted == []
+    return accepted
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_INVOCATIONS))
+def test_verify_rejects_every_perturbed_leaf(capsys, tmp_path, name):
+    # a bool flipped, an int +1, a string suffixed or a null made 0 anywhere
+    # in a golden report is a false claim, so verify must exit 1
+    report = json.loads((GOLDEN / name).read_text())
+    assert _accepted_perturbations(capsys, tmp_path, report) == []
+
+
+# fresh reports through field extensions, scale and rescale steps, the char-2
+# quadric cleanup, a cubic cone over Q and a non-reduced slc verdict
+FRESH_REPORTS = [
+    ("mld", 7, "3*x^2+y^3+2*z^5"),  # F_{7^3}
+    ("mld", 5, "x^2+y^3+x*z^3"),  # F_{5^4}
+    ("mld", 3, "x^2+y^3+y*z^4+2*x*z^3"),  # F_{3^2}
+    ("mld", 0, "y^2*z+x^3"),
+    ("slc", 2, "x^2+x*z^2+x*y^2+y^3*z"),
+    ("slc", 0, "x^2*y"),
+]
+
+
+@pytest.mark.parametrize("command,char,poly", FRESH_REPORTS)
+def test_verify_rejects_perturbed_leaves_of_fresh_reports(capsys, tmp_path, command, char,
+                                                          poly):
+    # automorphism leaves are exempt: a perturbed unit, matrix entry or shift
+    # coefficient can be another invertible automorphism that gives the same
+    # initial form, which is a true certificate (one such leaf over F_{5^4},
+    # three over F_{3^2} and two in the char-2 report); every other leaf is
+    # a claim verify rebuilds
+    report = _report(capsys, command, char, poly)
+    assert _verify_in_process(capsys, report, tmp_path) == (0, {"verified": True})
+    accepted = _accepted_perturbations(capsys, tmp_path, report)
+    assert [path for path in accepted if path[:2] != ("verdict", "automorphism")] == []
+
+
+def test_verify_rejects_an_unknown_verdict_key(capsys, tmp_path):
+    report = _report(capsys, "mld", 7, "3*x^2+y^3+2*z^5")
+    report["verdict"]["note"] = 1
+    code, out = _verify_in_process(capsys, report, tmp_path)
+    assert code == 1 and out["verified"] is False
+    assert out["error"].startswith("verdict.note ")
+
+
+def test_verify_rejects_a_non_canonical_field_element(capsys, tmp_path):
+    # 12 is 5 in F_7, so the rescale unit [12, 0, 0] names the same element of
+    # F_{7^3} as the canonical [5, 0, 0], but it is not how a report writes it
+    report = _report(capsys, "mld", 7, "3*x^2+y^3+2*z^5")
+    steps = report["verdict"]["automorphism"]
+    assert steps[0] == {"kind": "unit_rescale", "unit": [5, 0, 0]}
+    steps[0]["unit"] = [12, 0, 0]
+    code, out = _verify_in_process(capsys, report, tmp_path)
+    assert code == 1 and out["verified"] is False
+    assert out["error"].startswith("verdict.automorphism ")
 
 
 @pytest.mark.parametrize("bound", ["100000", "0", "-3"])

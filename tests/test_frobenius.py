@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from conftest import ctx_for, poly, random_poly
 
-from slchyp import CharZero, TriPoly, fedder_is_fpure, lc_from_fpure
+from slchyp import CharZero, TriPoly, fedder_is_fpure
 from slchyp.frobenius import monomial_outside_pth_powers
 
 
@@ -52,11 +52,6 @@ def test_char_zero_raises():
 def test_unit_required_to_vanish():
     with pytest.raises(ValueError):
         fedder_is_fpure(poly("1+x", 2))
-
-
-def test_lc_from_fpure_is_one_way():
-    assert lc_from_fpure(fedder_is_fpure(poly("x*y*z", 3)))
-    assert not lc_from_fpure(fedder_is_fpure(poly("x^2+y^3", 3)))
 
 
 def test_acceptance_suite_models():
