@@ -13,10 +13,10 @@ binary operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Tuple, Union
 
-from .fields import FieldContext
-from .poly import TriPoly, _accumulate
+from .fields import FieldContext, Payload
+from .poly import Monomial, TriPoly, _accumulate
 
 _VARS = {"x": 0, "y": 1, "z": 2}
 
@@ -102,16 +102,35 @@ class _Parser:
                 return TriPoly(self.context, terms)
 
     def parse_term(self) -> TriPoly:
-        acc = self.parse_factor()
+        # integers, fractions and variables gather into one monomial and one
+        # scalar; only parenthesized factors are multiplied as polynomials
+        ctx = self.context
+        mul = ctx.ops.mul
+        exps, scalar = (0, 0, 0), ctx.ops.one
+        product = None  # of the parenthesized factors, in their order
         while True:
-            t = self.peek()
-            if t.kind == "op" and t.text == "*":
-                self.advance()
-                acc = acc * self.parse_factor()
+            factor = self.parse_factor()
+            if isinstance(factor, TriPoly):
+                product = factor if product is None else product * factor
             else:
-                return acc
+                m, c = factor
+                exps = (exps[0] + m[0], exps[1] + m[1], exps[2] + m[2])
+                scalar = mul(scalar, c)
+            t = self.peek()
+            if t.kind != "op" or t.text != "*":
+                break
+            self.advance()
+        if scalar == ctx._zero_payload:
+            return TriPoly.zero(ctx)
+        if product is None:
+            return TriPoly(ctx, {exps: scalar})
+        a, b, c = exps
+        return TriPoly(ctx, {(m[0] + a, m[1] + b, m[2] + c): mul(v, scalar)
+                             for m, v in product.terms.items()})
 
-    def parse_factor(self) -> TriPoly:
+    def parse_factor(self) -> Union[TriPoly, Tuple[Monomial, Payload]]:
+        """A parenthesized factor as a TriPoly, any other as its monomial
+        and the payload of its coefficient."""
         t = self.peek()
         if t.kind == "int":
             self.advance()
@@ -126,7 +145,7 @@ class _Parser:
                 elt = self.context.from_fraction(num, int(d.text))
             else:
                 elt = self.context.from_int(num)
-            return TriPoly.constant(elt) if not elt.is_zero() else TriPoly.zero(self.context)
+            return (0, 0, 0), elt.payload
         if t.kind == "var":
             self.advance()
             exponent = 1
@@ -140,7 +159,7 @@ class _Parser:
                 exponent = int(e.text)
             m = [0, 0, 0]
             m[_VARS[t.text]] = exponent
-            return TriPoly.monomial(self.context, tuple(m))
+            return tuple(m), self.context.ops.one
         if t.kind == "op" and t.text == "(":
             self.advance()
             inner = self.parse_expr()

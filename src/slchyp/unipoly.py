@@ -23,17 +23,23 @@ Finite-field root finding is one pass: the squarefree part of g, the
 degrees of its irreducible factors, and, when the field may grow, the
 extension of degree their lcm, where equal-degree splitting
 (Cantor-Zassenhaus) takes the squarefree part apart with no further root
-search.  Extension moduli come from canonical_irreducible here: Serret's
-criterion decides the binomials t^d + c in closed form, and Ben-Or's test on
-UniPoly the candidates after them.  A root's multiplicity is found by
+search.  Over a field of odd order a quadratic, whether g itself or a piece
+of a split, is solved in closed form instead: (-b +- sqrt(D)) / 2a, the
+square root one power when q = 3 mod 4 and Tonelli-Shanks otherwise, with a
+non-residue found once per field.  Cantor-Zassenhaus handles the pieces of
+degree 3 and more, and every piece in characteristic 2.  Extension moduli
+come from canonical_irreducible here: Serret's criterion decides the
+binomials t^d + c in closed form, and Ben-Or's test on UniPoly the
+candidates after them.  A root's multiplicity is found by
 repeated synthetic division by t - r.
 
 Everything is deterministic.  Root lists are sorted by the canonical element
 order (lexicographic on coefficient vectors; (|x|, sign) over Q), whatever
 order equal-degree splitting finds the roots in.  Splitting draws its
 candidate elements from a fixed-seed pseudo-random sequence and falls back to
-the canonical element scan, and new moduli come from a fixed enumeration of
-irreducibles.
+the canonical element scan, a field's non-residue is the first of those
+candidates that is not a square, and new moduli come from a fixed enumeration
+of irreducibles.
 """
 
 from __future__ import annotations
@@ -42,18 +48,20 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .fields import (
     FieldContext,
     FieldElement,
     FieldEmbedding,
     NeedsAlgebraicExtension,
+    Payload,
     Payloads,
     _check,
     extension_field,
     identity_embedding,
     is_prime,
+    payload_power,
     prime_field,
     reduction_rows,
 )
@@ -592,6 +600,8 @@ def _roots_in_field(sf: UniPoly) -> List:
     if q <= EXHAUSTIVE_ROOT_LIMIT:
         return [e.payload for e in ctx.elements()
                 if _value(sf.cs, e.payload, ops) == ops.zero]
+    if sf.degree() == 2 and q % 2:
+        return sorted(_quadratic_roots(sf) or [])
     # gcd with t^q - t isolates the rational-point part, then split
     t = UniPoly.x(ctx)
     frob = t.pow_mod(q, sf)
@@ -603,28 +613,108 @@ def _split_linear(w: UniPoly) -> List:
     """Split a product of distinct monic linear factors into the payloads of
     its roots.
 
-    Equal-degree splitting (Cantor-Zassenhaus): each factor is split by a gcd
-    with a polynomial built from a field element c, namely (t+c)^((q-1)/2) - 1
-    for odd q and the trace Tr(c t) for q = 2^n.  The elements c come from a
-    fixed-seed pseudo-random sequence over the whole field, which separates
-    any two roots with probability about 1/2 per try; after SPLIT_RANDOM_TRIES
-    failures on one factor the canonical element scan takes over, so splitting
-    always terminates.  The roots come back in no particular order; callers
-    sort them, so root order is canonical whatever order the splits happen in.
-    Payloads of F_q sort in the canonical element order.
+    Over a field of odd order a quadratic piece, and w itself when it is
+    one, is taken apart in closed form by _quadratic_roots.  Every other
+    piece of degree two or more is split by equal-degree splitting
+    (Cantor-Zassenhaus, _split_once), and its factors go back on the list.
+    The roots come back in no particular order; callers sort them, so root
+    order is canonical whatever order the splits happen in.  Payloads of F_q
+    sort in the canonical element order.
     """
     rng = random.Random(SPLIT_SEED)
-    ops = w.context.ops
+    ctx = w.context
+    ops = ctx.ops
+    odd = ctx.characteristic != 2
     roots: List = []
     pending = [w]
     while pending:
         w = pending.pop()
         if w.degree() == 1:
             roots.append(ops.neg(_monic(w.cs, ops)[0]))
+        elif w.degree() == 2 and odd:
+            pair = _quadratic_roots(w)
+            if pair is None:
+                raise RuntimeError("a split quadratic has no roots")  # unreachable
+            roots += pair
         elif w.degree() > 1:
             h = _split_once(w, rng)
             pending += [h, w // h]
     return roots
+
+
+def _quadratic_roots(w: UniPoly) -> Optional[List]:
+    """The payloads (-b +- sqrt(D)) / 2a of the roots of the squarefree
+    quadratic a t^2 + b t + c over a field of odd order, D = b^2 - 4ac; None
+    when D is not a square, so that the roots lie outside the field."""
+    ops = w.context.ops
+    c, b, a = w.cs
+    four_ac = ops.mul(ops.from_int(4), ops.mul(a, c))
+    root = _square_root(w.context, ops.sub(ops.mul(b, b), four_ac))
+    if root is None:
+        return None
+    neg_b, inv = ops.neg(b), ops.inverse(ops.mul(ops.from_int(2), a))
+    return [ops.mul(ops.add(neg_b, root), inv), ops.mul(ops.sub(neg_b, root), inv)]
+
+
+def _square_root(ctx: FieldContext, a: Payload) -> Optional[Payload]:
+    """A payload r with r^2 = a in F_q, q odd, or None when a is not a square.
+
+    q = 3 mod 4: r = a^((q+1)/4), one power, then checked.  Otherwise
+    Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 1.5.1): with q - 1 = 2^s m, m odd, and z = n^m for the
+    field's non-residue n, z generates the 2-Sylow subgroup of F_q^*.
+    Start from x = a^((m+1)/2), b = a^m and r = s, so that x^2 = a b, and
+    z has order 2^r.  While b != 1, let 2^i be its order: i = r only at the
+    start, when a is not a square.  Otherwise x, b, z, r become x y, b y^2,
+    y^2, i for y = z^(2^(r-i-1)), which keeps x^2 = a b and lowers the order
+    of b, so at b = 1 x is the root."""
+    ops = ctx.ops
+    if a == ops.zero:
+        return a
+    q = ctx.order()
+    if q % 4 == 3:
+        x = payload_power(ops, a, (q + 1) // 4)
+        return x if ops.mul(x, x) == a else None
+    mul, one = ops.mul, ops.one
+    r = ((q - 1) & (1 - q)).bit_length() - 1
+    m = (q - 1) >> r
+    z = payload_power(ops, _nonresidue(ctx), m)
+    w = payload_power(ops, a, m // 2)  # a^((m-1)/2)
+    x = mul(a, w)
+    b = mul(x, w)
+    while b != one:
+        i, c = 0, b
+        while c != one:
+            c = mul(c, c)
+            i += 1
+        if i == r:
+            return None
+        y = z
+        for _ in range(r - i - 1):
+            y = mul(y, y)
+        x, z = mul(x, y), mul(y, y)
+        b, r = mul(b, z), i
+    return x
+
+
+# the non-residue of each field of order q = 1 mod 4 that _square_root has
+# needed, keyed by the field's shared context (a memo: it never changes)
+_NONRESIDUES: Dict[FieldContext, Payload] = {}
+
+
+def _nonresidue(ctx: FieldContext) -> Payload:
+    """A non-square of F_q, q odd: the first element of the splitting
+    candidates (_split_candidates, seeded with SPLIT_SEED) that fails
+    Euler's test c^((q-1)/2) = 1, found on first use and then cached.  Half
+    of F_q^* qualifies, so the search takes two powers on average."""
+    found = _NONRESIDUES.get(ctx)
+    if found is None:
+        ops, half = ctx.ops, (ctx.order() - 1) // 2
+        minus_one = ops.neg(ops.one)
+        found = next(c.payload for c in _split_candidates(ctx, random.Random(SPLIT_SEED))
+                     if payload_power(ops, c.payload, half) == minus_one)
+        _NONRESIDUES[ctx] = found
+    return found
 
 
 def _split_candidates(ctx: FieldContext, rng: random.Random) -> Iterator[FieldElement]:
@@ -636,7 +726,16 @@ def _split_candidates(ctx: FieldContext, rng: random.Random) -> Iterator[FieldEl
 
 
 def _split_once(w: UniPoly, rng: random.Random) -> UniPoly:
-    """A proper monic factor of w, a product of at least two distinct linear factors."""
+    """A proper monic factor of w, a product of at least two distinct linear
+    factors, by equal-degree splitting (Cantor-Zassenhaus).
+
+    w is split by its gcd with a polynomial built from a field element c,
+    (t+c)^((q-1)/2) - 1 for odd q and the trace Tr(c t) for q = 2^n.  The
+    elements c come from _split_candidates: a fixed-seed pseudo-random
+    sequence over the whole field, which separates any two roots with
+    probability about 1/2 per try, and after SPLIT_RANDOM_TRIES failures on
+    one factor the canonical element scan, so splitting always terminates.
+    Over odd q, _split_linear calls it only for degree 3 and more."""
     ctx = w.context
     q = ctx.order()
     one = UniPoly.make(ctx, [ctx.one()])

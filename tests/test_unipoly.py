@@ -151,9 +151,10 @@ def test_modulus_invariant_checker():
 SPLITTING_FIELDS = [(2, 6), (3, 4), (5, 3), (101, 1)]
 
 
-def _random_linear_product(ctx, rng, candidates):
-    """A seeded product of linear factors and its roots with multiplicities."""
-    picked = rng.sample(candidates, rng.randint(2, 7))
+def _random_linear_product(ctx, rng, candidates, least=2):
+    """A seeded product of linear factors and its roots with multiplicities;
+    at least `least` distinct roots."""
+    picked = rng.sample(candidates, rng.randint(least, 7))
     mults = {r: rng.randint(1, 3) for r in picked}
     g = UniPoly.make(ctx, [ctx.one()])
     for r, m in mults.items():
@@ -198,15 +199,39 @@ def test_splitting_falls_back_to_canonical_scan(monkeypatch, p, n):
     # With every pseudo-random shift equal to 0, no split is possible when
     # all roots are nonzero squares (odd q), or at all (q = 2^n, where
     # Tr(0 t) = 0), so only the canonical element scan can find the roots.
+    # Over odd q a quadratic is solved in closed form and never reaches
+    # _split_once, so the products there have at least 3 distinct roots.
+    # The stand-in also drives the non-residue search of Tonelli-Shanks (a
+    # fresh cache, so the search runs here); only verified non-residues are
+    # ever cached, so it can change which one is cached, never a result.
     monkeypatch.setattr(unipoly, "EXHAUSTIVE_ROOT_LIMIT", 1)
     monkeypatch.setattr(unipoly, "random", types.SimpleNamespace(Random=_ZeroShifts))
+    monkeypatch.setattr(unipoly, "_NONRESIDUES", {})
+    inside, scanned = [False], [0]
+    split_once, candidates = unipoly._split_once, unipoly._split_candidates
+
+    def flagged_split_once(w, rng):
+        inside[0] = True
+        try:
+            return split_once(w, rng)
+        finally:
+            inside[0] = False
+
+    def counted_candidates(ctx, rng):
+        for k, c in enumerate(candidates(ctx, rng)):
+            scanned[0] += inside[0] and k >= unipoly.SPLIT_RANDOM_TRIES
+            yield c
+
+    monkeypatch.setattr(unipoly, "_split_once", flagged_split_once)
+    monkeypatch.setattr(unipoly, "_split_candidates", counted_candidates)
     ctx = extension_field(p, n) if n > 1 else prime_field(p)
     squares = sorted({x * x for x in ctx.elements() if not x.is_zero()},
                      key=lambda e: e.sort_key())
     rng = random.Random(2000 * p + n)
     for _ in range(2):
-        g, mults = _random_linear_product(ctx, rng, squares)
+        g, mults = _random_linear_product(ctx, rng, squares, least=2 if p == 2 else 3)
         _assert_brute_force_roots(g, mults, extension_modes=(False,))
+    assert scanned[0] > 0  # the scan past the pseudo-random shifts ran
 
 
 def _count_pow_mod(monkeypatch):
@@ -229,7 +254,20 @@ def test_nth_root_of_nonresidue_in_large_characteristic(monkeypatch):
     b, emb = nth_root(prime_field(p).from_int(a), 2, allow_extension=True)
     assert emb.target == extension_field(p, 2)
     assert b * b == emb.target.from_int(a)
-    assert calls[0] <= 16
+    # one power for the factor degrees; the square root over F_{p^2} is in
+    # closed form (splitting t^2 - a by Cantor-Zassenhaus took 3 powers)
+    assert calls[0] <= 2
+
+
+# pow_mod calls allowed per case: those made with closed-form quadratics
+# (11, 8, 3, 10), plus 2; splitting the quadratics by Cantor-Zassenhaus
+# made 18, 16, 9 and 18
+POLYLOG_POW_MOD_BOUNDS = {
+    ("x^2+y*z*(y+3*z)*(y+5*z)+y^2*z^3", 1009): 13,
+    ("x^2+y*z*(y+3*z)*(y+5*z)+y^2*z^3", 10007): 10,
+    ("x^2+y*(y^2+3*z^4)", 10007): 5,
+    ("x^2+y^4+z^4+x*y*z", 10009): 12,
+}
 
 
 @pytest.mark.parametrize("poly,p,degree", [
@@ -244,7 +282,57 @@ def test_extension_classification_cost_is_polylog_in_p(monkeypatch, poly, p, deg
     verdict = classify_mld(parse_poly(poly, prime_field(p)), p)
     assert verdict.mld.to_json() == 0
     assert verdict.to_json()["field_extension_used"] == degree
-    assert calls[0] <= 64
+    assert calls[0] <= POLYLOG_POW_MOD_BOUNDS[poly, p]
+
+
+# -- quadratics in closed form: (-b +- sqrt(D)) / 2a -----------------------------
+
+# q = 3 mod 4 (one power), q = 5 mod 8, and q = 1 mod 8 with q - 1 = 2^s m for
+# s = 4, 4, 4, 8 (Tonelli-Shanks)
+CLOSED_FORM_FIELDS = [(7, 1), (3, 3), (103, 1), (5, 1), (13, 1), (5, 3),
+                      (17, 1), (7, 2), (3, 4), (257, 1)]
+
+
+@pytest.mark.parametrize("p,n", CLOSED_FORM_FIELDS)
+def test_quadratic_roots_in_closed_form(monkeypatch, p, n):
+    # a low cutoff sends these small fields past the element scan, and a
+    # fresh cache makes the field's non-residue search run here
+    monkeypatch.setattr(unipoly, "EXHAUSTIVE_ROOT_LIMIT", 1)
+    monkeypatch.setattr(unipoly, "_NONRESIDUES", {})
+    ctx = extension_field(p, n)
+    q = ctx.order()
+    elements = list(ctx.elements())
+    squares = {x * x for x in elements}
+    linear = [UniPoly.make(ctx, [-r, ctx.one()]) for r in elements]
+    scale = UniPoly.make(ctx, [elements[-1]])  # nonzero, outside F_p when n > 1
+    for i, r in enumerate(elements):  # every product of two distinct linear factors
+        for j in range(i + 1, len(elements)):
+            g = linear[i] * linear[j]
+            brute = [r, elements[j]]  # its roots, in canonical order as elements() runs
+            # with extension allowed, find_roots powers once for the factor
+            # degrees and then splits g in _split_linear: all of that for
+            # O(q) pairs, the split alone for the others
+            modes = (False, True) if i == 0 or j == i + 1 else (False,)
+            for allow_extension in modes:
+                res = find_roots(g, allow_extension=allow_extension)
+                assert [x for x, _ in res.roots] == brute and res.context == ctx
+            payloads = [x.payload for x in brute]
+            assert sorted(unipoly._split_linear(g)) == payloads
+            # a leading coefficient other than 1, as the rational roots' primes give
+            assert unipoly._roots_in_field(scale * g) == payloads
+    four, rng = ctx.from_int(4), random.Random(q)
+    for d in elements:  # t^2 + b t + (b^2 - d)/4 has discriminant d
+        if d in squares:
+            continue
+        b = rng.choice(elements)
+        c = (b * b - d) / four
+        assert unipoly._roots_in_field(UniPoly.make(ctx, [c, b, ctx.one()])) == []
+        assert unipoly._roots_in_field(scale * UniPoly.make(ctx, [c, b, ctx.one()])) == []
+    if q % 4 == 3:
+        assert ctx not in unipoly._NONRESIDUES  # one power, no non-residue
+    else:
+        cached = FieldElement(ctx, unipoly._NONRESIDUES[ctx])
+        assert cached not in squares and cached ** ((q - 1) // 2) == -ctx.one()
 
 
 # -- pow_mod against the element-by-element loop it replaced -----------------
