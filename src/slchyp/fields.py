@@ -357,13 +357,17 @@ class FieldContext:
             raise ValueError("no generator in a prime or rational context")
         return self.from_vector((0, 1))
 
-    def elements(self) -> Iterator["FieldElement"]:
-        """All field elements in canonical (lexicographic vector) order."""
+    def payloads(self) -> Iterator["Payload"]:
+        """The payloads of all field elements in canonical (lexicographic
+        vector) order."""
         if self.is_rational:
             raise ValueError("cannot enumerate the rationals")
         p, n = self.characteristic, self.extension_degree
-        for c in range(p) if n == 1 else itertools.product(range(p), repeat=n):
-            yield FieldElement(self, c)
+        return iter(range(p)) if n == 1 else itertools.product(range(p), repeat=n)
+
+    def elements(self) -> Iterator["FieldElement"]:
+        """All field elements in canonical (lexicographic vector) order."""
+        return (FieldElement(self, c) for c in self.payloads())
 
 
 Payload = Union[Fraction, int, Tuple[int, ...]]
@@ -521,11 +525,33 @@ def extension_field(p: int, degree: int) -> FieldContext:
 @dataclass(frozen=True)
 class FieldEmbedding:
     """Field homomorphism F_{p^n} -> F_{p^m} (n | m) fixing the prime field,
-    determined by the image of the source generator."""
+    determined by the image g of the source generator u.
+
+    It is F_p-linear: the element with coefficient vector (c_0, ..., c_{n-1})
+    goes to sum c_i g^i.  The images g^i of the basis 1, u, ..., u^(n-1)
+    are computed once, when the embedding is built, and each is packed into
+    one int with one slot per target coefficient, wide enough for a sum of n
+    products of two residues mod p.  A call is then n int products and one
+    % p per target slot."""
 
     source: FieldContext
     target: FieldContext
     generator_image: Optional[FieldElement]  # None when source has degree 1
+
+    def __post_init__(self):
+        src, tgt = self.source, self.target
+        if src is tgt or src.is_rational or src.extension_degree == 1:
+            return
+        p, n, ops = tgt.characteristic, src.extension_degree, tgt.ops
+        width = (n * (p - 1) ** 2).bit_length()
+        shifts = tuple(width * j for j in range(tgt.extension_degree))
+        basis, power = [], ops.one
+        for _ in range(n):
+            basis.append(sum(c << s for c, s in zip(power, shifts)))
+            power = ops.mul(power, self.generator_image.payload)
+        object.__setattr__(self, "_basis", tuple(basis))
+        object.__setattr__(self, "_shifts", shifts)
+        object.__setattr__(self, "_slot", (1 << width) - 1)
 
     def __call__(self, elt: FieldElement) -> FieldElement:
         if elt.context is not self.source and elt.context != self.source:
@@ -534,13 +560,11 @@ class FieldEmbedding:
             return elt
         if self.source.extension_degree == 1:
             return self.target.from_int(elt.payload)
-        # the source element's polynomial at the generator's image (Horner)
-        ops = self.target.ops
-        add, mul, from_int, g = ops.add, ops.mul, ops.from_int, self.generator_image.payload
-        acc = ops.zero
-        for c in reversed(elt.payload):
-            acc = add(mul(acc, g), from_int(c))
-        return FieldElement(self.target, acc)
+        acc = 0
+        for c, image in zip(elt.payload, self._basis):
+            acc += c * image
+        p, slot = self.target.characteristic, self._slot
+        return FieldElement(self.target, tuple([((acc >> s) & slot) % p for s in self._shifts]))
 
 
 def identity_embedding(ctx: FieldContext) -> FieldEmbedding:

@@ -16,6 +16,15 @@ pairs of restriction zeros are tested by exact division.  Over a finite
 field the field is enlarged until the restrictions split, which makes the
 search complete; over the rationals only rational lines are found and the
 conjugate configurations are told apart by rank and singular-point data.
+
+The smoothness test and the singular point of a cubic with no line run on
+the input cubic over its own field, however far the line search grew the
+field: the height of (g, g_x, g_y, g_z) and a reduced Groebner basis do not
+change under field extension.  Over a finite field a cubic with no line in
+a field where every restriction splits is absolutely irreducible, so it has
+at most one singular point; Frobenius fixes that point, so it is rational
+over g's field, and it is carried into the grown field by the run's
+embeddings.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from ..poly import (
     is_squarefree,
     squarefree_excess,
 )
-from ..unipoly import UniPoly, _poly
+from ..unipoly import UniPoly, _poly, find_roots
 from .auto import (
     Normalizer,
     NormalizationOutcome,
@@ -64,7 +73,7 @@ def classify_cubic_cone(g: TriPoly) -> NormalizationOutcome:
         return _conic_and_line(nz, lines[0], quotient)
     if len(lines) != 0:
         raise AssertionError("impossible linear factor count for a cubic")
-    return _no_rational_lines(nz)
+    return _no_rational_lines(nz, g)
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +337,16 @@ def _sing_system(g: TriPoly) -> List[TriPoly]:
     return [g] + [g.derivative(i) for i in range(3)]
 
 
-def _is_smooth(nz: Normalizer) -> bool:
-    gens = [h.terms for h in _sing_system(nz.f)]
-    return ideal_height_of(nz.context, gens, 3, GroebnerBudget(max_basis=5000)) == 3
+def _is_smooth(g: TriPoly) -> bool:
+    gens = [h.terms for h in _sing_system(g)]
+    return ideal_height_of(g.context, gens, 3, GroebnerBudget(max_basis=5000)) == 3
 
 
-def _no_rational_lines(nz: Normalizer) -> NormalizationOutcome:
-    if _is_smooth(nz):
+def _no_rational_lines(nz: Normalizer, g: TriPoly) -> NormalizationOutcome:
+    """nz.f is g, lifted into the field where the line search ended."""
+    if _is_smooth(g):
         return nz.outcome("cone:smooth")
-    points = _rational_singular_points(nz)
+    points = _rational_singular_points(nz, g)
     if not points:
         # only conjugate triple-node configurations lack a rational singular
         # point once rational lines and smoothness are excluded
@@ -423,21 +433,28 @@ def _node(nz: Normalizer, q0, q1, q2) -> NormalizationOutcome:
     return nz.outcome("cone:nodal", {"normalized": "full"})
 
 
-def _rational_singular_points(nz: Normalizer) -> List[Line]:
-    """Common zeros of (g, g_x, g_y, g_z) in P^2 over the current field,
-    via patchwise lex Groebner elimination; over the rationals only
-    rational points are produced.  Over a finite field `_linear_factors`
-    has already enlarged the field until every line on g is rational, so g
-    is absolutely irreducible here and its one singular point is rational:
-    the field never grows."""
-    return _distinct_points(_solve_patches(nz))
+def _rational_singular_points(nz: Normalizer, g: TriPoly) -> List[Line]:
+    """Common zeros of (g, g_x, g_y, g_z) in P^2 over g's own field, via
+    patchwise lex Groebner elimination, lifted into nz's current field.
+
+    Over the rationals only rational points are produced.  Over a finite
+    field `_linear_factors` has already enlarged the field until every line
+    on g is rational, and found none, so g is absolutely irreducible and has
+    at most one singular point.  The Frobenius of g's field permutes the
+    singular points, so it fixes that one, which is therefore rational over
+    g's field: the solve needs no field extension, and a second point would
+    contradict the argument."""
+    points = _distinct_points(_solve_patches(g))
+    if not g.context.is_rational and len(points) > 1:
+        raise AssertionError("an absolutely irreducible cubic has two singular points")
+    return [nz.lift(P) for P in points]
 
 
-def _solve_patches(nz: Normalizer) -> List[Line]:
-    ctx = nz.context
+def _solve_patches(g: TriPoly) -> List[Line]:
+    ctx = g.context
     add, nil = ctx.ops.add, ctx._zero_payload
     one, zero = ctx.one(), ctx.zero()
-    system = [h for h in _sing_system(nz.f) if not h.is_zero()]
+    system = [h for h in _sing_system(g) if not h.is_zero()]
     points: List[Line] = []
     for patch in (2, 1, 0):
         keep = [i for i in range(3) if i != patch]
@@ -451,7 +468,7 @@ def _solve_patches(nz: Normalizer) -> List[Line]:
             if not d:
                 raise AssertionError("cubic cone generator vanished on a patch")
             gens.append(d)
-        for (a, b) in _solve_bivariate(nz, gens):
+        for (a, b) in _solve_bivariate(ctx, gens):
             P = [zero, zero, zero]
             P[keep[0]] = a
             P[keep[1]] = b
@@ -471,17 +488,13 @@ def _unipoly(ctx: FieldContext, coeffs: Dict[int, Payload]) -> UniPoly:
     return _poly(ctx, [coeffs.get(k, zero) for k in range(max(coeffs) + 1)])
 
 
-def _solve_bivariate(nz: Normalizer, gens) -> List[Tuple[FieldElement, FieldElement]]:
-    """All common zeros of a zero-dimensional bivariate system of payload
-    dicts (rational zeros only over Q)."""
-    ctx = nz.context
+def _solve_bivariate(ctx: FieldContext, gens) -> List[Tuple[FieldElement, FieldElement]]:
+    """The common zeros over ctx of a zero-dimensional bivariate system of
+    payload dicts over ctx."""
     ops = ctx.ops
 
     def roots(u: UniPoly) -> List[FieldElement]:
-        found = nz.known_roots(u)
-        if nz.context != ctx:
-            raise AssertionError("the field grew while solving for a singular point")
-        return [r for r, _ in found]
+        return [r for r, _ in find_roots(u, allow_extension=False).roots]
 
     basis = groebner_basis(ctx, gens, order="lex", budget=GroebnerBudget(max_basis=2000))
     if any(next(iter(b)) == (0, 0) for b in basis):

@@ -30,8 +30,11 @@ non-residue found once per field.  Cantor-Zassenhaus handles the pieces of
 degree 3 and more, and every piece in characteristic 2.  Extension moduli
 come from canonical_irreducible here: Serret's criterion decides the
 binomials t^d + c in closed form, and Ben-Or's test on UniPoly the
-candidates after them.  A root's multiplicity is found by
-repeated synthetic division by t - r.
+candidates after them.  extend_context keeps one shared (field, embedding)
+pair per (context, extra degree), as extension_field keeps one context per
+field, so the old modulus is split for the generator's image, and the
+embedding's basis images are packed, once per process for each field pair.
+A root's multiplicity is found by repeated synthetic division by t - r.
 
 Everything is deterministic.  Root lists are sorted by the canonical element
 order (lexicographic on coefficient vectors; (|x|, sign) over Q), whatever
@@ -593,15 +596,16 @@ def _squarefree_part(g: UniPoly) -> UniPoly:
 
 def _roots_in_field(sf: UniPoly) -> List:
     """Payloads of the roots of the squarefree sf lying in its own (finite)
-    field of definition, in canonical order."""
+    field of definition, in canonical order.  A quadratic over odd q is
+    solved in closed form, which costs fewer products than the scan of a
+    field of q <= EXHAUSTIVE_ROOT_LIMIT elements."""
     ctx = sf.context
     q = ctx.order()
     ops = ctx.ops
-    if q <= EXHAUSTIVE_ROOT_LIMIT:
-        return [e.payload for e in ctx.elements()
-                if _value(sf.cs, e.payload, ops) == ops.zero]
     if sf.degree() == 2 and q % 2:
         return sorted(_quadratic_roots(sf) or [])
+    if q <= EXHAUSTIVE_ROOT_LIMIT:
+        return [c for c in ctx.payloads() if _value(sf.cs, c, ops) == ops.zero]
     # gcd with t^q - t isolates the rational-point part, then split
     t = UniPoly.x(ctx)
     frob = t.pow_mod(q, sf)
@@ -790,14 +794,27 @@ class RootResult:
         return self.roots[0][0]
 
 
+# the field and embedding extend_context built for each (context, extra
+# degree), shared like extension_field's contexts (a memo: it never changes)
+_EMBEDDINGS: Dict[Tuple[FieldContext, int], Tuple[FieldContext, FieldEmbedding]] = {}
+
+
 def extend_context(ctx: FieldContext, extra_degree: int) -> Tuple[FieldContext, FieldEmbedding]:
     """Enlarge F_{p^n} to F_{p^{n*extra}} with a canonical modulus and embedding;
     a total degree above MAX_EXTENSION_DEGREE raises ValueError, from
-    extension_field, before any search."""
+    extension_field, before any search.  The pair is built on the first call
+    for (ctx, extra_degree) and shared by every later one."""
     if ctx.is_rational:
         raise NeedsAlgebraicExtension("cannot extend the rationals")
     if extra_degree == 1:
         return ctx, identity_embedding(ctx)
+    found = _EMBEDDINGS.get((ctx, extra_degree))
+    if found is None:
+        found = _EMBEDDINGS.setdefault((ctx, extra_degree), _extension(ctx, extra_degree))
+    return found
+
+
+def _extension(ctx: FieldContext, extra_degree: int) -> Tuple[FieldContext, FieldEmbedding]:
     p = ctx.characteristic
     n = ctx.extension_degree
     big = extension_field(p, n * extra_degree)

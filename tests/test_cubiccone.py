@@ -6,7 +6,9 @@ import pytest
 from conftest import ctx_for, poly, random_invertible_matrix
 
 from slchyp import TriPoly, classify_cubic_cone, discrepancy
-from slchyp.normalize.auto import LinearStep
+from slchyp.normalize import cubiccone
+from slchyp.normalize.auto import LinearStep, Normalizer
+from slchyp.poly import is_squarefree
 
 
 TYPES = {
@@ -151,3 +153,61 @@ def test_random_cubic_cones(p):
         assert classify_cubic_cone(moved).branch_label == out.branch_label, (str(g), p)
         labels.append(out.branch_label)
     assert {"cone:nodal", "cone:cuspidal"} & set(labels), labels
+
+
+# the cubic cones of the CI reports that end in F_{5^6} (nodal) and F_{3^6}
+# (cuspidal): the line search grows the field to degree 6
+GROWN_FIELD_CUBICS = [
+    ("z^3+2*y*z^2+2*y^2*z+2*y^3+3*x*z^2+4*x*y*z+3*x*y^2+4*x^2*z+2*x^2*y+4*x^3", 5),
+    ("2*z^3+2*y*z^2+y^2*z+y^3+x*z^2+2*x*y^2+2*x^2*z+x^2*y+x^3", 3),
+]
+
+
+# the cubic monomials that vanish to order two at [0:0:1]
+SINGULAR_AT_Z = [m for m in CUBIC_MONOMIALS if m[2] < 2]
+
+
+def _cubics_without_lines(p, count):
+    """The CI cubics over F_p, then seeded random cubics over F_p with no
+    line, each with the Normalizer whose line search found none; every other
+    random cubic is singular by construction, at a point a random linear
+    change moves off [0:0:1]."""
+    rnd = random.Random(f"no-lines:{p}")
+    ctx = ctx_for(p)
+    fixed = [poly(text, q) for text, q in GROWN_FIELD_CUBICS if q == p]
+    found = []
+    while len(found) < count:
+        if fixed:
+            g = fixed.pop()
+        else:
+            support = CUBIC_MONOMIALS if len(found) % 2 else SINGULAR_AT_Z
+            g = TriPoly.make(ctx, {m: ctx.from_int(rnd.randrange(p)) for m in support})
+            if g.is_zero() or not is_squarefree(g):
+                continue
+            g = LinearStep(random_invertible_matrix(rnd, ctx)).apply(g)
+        nz = Normalizer(g)
+        if not cubiccone._linear_factors(nz, nz.f)[1]:
+            found.append((g, nz))
+    return found
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_singular_locus_in_the_input_field(p):
+    # smoothness and the singular point of a cubic with no line are read in
+    # the input field; both must agree with the same work done on the cubic
+    # lifted into the field where the line search ended
+    degrees, singular = set(), 0
+    for g, nz in _cubics_without_lines(p, 12):
+        degrees.add(nz.context.extension_degree)
+        smooth = cubiccone._is_smooth(g)
+        assert smooth == cubiccone._is_smooth(nz.f), str(g)
+        if smooth:
+            continue
+        singular += 1
+        points = cubiccone._rational_singular_points(nz, g)
+        assert len(points) == 1 and points[0][0].context == nz.context
+        grown = cubiccone._solve_patches(Normalizer(nz.f).f)
+        assert points == cubiccone._distinct_points(grown), str(g)
+    assert max(degrees) > 1 and singular > 0, (degrees, singular)
+    if p in (3, 5):
+        assert 6 in degrees  # the CI cubic

@@ -102,6 +102,7 @@ def test_extension_roots_are_split_without_a_root_search(monkeypatch):
         raise AssertionError("root search on a polynomial known to split")
 
     monkeypatch.setattr(unipoly, "_roots_in_field", searched)
+    monkeypatch.setattr(unipoly, "_EMBEDDINGS", {})  # build the embeddings here
     for ctx, ints, degree in [
         (extension_field(3, 2), [2, 2, 0, 1], 6),  # t^3 - t - 1, Artin-Schreier
         (prime_field(101), [-2, 0, 1], 2),  # 2 is not a square mod 101
@@ -114,14 +115,55 @@ def test_extension_roots_are_split_without_a_root_search(monkeypatch):
         assert all(lifted.evaluate(r).is_zero() for r, _ in res.roots)
         assert sorted(m for _, m in res.roots) == [1] + [2] * (len(ints) - 1)
 
+def _horner_image(emb, a):
+    """emb(a) as the source polynomial of a evaluated at the generator's image."""
+    acc = emb.target.zero()
+    for c in reversed(a.payload):
+        acc = acc * emb.generator_image + emb.target.from_int(c)
+    return acc
+
+
+# (p, n, total degree): F_{p^n} embedded into F_{p^total}
+EMBEDDING_CASES = [(2, 2, 6), (2, 2, 4), (3, 2, 6), (5, 3, 6), (7, 3, 9), (101, 2, 4)]
+
+
 def test_extension_embedding_is_a_homomorphism():
-    F4 = extension_field(2, 2)
-    big, emb = extend_context(F4, 3)
-    assert big == extension_field(2, 6)
-    for a in F4.elements():
-        for b in F4.elements():
+    # the packed linear map agrees with the Horner evaluation on every source
+    # element of a field of at most 729 elements, on a seeded sample of a
+    # larger one, and respects + and x on seeded pairs
+    for p, n, total in EMBEDDING_CASES:
+        small = extension_field(p, n)
+        big, emb = extend_context(small, total // n)
+        assert big == extension_field(p, total)
+        rng = random.Random(f"embedding:{p}:{n}:{total}")
+        elements = list(small.elements())
+        if len(elements) > 729:
+            elements = [small.from_vector([rng.randrange(p) for _ in range(n)])
+                        for _ in range(300)]
+        for a in elements:
+            assert emb(a) == _horner_image(emb, a), (p, n, total, a)
+        for _ in range(200):
+            a, b = rng.choice(elements), rng.choice(elements)
             assert emb(a * b) == emb(a) * emb(b)
             assert emb(a + b) == emb(a) + emb(b)
+
+
+def test_extend_context_shares_one_embedding_per_field_pair(monkeypatch):
+    monkeypatch.setattr(unipoly, "_EMBEDDINGS", {})
+    calls = [0]
+    split_linear = unipoly._split_linear
+
+    def counted(w):
+        calls[0] += 1
+        return split_linear(w)
+
+    monkeypatch.setattr(unipoly, "_split_linear", counted)
+    small = extension_field(5, 3)
+    big, emb = extend_context(small, 2)
+    assert calls[0] == 1  # the old modulus, split once to pick the generator's image
+    again = extend_context(small, 2)
+    assert again[0] is big and again[1] is emb
+    assert calls[0] == 1
 
 
 def test_large_field_roots_via_splitting():
@@ -177,6 +219,7 @@ def _assert_brute_force_roots(g, mults, extension_modes=(False, True)):
 def test_splitting_matches_brute_force(monkeypatch, p, n):
     # a low cutoff sends these small fields through equal-degree splitting
     monkeypatch.setattr(unipoly, "EXHAUSTIVE_ROOT_LIMIT", 1)
+    monkeypatch.setattr(unipoly, "_EMBEDDINGS", {})
     ctx = extension_field(p, n) if n > 1 else prime_field(p)
     elements = list(ctx.elements())
     rng = random.Random(1000 * p + n)
@@ -207,6 +250,7 @@ def test_splitting_falls_back_to_canonical_scan(monkeypatch, p, n):
     monkeypatch.setattr(unipoly, "EXHAUSTIVE_ROOT_LIMIT", 1)
     monkeypatch.setattr(unipoly, "random", types.SimpleNamespace(Random=_ZeroShifts))
     monkeypatch.setattr(unipoly, "_NONRESIDUES", {})
+    monkeypatch.setattr(unipoly, "_EMBEDDINGS", {})
     inside, scanned = [False], [0]
     split_once, candidates = unipoly._split_once, unipoly._split_candidates
 
@@ -235,6 +279,9 @@ def test_splitting_falls_back_to_canonical_scan(monkeypatch, p, n):
 
 
 def _count_pow_mod(monkeypatch):
+    """A live count of pow_mod calls, with fresh shared embeddings so that
+    an extension's embedding is built, and counted, in the test itself."""
+    monkeypatch.setattr(unipoly, "_EMBEDDINGS", {})
     calls = [0]
     original = UniPoly.pow_mod
 
@@ -299,6 +346,7 @@ def test_quadratic_roots_in_closed_form(monkeypatch, p, n):
     # fresh cache makes the field's non-residue search run here
     monkeypatch.setattr(unipoly, "EXHAUSTIVE_ROOT_LIMIT", 1)
     monkeypatch.setattr(unipoly, "_NONRESIDUES", {})
+    monkeypatch.setattr(unipoly, "_EMBEDDINGS", {})
     ctx = extension_field(p, n)
     q = ctx.order()
     elements = list(ctx.elements())
