@@ -3,8 +3,9 @@
 The decision tree follows the multiplicity of f at the origin.  Units give
 mld 3 and smooth points 2; multiplicity >= 4 is never log canonical, with
 E_(1,1,1) as witness.  Multiplicity 3 reduces to the projective type of the
-degree-3 cone.  Multiplicity 2 runs the weighted normalization chain, whose
-terminal branches carry one of finitely many witness weights.
+degree-3 cone, multiplicity 2 to the quadric and the weighted chain, whose
+terminal branches carry one of finitely many witness weights.  Each stage is
+entered through NEXT_STAGE and moves f itself on one Normalizer.
 
 The tree code only chooses a terminal label.  Each label is one entry of the
 BRANCHES table: its mld, witness weight, initial weight and certificate
@@ -29,8 +30,8 @@ from .parse import parse_poly
 from .poly import TriPoly, Weight, is_squarefree
 from .toricdiv import DiscrepancyReport, discrepancy
 from .normalize.auto import Automorphism, Normalizer
-from .normalize.cubiccone import classify_cubic_cone
-from .normalize.quadric import normalize_quadric
+from .normalize.cubiccone import stage_cone
+from .normalize.quadric import stage_quadric
 from .normalize.quartic import W211, stage_quartic
 from .normalize.steps import (
     W1,
@@ -83,9 +84,6 @@ class MldValue:
 
     def sort_value(self) -> float:
         return float("-inf") if self.is_neg_infinity else float(self.value)
-
-    def __ge__(self, other: "MldValue") -> bool:
-        return self.sort_value() >= other.sort_value()
 
     def to_json(self):
         return "-inf" if self.is_neg_infinity else self.value
@@ -289,14 +287,18 @@ def terminal_branch(label: str) -> Optional[Branch]:
 
 
 def order_label(o: int) -> str:
-    """The one trace label of a germ whose multiplicity o is not 2 or 3."""
+    """The first trace label of a germ of multiplicity o."""
+    if o in (2, 3):
+        return f"multiplicity={o}"
     return "unit" if o == 0 else "smooth" if o == 1 else f"multiplicity>={o}"
 
 
-# the non-terminal labels after the quadric and the stage each one enters
-# next: a rank-1 quadric is x^2 and runs the weighted chain w2..w6, which
-# diverts to the quartic stage q when the (3,2,2) cubic tail vanishes
+# the non-terminal labels and the stage each one enters next: a rank-1
+# quadric is x^2 and runs the weighted chain w2..w6, which diverts to the
+# quartic stage q when the (3,2,2) cubic tail vanishes
 NEXT_STAGE = {
+    "multiplicity=2": "quadric",
+    "multiplicity=3": "cone",
     "quadric:rank1": "w2",
     "w2:y3": "w3",
     "w2:quartic": "q",
@@ -308,40 +310,30 @@ NEXT_STAGE = {
 
 def is_tree_path(path, o: int) -> bool:
     """Whether path is a walk of the tree for an f of multiplicity o, label by
-    label: the multiplicity, then the cone or quadric stage, each pass label
-    of NEXT_STAGE followed by a label of the stage it enters, and a terminal
+    label: the first label of multiplicity o, each non-terminal label a key of
+    NEXT_STAGE followed by a label of the stage it enters, and a terminal
     label last."""
-    if o not in (2, 3):
-        return path == [order_label(o)]
-    if len(path) < 2 or path[0] != f"multiplicity={o}":
+    if not path or path[0] != order_label(o):
         return False
-    stage = "cone" if o == 3 else "quadric"
-    for label in path[1:-1]:
-        if not label.startswith(stage + ":") or label not in NEXT_STAGE:
+    prefix = ""
+    for label in path[:-1]:
+        if not label.startswith(prefix) or label not in NEXT_STAGE:
             return False
-        stage = NEXT_STAGE[label]
-    return path[-1].startswith(stage + ":") and terminal_branch(path[-1]) is not None
+        prefix = NEXT_STAGE[label] + ":"
+    return path[-1].startswith(prefix) and terminal_branch(path[-1]) is not None
 
 
 def _choose_branch(nz: Normalizer, trace: List[str]) -> dict:
     """Walk the tree on nz, appending each label to trace, the terminal label
     last; return the parameters its certificate details quote."""
-    o = nz.f.ord_w(W1)
-    if o <= 1 or o >= 4:
-        trace.append(order_label(o))
-        return {"o": o}
-    trace.append(f"multiplicity={o}")
-    # normalize the cubic cone or the quadric and replay it on the full f
-    outcome = (classify_cubic_cone if o == 3 else normalize_quadric)(nz.f.in_w(W1))
-    label, params = outcome.branch_label, {}
-    trace.append(label)
-    nz.replay_outcome(outcome)
-    if nz.f.in_w(W1) != outcome.poly:
-        raise AssertionError(f"{label} normalization does not replay on f")
     # built per call from the module's names, so wrappers installed on them
     # (the benchmark's tracer) are the ones called
-    stages = {"w2": stage_w2, "w3": stage_w3, "w4": stage_w4, "w5": stage_w5,
-              "w6": stage_w6, "q": stage_quartic}
+    stages = {"quadric": stage_quadric, "cone": stage_cone, "w2": stage_w2,
+              "w3": stage_w3, "w4": stage_w4, "w5": stage_w5, "w6": stage_w6,
+              "q": stage_quartic}
+    o = nz.f.ord_w(W1)
+    label, params = order_label(o), {"o": o}
+    trace.append(label)
     while terminal_branch(label) is None:
         label, params = stages[NEXT_STAGE[label]](nz)
         trace.append(label)

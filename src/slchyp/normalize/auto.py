@@ -7,6 +7,11 @@ last is bookkeeping, not a coordinate change, but it never changes a
 verdict).  Replaying the steps on the recorded input must reproduce the
 recorded output; tests rely on that round trip.
 
+A stage, `stage(nz) -> (label, params)`, moves `nz.f` towards a normal form
+by the Normalizer's steps.  The classifier runs its stages in turn on one
+Normalizer over f, applying each step once; `run_stage` runs one stage alone
+and checks through `Normalizer.outcome` that its steps replay on the input.
+
 The normalization stages share one toolkit from here:
   - `kernel`: rank and kernel vector of a 3x3 matrix (Gauss-Jordan);
   - `quadratic_coefficient`: the coefficient of x_i x_j;
@@ -467,13 +472,13 @@ class Normalizer:
             raise AssertionError("automorphism replay mismatch")
         return out
 
-    def replay_outcome(self, out: NormalizationOutcome) -> None:
-        """Re-apply a sub-normalization (its extensions and its steps) to the
-        polynomial carried here."""
-        for emb in out.embeddings:
-            self.extend(emb)
-        for step in out.auto.steps:
-            self._push(step)
+
+def run_stage(f: TriPoly, stage) -> NormalizationOutcome:
+    """The outcome of one stage run on its own Normalizer over f, its steps
+    checked to replay on f."""
+    nz = Normalizer(f)
+    label, params = stage(nz)
+    return nz.outcome(label, params)
 
 
 def complete_square(nz: Normalizer, tails: Sequence[Monomial]) -> None:

@@ -17,9 +17,11 @@ field the field is enlarged until the restrictions split, which makes the
 search complete; over the rationals only rational lines are found and the
 conjugate configurations are told apart by rank and singular-point data.
 
-The smoothness test and the singular point of a cubic with no line run on
-the input cubic over its own field, however far the line search grew the
-field: the height of (g, g_x, g_y, g_z) and a reduced Groebner basis do not
+`stage_cone` runs on the whole germ: its steps are linear, so the cubic
+initial form moves with f and is read as `nz.f.in_w(W1)`.  The smoothness
+test and the singular point of a cubic with no line run on that form as it
+entered, over the input field, however far the line search grew the field:
+the height of (g, g_x, g_y, g_z) and a reduced Groebner basis do not
 change under field extension.  Over a finite field a cubic with no line in
 a field where every restriction splits is absolutely irreducible, so it has
 at most one singular point; Frobenius fixes that point, so it is rational
@@ -51,10 +53,13 @@ from .auto import (
     mat_inverse,
     matrix_mapping_form_to_var,
     quadratic_coefficient,
+    run_stage,
 )
 from .binary import binary_form_coefficients, pair_change, single_change
+from .steps import W1
 
 Line = Tuple[FieldElement, FieldElement, FieldElement]
+StageResult = Tuple[str, Dict[str, object]]
 
 
 def classify_cubic_cone(g: TriPoly) -> NormalizationOutcome:
@@ -63,10 +68,16 @@ def classify_cubic_cone(g: TriPoly) -> NormalizationOutcome:
     triangle, conic-tangent, conic-transverse, nodal, cuspidal, smooth}."""
     if g.is_zero() or not g.is_homogeneous(3):
         raise ValueError("input must be a nonzero homogeneous cubic")
-    nz = Normalizer(g)
+    return run_stage(g, stage_cone)
+
+
+def stage_cone(nz: Normalizer) -> StageResult:
+    """Classify and normalize the cubic initial form g of nz.f, which has
+    order 3; g stays over the input field."""
+    g = nz.f.in_w(W1)
     if not is_squarefree(g):
-        return _repeated_line(nz)
-    quotient, lines = _linear_factors(nz, nz.f)
+        return _repeated_line(nz, g)
+    quotient, lines = _linear_factors(nz, g)
     if len(lines) == 3:
         return _three_lines(nz, lines)
     if len(lines) == 1:
@@ -151,49 +162,35 @@ def _binary_restriction_points(nz: Normalizer, h: TriPoly, drop: int):
     return out
 
 
-def _find_linear_factor(nz: Normalizer, h: TriPoly) -> Optional[Tuple[TriPoly, Line]]:
-    ctx = nz.context
+def _linear_factors(nz: Normalizer, h: TriPoly):
+    """(quotient, lines): h divided by its lines, the coordinate lines first,
+    then the candidates in sort_key order that divide what is left (a line of
+    a quotient is a line of h), the last read off a linear quotient."""
+    lines: List[Line] = []
     for v in range(3):
         if all(m[v] > 0 for m in h.terms):
-            L = [ctx.zero()] * 3
-            L[v] = ctx.one()
-            return _try_divide(h, TriPoly.variable(ctx, v)), tuple(L)
+            h = divide_exact(h, TriPoly.variable(nz.context, v))
+            lines.append(identity_matrix(nz.context)[v])
+    if h.total_degree() >= 2:
+        # each call may enlarge the field: h enters it lifted, the zeros are
+        # lifted after the last call
+        found = [_binary_restriction_points(nz, nz.lift(h), drop) for drop in (2, 1, 0)]
+        h, lines = nz.lift(h), [nz.lift(L) for L in lines]
+        pts_z, pts_y, pts_x = [[nz.lift(P) for P in ps] for ps in found]
+        e0 = identity_matrix(nz.context)[0]
+        # a proportional pair crosses to zero, which _distinct_points drops
+        candidates = [_cross(p, q) for p in pts_z for q in pts_y]
+        candidates += [_cross(p, e0) for p in pts_x]
+        for L in _distinct_points(candidates):
+            if h.total_degree() == 1:
+                break
+            quo = _try_divide(h, linear_form(nz.context, L))
+            if quo is not None:
+                h, lines = quo, lines + [L]
     if h.total_degree() == 1:
-        L = tuple(
-            h.coefficient(tuple(1 if i == j else 0 for j in range(3)))
-            for i in range(3)
-        )
-        return TriPoly.constant(ctx.one()), _normalize_line(L)
-    found: List[List[Line]] = []
-    for drop in (2, 1, 0):
-        pts = _binary_restriction_points(nz, h, drop)
-        # carry everything computed so far into a field the call enlarged
-        h = nz.lift(h)
-        found = [[nz.lift(P) for P in ps] for ps in found]
-        found.append(pts)
-    pts_z, pts_y, pts_x = found
-    e0 = identity_matrix(nz.context)[0]
-    # a proportional pair crosses to zero, which _distinct_points drops
-    candidates = [_cross(p, q) for p in pts_z for q in pts_y]
-    candidates += [_cross(p, e0) for p in pts_x]
-    for L in _distinct_points(candidates):
-        quo = _try_divide(h, linear_form(nz.context, L))
-        if quo is not None:
-            return quo, L
-    return None
-
-
-def _linear_factors(nz: Normalizer, h: TriPoly):
-    lines: List[Line] = []
-    while h.total_degree() >= 1:
-        found = _find_linear_factor(nz, h)
-        # the search may have enlarged the field even when it found nothing
-        h = nz.lift(h)
-        lines = [nz.lift(L) for L in lines]
-        if found is None:
-            break
-        h, L = found
-        lines.append(L)
+        lines.append(_normalize_line(tuple(
+            h.coefficient(tuple(1 if i == j else 0 for j in range(3))) for i in range(3))))
+        h = TriPoly.constant(nz.context.one())
     return h, lines
 
 
@@ -201,11 +198,11 @@ def _linear_factors(nz: Normalizer, h: TriPoly):
 # branches
 
 
-def _repeated_line(nz: Normalizer) -> NormalizationOutcome:
+def _repeated_line(nz: Normalizer, g: TriPoly) -> StageResult:
     # strip g down to its repeated line: the excess gcd(g, partials) has
     # lower degree, and with every partial zero (p = 3 and g a cube, or p = 2
     # and a square) the form is a p-th power
-    L = nz.f
+    L = g
     while L.total_degree() > 1:
         if all(L.derivative(i).is_zero() for i in range(3)):
             L = frobenius_descent(L)
@@ -215,28 +212,28 @@ def _repeated_line(nz: Normalizer) -> NormalizationOutcome:
         raise AssertionError("repeated factor is not a line")
     coeffs = tuple(L.coefficient(tuple(1 if i == j else 0 for j in range(3))) for i in range(3))
     line = linear_form(nz.context, coeffs)
-    if _try_divide(nz.f, line * line) is None:
+    if _try_divide(g, line * line) is None:
         raise AssertionError("square of the repeated line does not divide")
     nz.linear(matrix_mapping_form_to_var(coeffs, 0, nz.context))
-    if any(m[0] < 2 for m in nz.f.terms):
+    if any(m[0] < 2 for m in nz.f.in_w(W1).terms):
         raise AssertionError("repeated-line normalization failed")
-    return nz.outcome("cone:repeated-line")
+    return "cone:repeated-line", {}
 
 
-def _three_lines(nz: Normalizer, lines: List[Line]) -> NormalizationOutcome:
+def _three_lines(nz: Normalizer, lines: List[Line]) -> StageResult:
     m = tuple(tuple(L) for L in lines)
     if mat_det(m).is_zero():
         nz.move_to_z(_cross(lines[0], lines[1]))
-        if any(mm[2] for mm in nz.f.terms):
+        if any(mm[2] for mm in nz.f.in_w(W1).terms):
             raise AssertionError("concurrent normalization left z-terms")
-        return nz.outcome("cone:concurrent-lines")
+        return "cone:concurrent-lines", {}
     nz.linear(mat_inverse(m))
-    if set(nz.f.terms) != {(1, 1, 1)}:
+    if set(nz.f.in_w(W1).terms) != {(1, 1, 1)}:
         raise AssertionError("triangle normalization failed")
-    return nz.outcome("cone:triangle", {"unit": nz.f.coefficient((1, 1, 1))})
+    return "cone:triangle", {"unit": nz.f.coefficient((1, 1, 1))}
 
 
-def _conic_and_line(nz: Normalizer, L: Line, conic: TriPoly) -> NormalizationOutcome:
+def _conic_and_line(nz: Normalizer, L: Line, conic: TriPoly) -> StageResult:
     ctx = nz.context
     p = ctx.characteristic
     if p == 0:
@@ -249,13 +246,13 @@ def _conic_and_line(nz: Normalizer, L: Line, conic: TriPoly) -> NormalizationOut
             val = sum((c * v for c, v in zip(L, P)), ctx.zero())
             if val.is_zero():
                 nz.move_to_z(P)
-                if any(mm[2] for mm in nz.f.terms):
+                if any(mm[2] for mm in nz.f.in_w(W1).terms):
                     raise AssertionError("concurrent normalization left z-terms")
-                return nz.outcome("cone:concurrent-lines")
-            return nz.outcome("cone:triangle", {"split": "conjugate pair"})
+                return "cone:concurrent-lines", {}
+            return "cone:triangle", {"split": "conjugate pair"}
     # move the line to {x = 0} and look at the restriction of the conic
     nz.linear(matrix_mapping_form_to_var(L, 0, ctx))
-    conic_now = divide_exact(nz.f, TriPoly.variable(nz.context, 0))
+    conic_now = divide_exact(nz.f.in_w(W1), TriPoly.variable(nz.context, 0))
     b0 = conic_now.coefficient((0, 2, 0))
     b1 = conic_now.coefficient((0, 1, 1))
     b2 = conic_now.coefficient((0, 0, 2))
@@ -264,7 +261,7 @@ def _conic_and_line(nz: Normalizer, L: Line, conic: TriPoly) -> NormalizationOut
     return _conic_transverse(nz, b0, b1, b2)
 
 
-def _conic_tangent(nz: Normalizer, b0, b1, b2) -> NormalizationOutcome:
+def _conic_tangent(nz: Normalizer, b0, b1, b2) -> StageResult:
     ctx = nz.context
     p = ctx.characteristic
     one, zero = ctx.one(), ctx.zero()
@@ -278,7 +275,7 @@ def _conic_tangent(nz: Normalizer, b0, b1, b2) -> NormalizationOutcome:
         d = (one, zero)
     # send the tangency point [0 : d0 : d1] to [0:0:1] fixing the line x=0
     nz.direction_to_z(*d)
-    conic_now = divide_exact(nz.f, TriPoly.variable(nz.context, 0))
+    conic_now = divide_exact(nz.f.in_w(W1), TriPoly.variable(nz.context, 0))
     if not (
         conic_now.coefficient((0, 0, 2)).is_zero()
         and conic_now.coefficient((0, 1, 1)).is_zero()
@@ -292,18 +289,18 @@ def _conic_tangent(nz: Normalizer, b0, b1, b2) -> NormalizationOutcome:
     ai = alpha.inverse()
     nz.shift(2, linear_form(nz.context, (-(beta * ai), -(gammac * ai), zero)))
     expected_keys = {(2, 0, 1), (1, 2, 0)}
-    if set(nz.f.terms) != expected_keys:
+    if set(nz.f.in_w(W1).terms) != expected_keys:
         raise AssertionError("conic-tangent normal form failed")
-    return nz.outcome("cone:conic-tangent")
+    return "cone:conic-tangent", {}
 
 
-def _conic_transverse(nz: Normalizer, b0, b1, b2) -> NormalizationOutcome:
+def _conic_transverse(nz: Normalizer, b0, b1, b2) -> StageResult:
     # intersection points of the line {x=0} with the conic: the zeros [t : u]
     # of b0 t^2 + b1 t u + b2 u^2; over Q an irrational pair only skips the
     # cosmetic part
     dirs = _binary_zeros(nz, [b0, b1, b2])
     if len(dirs) < 2:
-        return nz.outcome("cone:conic-transverse", {"normalized": "partial"})
+        return "cone:conic-transverse", {"normalized": "partial"}
     one, zero = nz.context.one(), nz.context.zero()
     p1 = (zero, dirs[0][0], dirs[0][1])
     p2 = (zero, dirs[1][0], dirs[1][1])
@@ -313,19 +310,19 @@ def _conic_transverse(nz: Normalizer, b0, b1, b2) -> NormalizationOutcome:
     if mat_det(m).is_zero():
         raise AssertionError("transverse points do not span with x-axis")
     nz.linear(m)
-    rest = divide_exact(nz.f, TriPoly.variable(nz.context, 1))
+    rest = divide_exact(nz.f.in_w(W1), TriPoly.variable(nz.context, 1))
     alpha = rest.coefficient((1, 0, 1))
     if alpha.is_zero():
         raise AssertionError("transverse normalization lost the conic")
     ai = alpha.inverse()
     gam = rest.coefficient((0, 1, 1))
     nz.shift(0, TriPoly.variable(nz.context, 1).scale(-(gam * ai)))
-    rest = divide_exact(nz.f, TriPoly.variable(nz.context, 1))
+    rest = divide_exact(nz.f.in_w(W1), TriPoly.variable(nz.context, 1))
     beta = rest.coefficient((1, 1, 0))
     nz.shift(2, TriPoly.variable(nz.context, 1).scale(-(beta * ai)))
-    if set(nz.f.terms) != {(1, 1, 1), (0, 3, 0)}:
+    if set(nz.f.in_w(W1).terms) != {(1, 1, 1), (0, 3, 0)}:
         raise AssertionError("conic-transverse normal form failed")
-    return nz.outcome("cone:conic-transverse", {"normalized": "full"})
+    return "cone:conic-transverse", {"normalized": "full"}
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +339,16 @@ def _is_smooth(g: TriPoly) -> bool:
     return ideal_height_of(g.context, gens, 3, GroebnerBudget(max_basis=5000)) == 3
 
 
-def _no_rational_lines(nz: Normalizer, g: TriPoly) -> NormalizationOutcome:
-    """nz.f is g, lifted into the field where the line search ended."""
+def _no_rational_lines(nz: Normalizer, g: TriPoly) -> StageResult:
+    """g is nz.f's initial form over the input field; nz is in the field
+    where the line search ended."""
     if _is_smooth(g):
-        return nz.outcome("cone:smooth")
+        return "cone:smooth", {}
     points = _rational_singular_points(nz, g)
     if not points:
         # only conjugate triple-node configurations lack a rational singular
         # point once rational lines and smoothness are excluded
-        return nz.outcome("cone:triangle", {"split": "conjugate lines"})
+        return "cone:triangle", {"split": "conjugate lines"}
     nz.move_to_z(points[0])
     c2 = [
         nz.f.coefficient((2, 0, 1)),
@@ -365,13 +363,13 @@ def _no_rational_lines(nz: Normalizer, g: TriPoly) -> NormalizationOutcome:
         raise AssertionError("moved point is not singular")
     if all(c.is_zero() for c in c2):
         # multiplicity three: concurrent (conjugate) lines, already z-free
-        if any(m[2] for m in nz.f.terms):
+        if any(m[2] for m in nz.f.in_w(W1).terms):
             raise AssertionError("triple point normalization left z-terms")
-        return nz.outcome("cone:concurrent-lines", {"split": "conjugate lines"})
+        return "cone:concurrent-lines", {"split": "conjugate lines"}
     return _double_point(nz, c2)
 
 
-def _double_point(nz: Normalizer, c2) -> NormalizationOutcome:
+def _double_point(nz: Normalizer, c2) -> StageResult:
     """Node or cusp of an irreducible cubic placed at [0:0:1]."""
     q0, q1, q2 = c2  # tangent cone q0 x^2 + q1 xy + q2 y^2 (times z)
     if _has_double_root(q0, q1, q2):
@@ -379,7 +377,7 @@ def _double_point(nz: Normalizer, c2) -> NormalizationOutcome:
     return _node(nz, q0, q1, q2)
 
 
-def _cusp(nz: Normalizer, q0, q1, q2) -> NormalizationOutcome:
+def _cusp(nz: Normalizer, q0, q1, q2) -> StageResult:
     ctx = nz.context
     p = ctx.characteristic
     one = ctx.one()
@@ -400,20 +398,20 @@ def _cusp(nz: Normalizer, q0, q1, q2) -> NormalizationOutcome:
     h = nz.f.coefficient((1, 2, 0))
     i_ = nz.f.coefficient((0, 3, 0))
     nz.shift(2, linear_form(nz.context, (-(h * ci), -(i_ * ci), ctx.zero())))
-    keys = set(nz.f.terms)
+    keys = set(nz.f.in_w(W1).terms)
     if not keys <= {(0, 2, 1), (3, 0, 0), (2, 1, 0)}:
         raise AssertionError("cusp normal form failed")
     if nz.f.coefficient((3, 0, 0)).is_zero():
         raise AssertionError("cusp form lost its cube term")
-    return nz.outcome("cone:cuspidal")
+    return "cone:cuspidal", {}
 
 
-def _node(nz: Normalizer, q0, q1, q2) -> NormalizationOutcome:
+def _node(nz: Normalizer, q0, q1, q2) -> StageResult:
     # tangent cone has two distinct directions; over Q they may be conjugate,
     # in which case the normalization stops here (the verdict is type-level)
     dirs = _binary_zeros(nz, [q0, q1, q2])
     if len(dirs) < 2:
-        return nz.outcome("cone:nodal", {"normalized": "partial"})
+        return "cone:nodal", {"normalized": "partial"}
     one, zero = nz.context.one(), nz.context.zero()
     # tangent lines: q0 x^2 + q1 xy + q2 y^2 = q0 (x - t1 y)(x - t2 y)-style;
     # direction (t, 1) corresponds to the line x - t y, i.e. form (1, -t)
@@ -427,10 +425,10 @@ def _node(nz: Normalizer, q0, q1, q2) -> NormalizationOutcome:
     d = nz.f.coefficient((2, 1, 0))
     h = nz.f.coefficient((1, 2, 0))
     nz.shift(2, linear_form(nz.context, (-(d * ci), -(h * ci), zero)))
-    keys = set(nz.f.terms)
+    keys = set(nz.f.in_w(W1).terms)
     if keys != {(1, 1, 1), (3, 0, 0), (0, 3, 0)}:
         raise AssertionError("node normal form failed")
-    return nz.outcome("cone:nodal", {"normalized": "full"})
+    return "cone:nodal", {"normalized": "full"}
 
 
 def _rational_singular_points(nz: Normalizer, g: TriPoly) -> List[Line]:

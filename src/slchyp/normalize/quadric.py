@@ -13,6 +13,7 @@ reached through the radical of the alternating part.
 
 from __future__ import annotations
 
+from typing import Dict, Tuple
 
 from ..fields import NeedsAlgebraicExtension
 from ..poly import TriPoly
@@ -23,7 +24,9 @@ from .auto import (
     kernel,
     matrix_mapping_form_to_var,
     quadratic_coefficient,
+    run_stage,
 )
+from .steps import W1
 
 
 def normalize_quadric(q: TriPoly) -> NormalizationOutcome:
@@ -33,17 +36,21 @@ def normalize_quadric(q: TriPoly) -> NormalizationOutcome:
     """
     if q.is_zero() or not q.is_homogeneous(2):
         raise ValueError("input must be a nonzero homogeneous quadratic")
-    nz = Normalizer(q)
-    if q.context.characteristic == 2:
+    return run_stage(q, stage_quadric)
+
+
+def stage_quadric(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
+    """Normalize the quadratic initial form of nz.f, which has order 2.
+    Every step is linear, so the initial form moves with f."""
+    if nz.context.characteristic == 2:
         _normalize_char2(nz)
     else:
         _normalize_diagonal(nz)
-    rank = _rank_label(nz)
-    return nz.outcome(f"quadric:rank{rank}")
+    return f"quadric:rank{_rank_label(nz)}", {}
 
 
 def _rank_label(nz: Normalizer) -> int:
-    f = nz.f
+    f = nz.f.in_w(W1)
     if f == TriPoly.monomial(nz.context, (2, 0, 0)):
         return 1
     p = nz.context.characteristic
@@ -183,5 +190,6 @@ def _normalize_char2(nz: Normalizer) -> None:
 
 
 def _expect(nz: Normalizer, int_terms) -> None:
-    if nz.f != TriPoly.from_int_terms(nz.context, int_terms):
-        raise AssertionError(f"char-2 quadric normal form failed: {nz.f}")
+    q = nz.f.in_w(W1)
+    if q != TriPoly.from_int_terms(nz.context, int_terms):
+        raise AssertionError(f"char-2 quadric normal form failed: {q}")

@@ -22,6 +22,7 @@ from .auto import (
     NormalizationOutcome,
     absorb_squares,
     complete_square,
+    run_stage,
     try_assignments,
 )
 from .binary import factor_binary, pair_change, single_change
@@ -248,6 +249,4 @@ def _expect_tail(nz: Normalizer, int_terms) -> None:
 def normalize_quartic_211(f: TriPoly) -> NormalizationOutcome:
     """Full quartic-branch normalization for f with x^2 initial forms at both
     (1,1,1) and (3,2,2)."""
-    nz = Normalizer(f)
-    label, params = stage_quartic(nz)
-    return nz.outcome(label, params)
+    return run_stage(f, stage_quartic)

@@ -20,6 +20,7 @@ from .auto import (
     NormalizationOutcome,
     absorb_squares,
     complete_square,
+    run_stage,
     try_assignments,
 )
 from .binary import factor_binary, pair_change, single_change
@@ -223,31 +224,25 @@ def _stage_w6_odd(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
 # public single-stage entry points
 
 
-def _wrap(f: TriPoly, runner) -> NormalizationOutcome:
-    nz = Normalizer(f)
-    label, params = runner(nz)
-    return nz.outcome(label, params)
-
-
 def normalize_w2_cubic(f: TriPoly) -> NormalizationOutcome:
     """Normalize the weight-(3,2,2) cubic tail of f (which must have initial
     form x^2 at (1,1,1))."""
     if f.in_w(W1) != _x2(f.context):
         raise ValueError("initial form at (1,1,1) must be x^2")
-    return _wrap(f, stage_w2)
+    return run_stage(f, stage_w2)
 
 
 def normalize_w3(f: TriPoly) -> NormalizationOutcome:
-    return _wrap(f, stage_w3)
+    return run_stage(f, stage_w3)
 
 
 def normalize_w4(f: TriPoly) -> NormalizationOutcome:
-    return _wrap(f, stage_w4)
+    return run_stage(f, stage_w4)
 
 
 def normalize_w5(f: TriPoly) -> NormalizationOutcome:
-    return _wrap(f, stage_w5)
+    return run_stage(f, stage_w5)
 
 
 def normalize_w6(f: TriPoly) -> NormalizationOutcome:
-    return _wrap(f, stage_w6)
+    return run_stage(f, stage_w6)

@@ -343,6 +343,9 @@ TRACE_EDITS = {
     "terminal-label-mid-chain": (
         "mld_e8_p7.json", CHAIN[:2] + ["w2:y2z"] + CHAIN[3:] + ["w5:rdp-z5"]),
     "non-reduced-on-a-reduced-f": ("slc_false_y4_q.json", QUARTIC + ["q:y4", "non-reduced"]),
+    # the multiplicity labels are NEXT_STAGE keys like the pass labels
+    "cone-after-multiplicity-2": ("mld_nodal_cone_p2.json", ["multiplicity=2", "cone:nodal"]),
+    "multiplicity-2-twice": ("mld_e8_p7.json", CHAIN[:1] + CHAIN + ["w5:rdp-z5"]),
 }
 
 
