@@ -217,13 +217,16 @@ def _payloads(p: int, n: int, modulus: Optional[Vector]) -> Payloads:
 
 
 def payload_power(ops: Payloads, a: Payload, e: int) -> Payload:
-    """a^e for a payload a and an int e >= 0, by repeated squaring."""
-    result = ops.one
-    while e:
-        if e & 1:
-            result = ops.mul(result, a)
-        a = ops.mul(a, a)
-        e >>= 1
+    """a^e for a payload a and an int e >= 0, by left-to-right repeated
+    squaring: one square per bit of e after the first, and one product by a
+    per further set bit (a^2 is one product, a^1 none)."""
+    if not e:
+        return ops.one
+    mul, result = ops.mul, a
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, a)
     return result
 
 

@@ -24,13 +24,23 @@ degrees of its irreducible factors, and, when the field may grow, the
 extension of degree their lcm, where equal-degree splitting
 (Cantor-Zassenhaus) takes the squarefree part apart with no further root
 search.  Over a field of odd order a quadratic, whether g itself or a piece
-of a split, is solved in closed form instead: (-b +- sqrt(D)) / 2a, the
-square root one power when q = 3 mod 4 and Tonelli-Shanks otherwise, with a
-non-residue found once per field.  Cantor-Zassenhaus handles the pieces of
-degree 3 and more, and every piece in characteristic 2.  Extension moduli
-come from canonical_irreducible here: Serret's criterion decides the
-binomials t^d + c in closed form, and Ben-Or's test on UniPoly the
-candidates after them.  extend_context keeps one shared (field, embedding)
+of a split, is solved in closed form instead: (-b +- sqrt(D)) / 2a.
+Cantor-Zassenhaus handles the pieces of degree 3 and more, and every piece
+in characteristic 2.
+
+nth_root builds no polynomial and searches for no root: over F_q an r-th
+root for a prime r | q - 1 (the square root of a discriminant included) is
+Adleman-Manders-Miller, the generalisation of Tonelli-Shanks, with a
+generator of the r-Sylow subgroup of F_q^* found once per (field, r); an
+n-th root takes one r-th root per prime factor r of gcd(n, q-1), counted
+with multiplicity, after the inverse Frobenius strips p from n, and when
+the root is not in F_q the splitting field of t^n - a is read off the
+orders of q and of a.  Over Q it is an exact integer root of numerator and
+denominator.
+
+Extension moduli come from canonical_irreducible here: Serret's criterion
+decides the binomials t^d + c in closed form, and Ben-Or's test on UniPoly
+the candidates after them.  extend_context keeps one shared (field, embedding)
 pair per (context, extra degree), as extension_field keeps one context per
 field, so the old modulus is split for the generator's image, and the
 embedding's basis images are packed, once per process for each field pair.
@@ -40,9 +50,9 @@ Everything is deterministic.  Root lists are sorted by the canonical element
 order (lexicographic on coefficient vectors; (|x|, sign) over Q), whatever
 order equal-degree splitting finds the roots in.  Splitting draws its
 candidate elements from a fixed-seed pseudo-random sequence and falls back to
-the canonical element scan, a field's non-residue is the first of those
-candidates that is not a square, and new moduli come from a fixed enumeration
-of irreducibles.
+the canonical element scan, a field's r-Sylow generator comes from the first
+of those candidates that is not an r-th power, nth_root returns the least
+root, and new moduli come from a fixed enumeration of irreducibles.
 """
 
 from __future__ import annotations
@@ -57,6 +67,7 @@ from .fields import (
     FieldContext,
     FieldElement,
     FieldEmbedding,
+    MAX_EXTENSION_DEGREE,
     NeedsAlgebraicExtension,
     Payload,
     Payloads,
@@ -502,10 +513,10 @@ def _rational_roots(g: UniPoly) -> List[Tuple[FieldElement, int]]:
     The prime p is the first from 5 up that does not divide lead(h) and
     keeps h squarefree, so every root of h mod p is simple and lifts to a
     unique root mod p^k by Newton iteration (2 or 3 divides the
-    discriminant n^n a^(n-1) of t^n - a for n = 2, 3, 4, which nth_root
-    asks about).  A reconstructed candidate is kept only if it is exactly a
-    root of g.  The cost is polynomial in the bit size of g; enumerating the
-    divisors of h(0) and lead(h) was not.
+    discriminant n^n a^(n-1) of every binomial t^n - a with n = 2, 3, 4,
+    so those two primes are skipped).  A reconstructed candidate is kept
+    only if it is exactly a root of g.  The cost is polynomial in the bit
+    size of g; enumerating the divisors of h(0) and lead(h) was not.
 
     h starts as g itself, which is its own squarefree part whenever one
     degree-preserving reduction is squarefree; only when the first one is
@@ -653,71 +664,88 @@ def _quadratic_roots(w: UniPoly) -> Optional[List]:
     ops = w.context.ops
     c, b, a = w.cs
     four_ac = ops.mul(ops.from_int(4), ops.mul(a, c))
-    root = _square_root(w.context, ops.sub(ops.mul(b, b), four_ac))
+    root = _rth_root(w.context, ops.sub(ops.mul(b, b), four_ac), 2)
     if root is None:
         return None
     neg_b, inv = ops.neg(b), ops.inverse(ops.mul(ops.from_int(2), a))
     return [ops.mul(ops.add(neg_b, root), inv), ops.mul(ops.sub(neg_b, root), inv)]
 
 
-def _square_root(ctx: FieldContext, a: Payload) -> Optional[Payload]:
-    """A payload r with r^2 = a in F_q, q odd, or None when a is not a square.
+def _rth_root(ctx: FieldContext, a: Payload, r: int) -> Optional[Payload]:
+    """A payload x with x^r = a in F_q, for a prime r dividing q - 1, or None
+    when a is not an r-th power.
 
-    q = 3 mod 4: r = a^((q+1)/4), one power, then checked.  Otherwise
-    Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number
-    Theory, Alg. 1.5.1): with q - 1 = 2^s m, m odd, and z = n^m for the
-    field's non-residue n, z generates the 2-Sylow subgroup of F_q^*.
-    Start from x = a^((m+1)/2), b = a^m and r = s, so that x^2 = a b, and
-    z has order 2^r.  While b != 1, let 2^i be its order: i = r only at the
-    start, when a is not a square.  Otherwise x, b, z, r become x y, b y^2,
-    y^2, i for y = z^(2^(r-i-1)), which keeps x^2 = a b and lowers the order
-    of b, so at b = 1 x is the root."""
+    Adleman-Manders-Miller (On taking roots in finite fields, FOCS 1977),
+    the generalisation of Tonelli-Shanks (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 1.5.1, which is r = 2): with q - 1 = r^s t,
+    r not dividing t, and d = r^-1 mod t, start from x = a^d and b = x^r / a
+    = a^(rd-1), which lies in the r-Sylow subgroup of F_q^*, cyclic of order
+    r^s with the generator z of _sylow_generator; gamma = z^(r^(s-1)) has
+    order r.  While b != 1, let r^i be its order: i = s only at the start,
+    when a is not an r-th power (b then generates the subgroup).  Otherwise
+    b^(r^(i-1)) = gamma^-j for one j in 1..r-1, and with y = z^(r^(k-i-1))
+    for z of order r^k, x, b, z, k become x y^j, b y^(rj), y^r, i, which
+    keeps x^r = a b and gamma = z^(r^(k-1)) and lowers the order of b, so at
+    b = 1 x is the root.  When s = 1 (q = 3 mod 4 for r = 2) that is one
+    power, and no generator is needed."""
     ops = ctx.ops
     if a == ops.zero:
         return a
-    q = ctx.order()
-    if q % 4 == 3:
-        x = payload_power(ops, a, (q + 1) // 4)
-        return x if ops.mul(x, x) == a else None
     mul, one = ops.mul, ops.one
-    r = ((q - 1) & (1 - q)).bit_length() - 1
-    m = (q - 1) >> r
-    z = payload_power(ops, _nonresidue(ctx), m)
-    w = payload_power(ops, a, m // 2)  # a^((m-1)/2)
+    s, t = _split_off(ctx.order() - 1, r)
+    w = payload_power(ops, a, (pow(r, -1, t) if t > 1 else 1) - 1)  # a^(d-1)
     x = mul(a, w)
-    b = mul(x, w)
+    b = mul(payload_power(ops, x, r - 1), w)
+    k, z, logs = s, None, {}
     while b != one:
         i, c = 0, b
         while c != one:
-            c = mul(c, c)
+            last, c = c, payload_power(ops, c, r)
             i += 1
-        if i == r:
+        if i == k:
             return None
-        y = z
-        for _ in range(r - i - 1):
-            y = mul(y, y)
-        x, z = mul(x, y), mul(y, y)
-        b, r = mul(b, z), i
+        if z is None:
+            z = _sylow_generator(ctx, r)
+            gamma, g = payload_power(ops, z, r ** (s - 1)), one
+            for j in range(r):
+                logs[g] = -j % r
+                g = mul(g, gamma)
+        y = payload_power(ops, z, r ** (k - i - 1))
+        z, j = payload_power(ops, y, r), logs[last]
+        x, b, k = mul(x, payload_power(ops, y, j)), mul(b, payload_power(ops, z, j)), i
     return x
 
 
-# the non-residue of each field of order q = 1 mod 4 that _square_root has
-# needed, keyed by the field's shared context (a memo: it never changes)
-_NONRESIDUES: Dict[FieldContext, Payload] = {}
+def _split_off(n: int, r: int) -> Tuple[int, int]:
+    """(s, t) with n = r^s t and r not dividing t, for n >= 1."""
+    s = 0
+    while n % r == 0:
+        s, n = s + 1, n // r
+    return s, n
 
 
-def _nonresidue(ctx: FieldContext) -> Payload:
-    """A non-square of F_q, q odd: the first element of the splitting
-    candidates (_split_candidates, seeded with SPLIT_SEED) that fails
-    Euler's test c^((q-1)/2) = 1, found on first use and then cached.  Half
-    of F_q^* qualifies, so the search takes two powers on average."""
-    found = _NONRESIDUES.get(ctx)
+# the generator of the r-Sylow subgroup of each field's unit group that
+# _rth_root and _least_root have needed, keyed by (the field's shared
+# context, r) (a memo: it never changes)
+_SYLOW_GENERATORS: Dict[Tuple[FieldContext, int], Payload] = {}
+
+
+def _sylow_generator(ctx: FieldContext, r: int) -> Payload:
+    """A generator of the r-Sylow subgroup of F_q^*, r a prime dividing
+    q - 1, itself not an r-th power: rho^t for q - 1 = r^s t, r not dividing
+    t, where rho is the first nonzero element of the splitting candidates
+    (_split_candidates, seeded with SPLIT_SEED) that is not an r-th power,
+    rho^((q-1)/r) != 1.  Found on first use and then cached; a fraction
+    1 - 1/r of F_q^* qualifies, so the search takes two powers at most on
+    average."""
+    found = _SYLOW_GENERATORS.get((ctx, r))
     if found is None:
-        ops, half = ctx.ops, (ctx.order() - 1) // 2
-        minus_one = ops.neg(ops.one)
-        found = next(c.payload for c in _split_candidates(ctx, random.Random(SPLIT_SEED))
-                     if payload_power(ops, c.payload, half) == minus_one)
-        _NONRESIDUES[ctx] = found
+        ops, q = ctx.ops, ctx.order()
+        rho = next(c.payload for c in _split_candidates(ctx, random.Random(SPLIT_SEED))
+                   if c.payload != ops.zero
+                   and payload_power(ops, c.payload, (q - 1) // r) != ops.one)
+        found = payload_power(ops, rho, _split_off(q - 1, r)[1])
+        _SYLOW_GENERATORS[(ctx, r)] = found
     return found
 
 
@@ -870,33 +898,121 @@ def find_roots(g: UniPoly, allow_extension: bool) -> RootResult:
 
 
 def nth_root(a: FieldElement, n: int, allow_extension: bool) -> Tuple[FieldElement, FieldEmbedding]:
-    """A deterministic b with b^n = a (first root of t^n - a in canonical order).
+    """A deterministic b with b^n = a: the first root of t^n - a in canonical
+    order, in the least field where t^n - a splits when F_q has no root.
 
     Returns the root together with the embedding of the original field into
-    the (possibly enlarged) field containing it.
+    the (possibly enlarged) field containing it.  No root search runs: t^n - a
+    is built only for the NeedsAlgebraicExtension raised when there is no
+    root and the field may not (or, over Q, cannot) grow.
+
+    Over F_q, q = p^e: t^(p m) - a = (t^m - a^(1/p))^p, so p is stripped
+    from n with the inverse Frobenius (_least_root has the rest).  When no
+    root lies in F_q and allow_extension is set, the field grows to F_{q^k}
+    for the least k with m | q^k - 1 and a^((q^k-1)/m) = 1, that is, the
+    least field holding every root of t^m - a: its degree k is the lcm of
+    the degrees of the irreducible factors of t^m - a, the extension
+    find_roots makes, so extend_context gives the same field and
+    embedding.  A k past MAX_EXTENSION_DEGREE raises ValueError, as
+    extension_field does, before any power of q that large is formed.
+
+    Over Q, a = u/v in lowest terms has a rational n-th root iff |u| and v
+    are exact n-th powers of integers and u > 0 or n is odd; the root is the
+    positive one for even n, the first in the (|x|, sign) order.
     """
     if a.is_zero():
         raise ValueError("nth_root of zero")
     if n < 1:
         raise ValueError("n must be >= 1")
     ctx = a.context
-    if not ctx.is_rational:
-        # when n is invertible modulo q-1 the root is unique: a^(n^-1 mod q-1)
-        q = ctx.order()
-        if math.gcd(n, q - 1) == 1:
-            b = a ** pow(n, -1, q - 1)
-            return b, identity_embedding(ctx)
-    g = UniPoly.make(ctx, [-a] + [ctx.zero()] * (n - 1) + [ctx.one()])
-    res = find_roots(g, allow_extension=False)
-    if res.roots:
-        return res.first(), identity_embedding(ctx)
     if ctx.is_rational:
+        u, v = a.payload.numerator, a.payload.denominator
+        top, bottom = _integer_root(abs(u), n), _integer_root(v, n)
+        if top ** n == abs(u) and bottom ** n == v and (u > 0 or n % 2):
+            root = Fraction(top if u > 0 else -top, bottom)
+            return FieldElement(ctx, root), identity_embedding(ctx)
         raise NeedsAlgebraicExtension(
-            f"no rational {n}-th root of {a}", polynomial=g
+            f"no rational {n}-th root of {a}", polynomial=_binomial(a, n)
         )
+    p, q = ctx.characteristic, ctx.order()
+    e, m = _split_off(n, p)
+    # a^(q/p) is the inverse Frobenius, and q/p = p^-1 mod q-1
+    c = payload_power(ctx.ops, a.payload, pow(q // p, e, q - 1))
+    root = _least_root(ctx, c, m)
+    if root is not None:
+        return FieldElement(ctx, root), identity_embedding(ctx)
     if not allow_extension:
         raise NeedsAlgebraicExtension(
-            f"no {n}-th root of {a} in the current field", polynomial=g
+            f"no {n}-th root of {a} in the current field", polynomial=_binomial(a, n)
         )
-    res = find_roots(g, allow_extension=True)
-    return res.first(), res.embedding
+    big, emb = extend_context(ctx, _splitting_degree(ctx, c, m))
+    return FieldElement(big, _least_root(big, emb(FieldElement(ctx, c)).payload, m)), emb
+
+
+def _binomial(a: FieldElement, n: int) -> UniPoly:
+    """t^n - a."""
+    ctx = a.context
+    return UniPoly.make(ctx, [-a] + [ctx.zero()] * (n - 1) + [ctx.one()])
+
+
+def _integer_root(x: int, n: int) -> int:
+    """The integer part of x^(1/n) for x >= 0: math.isqrt for n = 2, and
+    otherwise Newton's iteration from a power of two above the root, which
+    decreases until it stops at the root."""
+    if n == 2:
+        return math.isqrt(x)
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
+
+
+def _least_root(ctx: FieldContext, a: Payload, m: int) -> Optional[Payload]:
+    """The least payload b of F_q with b^m = a, p not dividing m, or None when
+    there is none.
+
+    With g = gcd(m, q-1), a has an m-th root iff it has a g-th root, taken
+    one prime r | g at a time by _rth_root; each step stays an r-th power
+    because mu_g is cyclic.  Then b = c^u for the g-th root c and u =
+    (m/g)^-1 mod (q-1)/g (m/g and (q-1)/g are coprime), and the m-th roots
+    are b zeta^i, i < g, for zeta of order g: the product of z^(r^(s-e)) over
+    the prime powers r^e || g, z the generator of the r-Sylow subgroup, of
+    order r^s.  The least payload is the first root in the canonical element
+    order."""
+    ops = ctx.ops
+    q = ctx.order()
+    g = math.gcd(m, q - 1)
+    zeta, rest = ops.one, g
+    for r in _prime_factors(g):
+        e = 0
+        while rest % r == 0:
+            a = _rth_root(ctx, a, r)
+            if a is None:
+                return None
+            rest, e = rest // r, e + 1
+        s = _split_off(q - 1, r)[0]
+        zeta = ops.mul(zeta, payload_power(ops, _sylow_generator(ctx, r), r ** (s - e)))
+    b = payload_power(ops, a, pow(m // g, -1, (q - 1) // g))
+    best = b
+    for _ in range(g - 1):
+        b = ops.mul(b, zeta)
+        best = min(best, b)
+    return best
+
+
+def _splitting_degree(ctx: FieldContext, a: Payload, m: int) -> int:
+    """The least k with m | q^k - 1 and a^((q^k-1)/m) = 1 for a in F_q^*:
+    the degree over F_q of the splitting field of t^m - a, p not dividing
+    m.  The power is taken in F_q, with its exponent reduced mod q - 1.  A
+    k whose field would pass MAX_EXTENSION_DEGREE raises ValueError."""
+    ops, q = ctx.ops, ctx.order()
+    qk = q
+    for k in range(1, MAX_EXTENSION_DEGREE // ctx.extension_degree + 1):
+        if (qk - 1) % m == 0 and payload_power(ops, a, (qk - 1) // m % (q - 1)) == ops.one:
+            return k
+        qk *= q
+    raise ValueError(f"extension degree must be in 1..{MAX_EXTENSION_DEGREE}")

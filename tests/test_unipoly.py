@@ -2,6 +2,7 @@ import hashlib
 import math
 import pathlib
 import random
+import time
 import types
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 
 from slchyp import NeedsAlgebraicExtension, RATIONALS, classify_mld, extension_field, prime_field
 from slchyp import unipoly
-from slchyp.fields import FieldElement
+from slchyp.fields import FieldElement, identity_embedding
 from slchyp.parse import parse_poly
 from slchyp.unipoly import UniPoly, extend_context, find_roots, nth_root, poly_is_irreducible
 
@@ -244,12 +245,12 @@ def test_splitting_falls_back_to_canonical_scan(monkeypatch, p, n):
     # Tr(0 t) = 0), so only the canonical element scan can find the roots.
     # Over odd q a quadratic is solved in closed form and never reaches
     # _split_once, so the products there have at least 3 distinct roots.
-    # The stand-in also drives the non-residue search of Tonelli-Shanks (a
+    # The stand-in also drives the non-residue search of the square roots (a
     # fresh cache, so the search runs here); only verified non-residues are
     # ever cached, so it can change which one is cached, never a result.
     monkeypatch.setattr(unipoly, "EXHAUSTIVE_ROOT_LIMIT", 1)
     monkeypatch.setattr(unipoly, "random", types.SimpleNamespace(Random=_ZeroShifts))
-    monkeypatch.setattr(unipoly, "_NONRESIDUES", {})
+    monkeypatch.setattr(unipoly, "_SYLOW_GENERATORS", {})
     monkeypatch.setattr(unipoly, "_EMBEDDINGS", {})
     inside, scanned = [False], [0]
     split_once, candidates = unipoly._split_once, unipoly._split_candidates
@@ -301,19 +302,21 @@ def test_nth_root_of_nonresidue_in_large_characteristic(monkeypatch):
     b, emb = nth_root(prime_field(p).from_int(a), 2, allow_extension=True)
     assert emb.target == extension_field(p, 2)
     assert b * b == emb.target.from_int(a)
-    # one power for the factor degrees; the square root over F_{p^2} is in
-    # closed form (splitting t^2 - a by Cantor-Zassenhaus took 3 powers)
-    assert calls[0] <= 2
+    # the root test, the splitting degree and the square root over F_{p^2}
+    # are field powers (the polynomial path took 2 pow_mod calls, splitting
+    # t^2 - a by Cantor-Zassenhaus 3)
+    assert calls[0] == 0
 
 
-# pow_mod calls allowed per case: those made with closed-form quadratics
-# (11, 8, 3, 10), plus 2; splitting the quadratics by Cantor-Zassenhaus
-# made 18, 16, 9 and 18
+# pow_mod calls allowed per case: those made with closed-form n-th roots
+# (3, 4, 3, 4), plus 2; n-th roots as roots of t^n - a by find_roots made
+# 11, 8, 3 and 10, and splitting the quadratics by Cantor-Zassenhaus 18, 16,
+# 9 and 18
 POLYLOG_POW_MOD_BOUNDS = {
-    ("x^2+y*z*(y+3*z)*(y+5*z)+y^2*z^3", 1009): 13,
-    ("x^2+y*z*(y+3*z)*(y+5*z)+y^2*z^3", 10007): 10,
+    ("x^2+y*z*(y+3*z)*(y+5*z)+y^2*z^3", 1009): 5,
+    ("x^2+y*z*(y+3*z)*(y+5*z)+y^2*z^3", 10007): 6,
     ("x^2+y*(y^2+3*z^4)", 10007): 5,
-    ("x^2+y^4+z^4+x*y*z", 10009): 12,
+    ("x^2+y^4+z^4+x*y*z", 10009): 6,
 }
 
 
@@ -332,6 +335,144 @@ def test_extension_classification_cost_is_polylog_in_p(monkeypatch, poly, p, deg
     assert calls[0] <= POLYLOG_POW_MOD_BOUNDS[poly, p]
 
 
+# -- nth_root in closed form against the polynomial path ------------------------
+
+
+def _nth_root_reference(a, n, allow_extension):
+    """The first root of t^n - a that find_roots reports: in the field of a,
+    or, when there is none there and the field may grow, in the field where
+    t^n - a splits."""
+    ctx = a.context
+    g = UniPoly.make(ctx, [-a] + [ctx.zero()] * (n - 1) + [ctx.one()])
+    res = find_roots(g, allow_extension=False)
+    if res.roots:
+        return res.first(), identity_embedding(ctx)
+    if ctx.is_rational:
+        raise NeedsAlgebraicExtension(f"no rational {n}-th root of {a}", polynomial=g)
+    if not allow_extension:
+        raise NeedsAlgebraicExtension(f"no {n}-th root of {a} in the current field",
+                                      polynomial=g)
+    res = find_roots(g, allow_extension=True)
+    return res.first(), res.embedding
+
+
+def _nth_root_outcome(root, a, n, allow_extension):
+    """The root, its field with the modulus and the generator's image, or the
+    exception with the polynomial it carries."""
+    try:
+        b, emb = root(a, n, allow_extension)
+    except (NeedsAlgebraicExtension, ValueError) as exc:
+        return type(exc).__name__, str(exc), str(getattr(exc, "polynomial", None))
+    ctx = emb.target
+    return (str(b), ctx.characteristic, ctx.extension_degree, ctx.modulus,
+            str(emb.generator_image))
+
+
+def _assert_nth_roots_match(a, exponents):
+    for n in exponents:
+        for allow_extension in (False, True):
+            expected = _nth_root_outcome(_nth_root_reference, a, n, allow_extension)
+            assert _nth_root_outcome(nth_root, a, n, allow_extension) == expected, (a, n)
+
+
+# every field of order q in {2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 49}
+NTH_ROOT_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
+                   (2, 4), (5, 2), (3, 3), (7, 2)]
+
+
+@pytest.mark.parametrize("p,k", NTH_ROOT_FIELDS)
+def test_nth_root_matches_the_polynomial_path_on_every_element(p, k):
+    # Every nonzero a and n in 1..12, both ways.  Where t^n - a has no root in
+    # F_q, the splitting field depends only on n and the multiplicative order
+    # of a, and splitting in it is most of the reference's cost (up to
+    # F_{7^24}), so the reference runs on the first a of each order; every
+    # other a must reach the same field, with the same embedding, by a root.
+    ctx = extension_field(p, k)
+    q = ctx.order()
+    for n in range(1, 13):
+        fields = {}
+        for a in ctx.elements():
+            if a.is_zero():
+                continue
+            expected = _nth_root_outcome(_nth_root_reference, a, n, False)
+            assert _nth_root_outcome(nth_root, a, n, False) == expected, (a, n)
+            if expected[0] == "NeedsAlgebraicExtension":
+                order = min(d for d in range(1, q) if (q - 1) % d == 0 and (a ** d).is_one())
+                if order not in fields:
+                    expected = _nth_root_outcome(_nth_root_reference, a, n, True)
+                    fields[order] = expected
+                elif fields[order][0] == "ValueError":  # past the extension cap
+                    expected = fields[order]
+                else:
+                    b, emb = nth_root(a, n, allow_extension=True)
+                    assert b ** n == emb(a), (a, n)
+                    assert _nth_root_outcome(nth_root, a, n, True)[1:] == fields[order][1:]
+                    continue
+            assert _nth_root_outcome(nth_root, a, n, True) == expected, (a, n)
+
+
+def test_nth_root_matches_the_polynomial_path_on_seeded_samples():
+    # the stress primes of large_char_extensions and F_{113^2}
+    rng = random.Random(20261020)
+    for p, k in [(101, 1), (103, 1), (107, 1), (109, 1), (113, 1), (127, 1), (113, 2)]:
+        ctx = extension_field(p, k)
+        for _ in range(4):
+            a = ctx.from_vector([rng.randrange(1, p)]
+                               + [rng.randrange(p) for _ in range(k - 1)])
+            _assert_nth_roots_match(a, range(2, 7))
+    Q = RATIONALS
+    for _ in range(8):
+        b = Q.from_fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+        for k in range(1, 6):
+            for a in (b ** k, -(b ** k), b ** k + Q.one()):
+                _assert_nth_roots_match(a, [k])
+    big = Q.from_int(10 ** 29 + 7)
+    for k in range(1, 6):
+        _assert_nth_roots_match(big ** k, [k])
+
+
+def test_nth_root_in_large_splitting_fields():
+    # recorded from the polynomial path, which took ~1 s and ~7 s on these
+    # (2-vCPU VM)
+    for p, n, modulus, root in [
+        (3, 74, (1, 2, 0, 1) + (0,) * 14 + (1,),
+         "u^2+2*u^3+2*u^6+u^8+u^9+u^10+2*u^12+u^13+u^14+2*u^15+2*u^16"),
+        (5, 134, (1, 1) + (0,) * 20 + (1,),
+         "u^3+u^4+u^5+3*u^6+4*u^8+4*u^10+2*u^11+4*u^12+u^14+2*u^15+2*u^16+2*u^17+u^20+u^21"),
+    ]:
+        two = prime_field(p).from_int(2)
+        assert _nth_root_outcome(nth_root, two, n, True) == (
+            root, p, len(modulus) - 1, modulus, "None")
+
+
+@pytest.mark.parametrize("p,a,n", [(7, 3, 82), (3, 2, 94)])
+def test_nth_root_fails_fast_above_the_extension_cap(p, a, n):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^extension degree must be in 1\.\.32$"):
+        nth_root(prime_field(p).from_int(a), n, allow_extension=True)
+    assert time.perf_counter() - start < 1
+
+
+def test_nth_root_makes_no_root_search(monkeypatch):
+    # each case runs once to build its fields and embeddings; the second run
+    # must give the same result with root search and pow_mod switched off
+    cases = [(prime_field(101).from_int(3), 4), (prime_field(113).from_int(5), 2),
+             (extension_field(7, 2).from_vector((3, 1)), 3), (prime_field(5).from_int(2), 134),
+             (extension_field(3, 3).from_vector((1, 2, 0)), 6), (prime_field(7).from_int(6), 3),
+             (RATIONALS.from_fraction(8, 27), 3), (RATIONALS.from_int(-4), 2),
+             (RATIONALS.from_int(10 ** 29 + 7) ** 4, 4)]
+    before = [_nth_root_outcome(nth_root, a, n, True) for a, n in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("nth_root searched for roots")
+
+    monkeypatch.setattr(unipoly, "find_roots", forbidden)
+    monkeypatch.setattr(unipoly, "_roots_in_field", forbidden)
+    monkeypatch.setattr(unipoly, "_rational_roots", forbidden)
+    monkeypatch.setattr(UniPoly, "pow_mod", forbidden)
+    assert [_nth_root_outcome(nth_root, a, n, True) for a, n in cases] == before
+
+
 # -- quadratics in closed form: (-b +- sqrt(D)) / 2a -----------------------------
 
 # q = 3 mod 4 (one power), q = 5 mod 8, and q = 1 mod 8 with q - 1 = 2^s m for
@@ -345,7 +486,7 @@ def test_quadratic_roots_in_closed_form(monkeypatch, p, n):
     # a low cutoff sends these small fields past the element scan, and a
     # fresh cache makes the field's non-residue search run here
     monkeypatch.setattr(unipoly, "EXHAUSTIVE_ROOT_LIMIT", 1)
-    monkeypatch.setattr(unipoly, "_NONRESIDUES", {})
+    monkeypatch.setattr(unipoly, "_SYLOW_GENERATORS", {})
     monkeypatch.setattr(unipoly, "_EMBEDDINGS", {})
     ctx = extension_field(p, n)
     q = ctx.order()
@@ -377,9 +518,9 @@ def test_quadratic_roots_in_closed_form(monkeypatch, p, n):
         assert unipoly._roots_in_field(UniPoly.make(ctx, [c, b, ctx.one()])) == []
         assert unipoly._roots_in_field(scale * UniPoly.make(ctx, [c, b, ctx.one()])) == []
     if q % 4 == 3:
-        assert ctx not in unipoly._NONRESIDUES  # one power, no non-residue
+        assert (ctx, 2) not in unipoly._SYLOW_GENERATORS  # one power, no non-residue
     else:
-        cached = FieldElement(ctx, unipoly._NONRESIDUES[ctx])
+        cached = FieldElement(ctx, unipoly._SYLOW_GENERATORS[ctx, 2])
         assert cached not in squares and cached ** ((q - 1) // 2) == -ctx.one()
 
 
