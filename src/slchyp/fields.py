@@ -299,10 +299,6 @@ class FieldContext:
         return (FieldContext, fields)
 
     @property
-    def kind(self) -> str:
-        return "rationals" if self.characteristic == 0 else "finite"
-
-    @property
     def is_rational(self) -> bool:
         return self.characteristic == 0
 
@@ -360,17 +356,13 @@ class FieldContext:
             raise ValueError("no generator in a prime or rational context")
         return self.from_vector((0, 1))
 
-    def payloads(self) -> Iterator["Payload"]:
-        """The payloads of all field elements in canonical (lexicographic
-        vector) order."""
+    def elements(self) -> Iterator["FieldElement"]:
+        """All field elements in canonical (lexicographic vector) order."""
         if self.is_rational:
             raise ValueError("cannot enumerate the rationals")
         p, n = self.characteristic, self.extension_degree
-        return iter(range(p)) if n == 1 else itertools.product(range(p), repeat=n)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        """All field elements in canonical (lexicographic vector) order."""
-        return (FieldElement(self, c) for c in self.payloads())
+        payloads = range(p) if n == 1 else itertools.product(range(p), repeat=n)
+        return (FieldElement(self, c) for c in payloads)
 
 
 Payload = Union[Fraction, int, Tuple[int, ...]]

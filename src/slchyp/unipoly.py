@@ -19,14 +19,17 @@ n and deg w that no intermediate value overflows, so a modular square is a
 few int products and one % p per slot.
 Its docstring has the layout and the bound; nothing is cached across calls.
 
-Finite-field root finding is one pass: the squarefree part of g, the
-degrees of its irreducible factors, and, when the field may grow, the
-extension of degree their lcm, where equal-degree splitting
-(Cantor-Zassenhaus) takes the squarefree part apart with no further root
-search.  Over a field of odd order a quadratic, whether g itself or a piece
-of a split, is solved in closed form instead: (-b +- sqrt(D)) / 2a.
-Cantor-Zassenhaus handles the pieces of degree 3 and more, and every piece
-in characteristic 2.
+Finite-field root finding rests on one loop over the Frobenius powers
+t^(q^e) mod w, _frobenius_blocks, which yields the distinct-degree blocks of
+a squarefree w lazily (distinct-degree factorization, von zur Gathen-Gerhard,
+Modern Computer Algebra 14.2).  Root finding takes the squarefree part of g;
+when the field may grow, it moves to the extension of degree the lcm of the
+block degrees, where equal-degree splitting (Cantor-Zassenhaus) takes the
+squarefree part apart with no further root search; otherwise the roots in
+the field are the degree-1 block, split the same way.  Over a field of odd
+order a quadratic, whether g itself or a piece of a split, is solved in
+closed form instead: (-b +- sqrt(D)) / 2a.  Cantor-Zassenhaus handles the
+pieces of degree 3 and more, and every piece in characteristic 2.
 
 nth_root builds no polynomial and searches for no root: over F_q an r-th
 root for a prime r | q - 1 (the square root of a discriminant included) is
@@ -39,11 +42,12 @@ orders of q and of a.  Over Q it is an exact integer root of numerator and
 denominator.
 
 Extension moduli come from canonical_irreducible here: Serret's criterion
-decides the binomials t^d + c in closed form, and Ben-Or's test on UniPoly
-the candidates after them.  extend_context keeps one shared (field, embedding)
-pair per (context, extra degree), as extension_field keeps one context per
-field, so the old modulus is split for the generator's image, and the
-embedding's basis images are packed, once per process for each field pair.
+decides the binomials t^d + c in closed form, and Ben-Or's test, the same
+Frobenius loop stopped at its first block, the candidates after them.
+extend_context keeps one shared (field, embedding) pair per (context, extra
+degree), as extension_field keeps one context per field, so the old modulus
+is split for the generator's image, and the embedding's basis images are
+packed, once per process for each field pair.
 A root's multiplicity is found by repeated synthetic division by t - r.
 
 Everything is deterministic.  Root lists are sorted by the canonical element
@@ -80,7 +84,6 @@ from .fields import (
     reduction_rows,
 )
 
-EXHAUSTIVE_ROOT_LIMIT = 64
 # equal-degree splitting: seed of its pseudo-random shifts, and how many it
 # tries on one factor before falling back to the canonical element scan
 SPLIT_SEED = 0x5EED
@@ -418,20 +421,15 @@ def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     coefficients low degree first: M is irreducible iff gcd(M, t^(p^i) - t)
     = 1 for every i <= d/2, since t^(p^i) - t is the product of the monic
     irreducibles of degree dividing i and a reducible M has a factor of
-    degree at most d/2.  h = t^(p^i) mod M takes one p-th power per step,
-    and the test stops at the first common factor, so most reducible
-    candidates cost a step or two."""
+    degree at most d/2.  That is, iff the first block _frobenius_blocks
+    yields is M itself; the blocks come lazily, one p-th power per step, so
+    the test stops at the first common factor and most reducible candidates
+    cost a step or two."""
     d = len(coeffs) - 1
     if d < 2:
         return d == 1
-    ctx = prime_field(p)
-    m, t = UniPoly.from_ints(ctx, coeffs), UniPoly.x(ctx)
-    h = t
-    for _ in range(d // 2):
-        h = h.pow_mod(p, m)
-        if m.gcd(h - t).degree() > 0:
-            return False
-    return True
+    m = UniPoly.from_ints(prime_field(p), coeffs)
+    return next(_frobenius_blocks(m))[0] == d
 
 
 def _irreducible_binomial(p: int, d: int) -> Optional[int]:
@@ -515,8 +513,8 @@ def _rational_roots(g: UniPoly) -> List[Tuple[FieldElement, int]]:
     unique root mod p^k by Newton iteration (2 or 3 divides the
     discriminant n^n a^(n-1) of every binomial t^n - a with n = 2, 3, 4,
     so those two primes are skipped).  A reconstructed candidate is kept
-    only if it is exactly a root of g.  The cost is polynomial in the bit
-    size of g; enumerating the divisors of h(0) and lead(h) was not.
+    only if t minus it divides g.  The cost is polynomial in the bit size
+    of g; enumerating the divisors of h(0) and lead(h) was not.
 
     h starts as g itself, which is its own squarefree part whenever one
     degree-preserving reduction is squarefree; only when the first one is
@@ -549,10 +547,9 @@ def _rational_roots(g: UniPoly) -> List[Tuple[FieldElement, int]]:
         while m <= bound:
             m *= m
             u = (u - _horner(h, u) * pow(_horner(dh, u), -1, m)) % m
-        cand = _reconstruct(u, m, a0)
-        if _value(g.cs, cand, ctx.ops) == 0:
-            root = FieldElement(ctx, cand)
-            g, mult = _root_multiplicity(g, root)
+        root = FieldElement(ctx, _reconstruct(u, m, a0))
+        g, mult = _root_multiplicity(g, root)
+        if mult:
             roots.append((root, mult))
     roots.sort(key=lambda rm: rm[0].sort_key())
     return roots
@@ -608,35 +605,29 @@ def _squarefree_part(g: UniPoly) -> UniPoly:
 def _roots_in_field(sf: UniPoly) -> List:
     """Payloads of the roots of the squarefree sf lying in its own (finite)
     field of definition, in canonical order.  A quadratic over odd q is
-    solved in closed form, which costs fewer products than the scan of a
-    field of q <= EXHAUSTIVE_ROOT_LIMIT elements."""
-    ctx = sf.context
-    q = ctx.order()
-    ops = ctx.ops
-    if sf.degree() == 2 and q % 2:
+    solved in closed form; otherwise the roots are those of the first
+    Frobenius block when its degree is 1, and there are none when it is
+    not.  A linear sf is its own first block, found with no power."""
+    if sf.degree() == 2 and sf.context.order() % 2:
         return sorted(_quadratic_roots(sf) or [])
-    if q <= EXHAUSTIVE_ROOT_LIMIT:
-        return [c for c in ctx.payloads() if _value(sf.cs, c, ops) == ops.zero]
-    # gcd with t^q - t isolates the rational-point part, then split
-    t = UniPoly.x(ctx)
-    frob = t.pow_mod(q, sf)
-    linear_part = sf.gcd(frob - t)
-    return sorted(_split_linear(linear_part))
+    e, block = next(_frobenius_blocks(sf))
+    return sorted(_split_linear(block)) if e == 1 else []
 
 
 def _split_linear(w: UniPoly) -> List:
-    """Split a product of distinct monic linear factors into the payloads of
-    its roots.
+    """Split a product of distinct linear factors into the payloads of its
+    roots.
 
     Over a field of odd order a quadratic piece, and w itself when it is
     one, is taken apart in closed form by _quadratic_roots.  Every other
     piece of degree two or more is split by equal-degree splitting
-    (Cantor-Zassenhaus, _split_once), and its factors go back on the list.
-    The roots come back in no particular order; callers sort them, so root
-    order is canonical whatever order the splits happen in.  Payloads of F_q
-    sort in the canonical element order.
+    (Cantor-Zassenhaus, _split_once), and its factors go back on the list;
+    the fixed-seed generator it draws from is made when the first such
+    piece comes up.  The roots come back in no particular order; callers
+    sort them, so root order is canonical whatever order the splits happen
+    in.  Payloads of F_q sort in the canonical element order.
     """
-    rng = random.Random(SPLIT_SEED)
+    rng = None
     ctx = w.context
     ops = ctx.ops
     odd = ctx.characteristic != 2
@@ -652,6 +643,8 @@ def _split_linear(w: UniPoly) -> List:
                 raise RuntimeError("a split quadratic has no roots")  # unreachable
             roots += pair
         elif w.degree() > 1:
+            if rng is None:
+                rng = random.Random(SPLIT_SEED)
             h = _split_once(w, rng)
             pending += [h, w // h]
     return roots
@@ -788,26 +781,29 @@ def _split_once(w: UniPoly, rng: random.Random) -> UniPoly:
     raise RuntimeError("equal-degree splitting failed")  # unreachable for split w
 
 
-def _distinct_degree_profile(sf: UniPoly) -> List[int]:
-    """Degrees of the irreducible factors of the squarefree sf."""
-    ctx = sf.context
-    q = ctx.order()
-    degrees: List[int] = []
-    t = UniPoly.x(ctx)
-    h = t
-    e = 0
-    while sf.degree() > 0:
-        e += 1
-        if e > sf.degree() // 2:
-            degrees.append(sf.degree())
-            break
+def _frobenius_blocks(sf: UniPoly) -> Iterator[Tuple[int, UniPoly]]:
+    """The distinct-degree blocks of the squarefree sf of degree >= 1, lazily:
+    (e, the product of its irreducible factors of degree e) for each e that
+    has one, in increasing order of e.
+
+    With h = t^(q^e) mod sf, one q-th power per step, the block of degree e
+    is gcd(sf, h - t) once the blocks below e are divided out of sf, since
+    t^(q^e) - t is the product of the monic irreducibles of degree dividing
+    e.  Once 2e exceeds the degree of what is left, that rest is irreducible
+    and is the last block, found with no power; a linear sf is one such."""
+    t = UniPoly.x(sf.context)
+    q = sf.context.order()
+    h, e = t, 1
+    while 2 * e <= sf.degree():
         h = h.pow_mod(q, sf)
         block = sf.gcd(h - t)
         if block.degree() > 0:
-            degrees.extend([e] * (block.degree() // e))
+            yield e, block
             sf = sf // block
-            h = h % sf if sf.degree() > 0 else h
-    return degrees
+            h = h % sf
+        e += 1
+    if sf.degree() > 0:
+        yield sf.degree(), sf
 
 
 @dataclass(frozen=True)
@@ -881,7 +877,7 @@ def find_roots(g: UniPoly, allow_extension: bool) -> RootResult:
     if allow_extension:
         # every factor of sf splits in the field of degree lcm over ctx, and
         # sf stays squarefree there, so it is split without a root search
-        lcm = math.lcm(*_distinct_degree_profile(sf))
+        lcm = math.lcm(*(e for e, _ in _frobenius_blocks(sf)))
         if lcm > 1:
             ctx, emb = extend_context(ctx, lcm)
             g = g.map_coefficients(emb, ctx)

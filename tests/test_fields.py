@@ -142,6 +142,36 @@ def test_canonical_moduli_are_pinned():
     assert extension_field(7, 3).modulus == CANONICAL_MODULI[7, 3]
 
 
+# canonical_irreducible(p, d) past the binomials, with the pow_mod calls its
+# scan makes (recorded when Ben-Or's test had a loop of its own): the test
+# must stop at the first common factor of each rejected candidate
+MODULUS_SEARCH_POW_MODS = {
+    (7, 4): ((1, 1, 0, 0, 1), 3),
+    (3, 5): ((1, 2, 0, 0, 0, 1), 6),
+    (2, 8): ((1, 1, 0, 1, 1, 0, 0, 0, 1), 41),
+    (10007, 3): ((1, 1, 0, 1), 2),
+    (101, 6): ((3, 1, 0, 0, 0, 0, 1), 8),
+    (5, 9): ((3, 2, 1, 0, 0, 0, 0, 0, 0, 1), 56),
+    (127, 12): ((30, 1) + (0,) * 10 + (1,), 58),
+    (13, 7): ((2, 3, 0, 0, 0, 0, 0, 1), 37),
+}
+
+
+def test_modulus_search_takes_the_pinned_powers(monkeypatch):
+    calls = [0]
+    original = UniPoly.pow_mod
+
+    def counted(self, e, mod):
+        calls[0] += 1
+        return original(self, e, mod)
+
+    monkeypatch.setattr(UniPoly, "pow_mod", counted)
+    for (p, d), (modulus, pow_mods) in MODULUS_SEARCH_POW_MODS.items():
+        calls[0] = 0
+        assert canonical_irreducible(p, d) == modulus, (p, d)
+        assert calls[0] == pow_mods, (p, d)
+
+
 def _has_monic_factor(m, d):
     """Brute force: some monic polynomial of degree 1..d//2 divides m."""
     ctx = m.context

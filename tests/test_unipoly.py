@@ -168,7 +168,7 @@ def test_extend_context_shares_one_embedding_per_field_pair(monkeypatch):
 
 
 def test_large_field_roots_via_splitting():
-    # q = 5^8 exceeds the exhaustive-search cutoff
+    # q = 5^8: the in-field roots are the degree-1 Frobenius block, split
     big = extension_field(5, 8)
     t = UniPoly.x(big)
     two = UniPoly.constant(big.from_int(2))
@@ -218,8 +218,6 @@ def _assert_brute_force_roots(g, mults, extension_modes=(False, True)):
 
 @pytest.mark.parametrize("p,n", SPLITTING_FIELDS)
 def test_splitting_matches_brute_force(monkeypatch, p, n):
-    # a low cutoff sends these small fields through equal-degree splitting
-    monkeypatch.setattr(unipoly, "EXHAUSTIVE_ROOT_LIMIT", 1)
     monkeypatch.setattr(unipoly, "_EMBEDDINGS", {})
     ctx = extension_field(p, n) if n > 1 else prime_field(p)
     elements = list(ctx.elements())
@@ -248,7 +246,6 @@ def test_splitting_falls_back_to_canonical_scan(monkeypatch, p, n):
     # The stand-in also drives the non-residue search of the square roots (a
     # fresh cache, so the search runs here); only verified non-residues are
     # ever cached, so it can change which one is cached, never a result.
-    monkeypatch.setattr(unipoly, "EXHAUSTIVE_ROOT_LIMIT", 1)
     monkeypatch.setattr(unipoly, "random", types.SimpleNamespace(Random=_ZeroShifts))
     monkeypatch.setattr(unipoly, "_SYLOW_GENERATORS", {})
     monkeypatch.setattr(unipoly, "_EMBEDDINGS", {})
@@ -277,6 +274,98 @@ def test_splitting_falls_back_to_canonical_scan(monkeypatch, p, n):
         g, mults = _random_linear_product(ctx, rng, squares, least=2 if p == 2 else 3)
         _assert_brute_force_roots(g, mults, extension_modes=(False,))
     assert scanned[0] > 0  # the scan past the pseudo-random shifts ran
+
+
+# -- roots in small fields: the degree-1 Frobenius block ------------------------
+
+# every field size up to 64
+SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4),
+                (5, 2), (3, 3), (7, 2), (2, 6)]
+
+
+def _rootless_monic(ctx, rng, degree, elements):
+    """A seeded monic polynomial of degree 2 or 3 with no root in the field,
+    hence irreducible."""
+    while True:
+        f = UniPoly.make(ctx, [rng.choice(elements) for _ in range(degree)] + [ctx.one()])
+        if not any(f.evaluate(x).is_zero() for x in elements):
+            return f
+
+
+@pytest.mark.parametrize("p,n", SMALL_FIELDS)
+def test_small_field_roots_match_brute_force(monkeypatch, p, n):
+    # products of linear factors, alone and times one irreducible factor of
+    # degree 2 or 3, whose roots lie in the extension of that degree
+    monkeypatch.setattr(unipoly, "_EMBEDDINGS", {})
+    ctx = extension_field(p, n)
+    elements = list(ctx.elements())
+    rng = random.Random(f"small-field:{p}:{n}")
+    for _ in range(8):
+        picked = rng.sample(elements, rng.randint(1, min(4, len(elements))))
+        mults = {r: rng.randint(1, 3) for r in picked}
+        g = UniPoly.make(ctx, [ctx.one()])
+        for r, m in mults.items():
+            for _ in range(m):
+                g = g * UniPoly.make(ctx, [-r, ctx.one()])
+        _assert_brute_force_roots(g, mults)
+        degree = rng.choice((2, 3))
+        f = _rootless_monic(ctx, rng, degree, elements)
+        assert find_roots(f, allow_extension=False).roots == ()
+        _assert_brute_force_roots(f * g, mults, extension_modes=(False,))
+        res = find_roots(f * g, allow_extension=True)
+        assert res.context == extension_field(p, n * degree)
+        assert sum(m for _, m in res.roots) == f.degree() + g.degree()
+        lifted = (f * g).map_coefficients(res.embedding, res.context)
+        assert all(lifted.evaluate(r).is_zero() for r, _ in res.roots)
+        found = dict(res.roots)
+        assert all(found[res.embedding(r)] == m for r, m in mults.items())
+
+
+def test_linear_squarefree_part_makes_no_power_and_no_generator(monkeypatch):
+    # a linear squarefree part is its own first Frobenius block, and the
+    # splitting generator is made only for a piece that needs a split
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a linear squarefree part took a power or seeded a split")
+
+    monkeypatch.setattr(UniPoly, "pow_mod", forbidden)
+    monkeypatch.setattr(unipoly, "random", types.SimpleNamespace(Random=forbidden))
+    for ctx in (prime_field(2), prime_field(7), extension_field(3, 2), prime_field(101),
+                extension_field(5, 8), RATIONALS):
+        a, scale = ctx.from_int(3), UniPoly.constant(ctx.from_int(-1))
+        for k in (1, 2, ctx.characteristic or 3):
+            g = scale
+            for _ in range(k):
+                g = g * UniPoly.make(ctx, [-a, ctx.one()])
+            for allow_extension in (False, True):
+                res = find_roots(g, allow_extension=allow_extension)
+                assert res.context == ctx and res.roots == ((a, k),), (ctx, k)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2), (5, 2), (101, 1), (5, 8)])
+def test_odd_quadratic_roots_make_no_power(monkeypatch, p, n):
+    ctx = extension_field(p, n)
+    rng = random.Random(f"odd-quadratic:{p}:{n}")
+    four = ctx.from_int(4)
+
+    def element():
+        return ctx.from_vector([rng.randrange(p) for _ in range(n)])
+
+    cases = []
+    for _ in range(10):
+        r, s = element(), element()
+        while s == r:
+            s = element()
+        cases.append((UniPoly.make(ctx, [r * s, -(r + s), ctx.one()]), sorted(
+            [r, s], key=lambda x: x.sort_key())))
+        b, d = element(), element()
+        while d.is_zero() or unipoly._rth_root(ctx, d.payload, 2) is not None:
+            d = element()
+        cases.append((UniPoly.make(ctx, [(b * b - d) / four, b, ctx.one()]), []))
+    calls = _count_pow_mod(monkeypatch)
+    for g, roots in cases:
+        res = find_roots(g, allow_extension=False)
+        assert [x for x, _ in res.roots] == roots
+    assert calls[0] == 0
 
 
 def _count_pow_mod(monkeypatch):
@@ -483,9 +572,7 @@ CLOSED_FORM_FIELDS = [(7, 1), (3, 3), (103, 1), (5, 1), (13, 1), (5, 3),
 
 @pytest.mark.parametrize("p,n", CLOSED_FORM_FIELDS)
 def test_quadratic_roots_in_closed_form(monkeypatch, p, n):
-    # a low cutoff sends these small fields past the element scan, and a
-    # fresh cache makes the field's non-residue search run here
-    monkeypatch.setattr(unipoly, "EXHAUSTIVE_ROOT_LIMIT", 1)
+    # a fresh cache makes the field's non-residue search run here
     monkeypatch.setattr(unipoly, "_SYLOW_GENERATORS", {})
     monkeypatch.setattr(unipoly, "_EMBEDDINGS", {})
     ctx = extension_field(p, n)
@@ -748,7 +835,7 @@ def test_root_finding_over_extension_fields_builds_no_element_products(monkeypat
 # -- root finding pinned by a digest -------------------------------------------
 
 ROOT_CORPUS_DIGEST = pathlib.Path(__file__).parent / "golden" / "root_corpus_digest.sha256"
-# 14 finite fields, small enough to scan or large enough to split, plus Q
+# 14 finite fields, from F_2 to F_{113^2}, plus Q
 ROOT_CORPUS_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (101, 1), (127, 1), (10007, 1),
                       (2, 2), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2), (113, 2)]
 
