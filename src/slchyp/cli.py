@@ -10,6 +10,11 @@ Commands:
 
 Exit codes: 0 verdict, 2 input error, 3 needs an algebraic extension,
 4 jet-oracle budget exceeded, 1 failed verification.
+
+A characteristic must be 0 or a prime below psi_13 =
+3317044064679887385961981, the bound below which `is_prime` decides
+primality exactly; a larger one is an input error, and `verify` rejects a
+report over it.
 """
 
 from __future__ import annotations

@@ -68,11 +68,16 @@ class CoefficientError(ValueError):
     """A literal coefficient does not define an element of the field."""
 
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24, far beyond desk scale)."""
+    """Deterministic Miller-Rabin on the primes up to 41 as bases, exact below
+    psi_13 = 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 86,
+    2017); a larger n raises ValueError."""
+    if n >= 3317044064679887385961981:
+        raise ValueError("primality is decided only below "
+                         "3317044064679887385961981 (psi_13)")
     if n < 2:
         return False
     for p in _MR_WITNESSES:

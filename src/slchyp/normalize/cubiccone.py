@@ -18,11 +18,12 @@ search complete; over the rationals only rational lines are found and the
 conjugate configurations are told apart by rank and singular-point data.
 
 `stage_cone` runs on the whole germ: its steps are linear, so the cubic
-initial form moves with f and is read as `nz.f.in_w(W1)`.  The smoothness
-test and the singular point of a cubic with no line run on that form as it
-entered, over the input field, however far the line search grew the field:
-the height of (g, g_x, g_y, g_z) and a reduced Groebner basis do not
-change under field extension.  Over a finite field a cubic with no line in
+initial form moves with f and is read as `nz.f.in_w(W1)`.  A cubic with
+no line is tested for smoothness, and its singular point found, on that
+form as it entered, over the input field, however far the line search grew
+the field: one lex basis of (g, g_x, g_y, g_z) on the chart z = 1 and one
+gcd of those forms on the line z = 0 decide both, and neither changes
+under field extension.  Over a finite field a cubic with no line in
 a field where every restriction splits is absolutely irreducible, so it has
 at most one singular point; Frobenius fixes that point, so it is rational
 over g's field, and it is carried into the grown field by the run's
@@ -31,10 +32,10 @@ embeddings.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..fields import FieldContext, FieldElement, Payload, payload_power
-from ..jets import GroebnerBudget, groebner_basis, ideal_height_of
+from ..jets import GroebnerBudget, groebner_basis
 from ..poly import (
     TriPoly,
     divide_exact,
@@ -329,27 +330,26 @@ def _conic_transverse(nz: Normalizer, b0, b1, b2) -> StageResult:
 # irreducible cubics
 
 
-def _sing_system(g: TriPoly) -> List[TriPoly]:
-    """g and its three partials, whose common zeros are g's singular points."""
-    return [g] + [g.derivative(i) for i in range(3)]
-
-
-def _is_smooth(g: TriPoly) -> bool:
-    gens = [h.terms for h in _sing_system(g)]
-    return ideal_height_of(g.context, gens, 3, GroebnerBudget(max_basis=5000)) == 3
-
-
 def _no_rational_lines(nz: Normalizer, g: TriPoly) -> StageResult:
     """g is nz.f's initial form over the input field; nz is in the field
-    where the line search ended."""
-    if _is_smooth(g):
+    where the line search ended.
+
+    Over a finite field `_linear_factors` has already enlarged the field
+    until every line on g is rational, and found none, so g is absolutely
+    irreducible and has at most one singular point.  The Frobenius of g's
+    field permutes the singular points, so it fixes that one, which is
+    therefore rational over g's field: the solve needs no field extension,
+    and a second point would contradict the argument."""
+    points = _singular_points(g)
+    if points is None:
         return "cone:smooth", {}
-    points = _rational_singular_points(nz, g)
+    if not g.context.is_rational and len(points) > 1:
+        raise AssertionError("an absolutely irreducible cubic has two singular points")
     if not points:
         # only conjugate triple-node configurations lack a rational singular
         # point once rational lines and smoothness are excluded
         return "cone:triangle", {"split": "conjugate lines"}
-    nz.move_to_z(points[0])
+    nz.move_to_z(nz.lift(points[0]))
     c2 = [
         nz.f.coefficient((2, 0, 1)),
         nz.f.coefficient((1, 1, 1)),
@@ -431,107 +431,57 @@ def _node(nz: Normalizer, q0, q1, q2) -> StageResult:
     return "cone:nodal", {"normalized": "full"}
 
 
-def _rational_singular_points(nz: Normalizer, g: TriPoly) -> List[Line]:
-    """Common zeros of (g, g_x, g_y, g_z) in P^2 over g's own field, via
-    patchwise lex Groebner elimination, lifted into nz's current field.
+def _singular_points(g: TriPoly) -> Optional[List[Line]]:
+    """None when the plane cubic {g = 0} is smooth, and otherwise its
+    singular points rational over g's field, in `_distinct_points` order.
 
-    Over the rationals only rational points are produced.  Over a finite
-    field `_linear_factors` has already enlarged the field until every line
-    on g is rational, and found none, so g is absolutely irreducible and has
-    at most one singular point.  The Frobenius of g's field permutes the
-    singular points, so it fixes that one, which is therefore rational over
-    g's field: the solve needs no field extension, and a second point would
-    contradict the argument."""
-    points = _distinct_points(_solve_patches(g))
-    if not g.context.is_rational and len(points) > 1:
-        raise AssertionError("an absolutely irreducible cubic has two singular points")
-    return [nz.lift(P) for P in points]
-
-
-def _solve_patches(g: TriPoly) -> List[Line]:
+    They are the common zeros of g and its partials.  On the chart z = 1 the
+    reduced lex basis of that system is the unit ideal exactly when no point
+    over the closure lies there; otherwise its one element free of x gives
+    the y values b, and the gcd of the basis at y = b the x values.  On the
+    line z = 0 the points [t : 1 : 0] are the zeros of the gcd of the forms
+    at (t, 1, 0), and [1 : 0 : 0] is singular when no form has a pure power
+    of x.  Groebner bases and gcds do not change under field extension, so
+    these three tests decide smoothness over the closure."""
     ctx = g.context
-    add, nil = ctx.ops.add, ctx._zero_payload
-    one, zero = ctx.one(), ctx.zero()
-    system = [h for h in _sing_system(g) if not h.is_zero()]
+    ops, one, zero = ctx.ops, ctx.one(), ctx.zero()
+    system = [h for h in (g, *(g.derivative(i) for i in range(3))) if not h.is_zero()]
+    basis = groebner_basis(ctx, [{m[:2]: c for m, c in h.terms.items()} for h in system],
+                           order="lex", budget=GroebnerBudget(max_basis=2000))
+    chart_empty = basis == [{(0, 0): ops.one}]
     points: List[Line] = []
-    for patch in (2, 1, 0):
-        keep = [i for i in range(3) if i != patch]
-        gens = []
-        for h in system:
-            d = {}
-            for m, c in h.terms.items():
-                key = (m[keep[0]], m[keep[1]])
-                d[key] = add(d[key], c) if key in d else c
-            d = {k: v for k, v in d.items() if v != nil}
-            if not d:
-                raise AssertionError("cubic cone generator vanished on a patch")
-            gens.append(d)
-        for (a, b) in _solve_bivariate(ctx, gens):
-            P = [zero, zero, zero]
-            P[keep[0]] = a
-            P[keep[1]] = b
-            P[patch] = one
-            # restrict later patches to the locus missed by earlier ones
-            if patch == 1 and not P[2].is_zero():
-                continue
-            if patch == 0 and not (P[1].is_zero() and P[2].is_zero()):
-                continue
-            points.append(tuple(P))
-    return points
+    if not chart_empty:
+        eliminant = next((b for b in basis if all(m[0] == 0 for m in b)), None)
+        if eliminant is None:
+            raise AssertionError("singular locus is not zero-dimensional on the chart")
+        for y in _roots(_gcd(ctx, [((j, c) for (_, j), c in eliminant.items())])):
+            at_y = _gcd(ctx, (((i, ops.mul(c, payload_power(ops, y.payload, j)))
+                               for (i, j), c in b.items()) for b in basis))
+            points += [(x, y, one) for x in _roots(at_y)]
+    at_infinity = _gcd(ctx, (((m[0], c) for m, c in h.terms.items() if m[2] == 0)
+                             for h in system))
+    if at_infinity.degree() >= 1:
+        points += [(t, one, zero) for t in _roots(at_infinity)]
+    if not any(m[1] == m[2] == 0 for h in system for m in h.terms):
+        points.append((one, zero, zero))  # no form has a pure power of x
+    elif chart_empty and at_infinity.degree() == 0:
+        return None  # no singular point over the closure
+    return _distinct_points(points)
 
 
-def _unipoly(ctx: FieldContext, coeffs: Dict[int, Payload]) -> UniPoly:
-    """The UniPoly with the payload coeffs[k] at t^k."""
-    zero = ctx.ops.zero
-    return _poly(ctx, [coeffs.get(k, zero) for k in range(max(coeffs) + 1)])
+def _roots(u: UniPoly) -> List[FieldElement]:
+    """The distinct roots of the nonconstant u in its own field."""
+    return [r for r, _ in find_roots(u, allow_extension=False).roots]
 
 
-def _solve_bivariate(ctx: FieldContext, gens) -> List[Tuple[FieldElement, FieldElement]]:
-    """The common zeros over ctx of a zero-dimensional bivariate system of
-    payload dicts over ctx."""
-    ops = ctx.ops
-
-    def roots(u: UniPoly) -> List[FieldElement]:
-        return [r for r, _ in find_roots(u, allow_extension=False).roots]
-
-    basis = groebner_basis(ctx, gens, order="lex", budget=GroebnerBudget(max_basis=2000))
-    if any(next(iter(b)) == (0, 0) for b in basis):
-        return []  # the unit ideal: no zero on this patch
-    # elimination: the basis elements free of the first variable
-    elim = [b for b in basis if all(m[0] == 0 for m in b)]
-    if not elim:
-        # not zero-dimensional; cannot happen for the singular locus of a
-        # reduced cubic, but fail loudly rather than guess
-        raise AssertionError("singular locus is not zero-dimensional on a patch")
-    u = None
-    for b in elim:
-        up = _unipoly(ctx, {m[1]: c for m, c in b.items()})
-        u = up if u is None else u.gcd(up)
-    if u.degree() < 1:
-        return []
-    out = []
-    for rb in roots(u):
-        uni = None
-        consts_ok = True
-        for b in basis:
-            # substitute the second variable
-            coll = {}
-            for m, c in b.items():
-                val = ops.mul(c, payload_power(ops, rb.payload, m[1]))
-                kk = m[0]
-                coll[kk] = ops.add(coll[kk], val) if kk in coll else val
-            up = _unipoly(ctx, coll)
-            if up.is_zero():
-                continue
-            if up.degree() == 0:
-                consts_ok = False
-                break
-            uni = up if uni is None else uni.gcd(up)
-        if not consts_ok:
-            continue
-        if uni is None:
-            raise AssertionError("unconstrained first variable at a root")
-        if uni.degree() < 1:
-            continue
-        out += [(ra, rb) for ra in roots(uni)]
+def _gcd(ctx: FieldContext, polys: Iterable[Iterable[Tuple[int, Payload]]]) -> UniPoly:
+    """The monic gcd of polynomials in t given as (k, c) terms c t^k, those
+    with one k adding up; zero when all are zero."""
+    ops, out = ctx.ops, UniPoly.zero(ctx)
+    for terms in polys:
+        cs: List[Payload] = []
+        for k, c in terms:
+            cs += [ops.zero] * (k + 1 - len(cs))
+            cs[k] = ops.add(cs[k], c)
+        out = out.gcd(_poly(ctx, cs))
     return out

@@ -100,6 +100,21 @@ def test_exit_code_char_not_prime():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("char, error", [
+    (318665857834031151167461, "is not prime"),  # psi_12, a strong pseudoprime to 2..37
+    (3317044064679887385961981, "only below 3317044064679887385961981"),  # psi_13
+])
+def test_characteristic_at_the_primality_bound_is_refused(capsys, tmp_path, char, error):
+    import slchyp.cli as cli_mod
+
+    assert cli_mod.run(["mld", "--char", str(char), "--poly", "x^2+y^3+z^5"]) == 2
+    assert error in json.loads(capsys.readouterr().out)["error"]
+    report = _report(capsys, "mld", 2**61 - 1, "x^2+y^3+z^5")
+    report["field"]["characteristic"] = report["verdict"]["final_field"]["characteristic"] = char
+    code, out = _verify_in_process(capsys, report, tmp_path)
+    assert code == 1 and error in out["error"]
+
+
 def test_exit_code_needs_extension():
     proc = run_cli("mld", "--char", "0", "--poly", "x^2+y^3+z^6")
     assert proc.returncode == 3

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import product
 
@@ -130,18 +132,39 @@ def test_rejects_non_cubic():
 CUBIC_MONOMIALS = [m for m in product(range(4), repeat=3) if sum(m) == 3]
 
 
+def _outcome_line(out) -> str:
+    """The label, parameters, normal form, automorphism JSON and final field
+    of a cone outcome, on one line."""
+    ctx = out.context
+    return repr((out.branch_label, sorted((k, str(v)) for k, v in out.parameters.items()),
+                 str(out.poly), json.dumps(out.auto.to_json(), sort_keys=True),
+                 (ctx.characteristic, ctx.extension_degree, ctx.modulus)))
+
+
+# sha256 of the outcome lines of test_random_cubic_cones, recorded before the
+# singular locus came from one chart elimination
+RANDOM_CONE_DIGESTS = {
+    2: "70bf7bcc38246ee383067cf0e0590854da138e2b89bfe56c125ebecb0d5d4b0d",
+    3: "fe88210a069ed646d97803bfcc15e8c006476a68e6b25cb650a9cb667c81a48b",
+    5: "af0a024592c328913d10494111f25dba698e6f0df1b6e89bfc6dee44ee576b71",
+    7: "1d37f9d19404de49e47d36daf89d3fa72c3f2748907946d97573218a08a127fb",
+    0: "3022acaaac678bfafb53bdb5b79ce069f8f8d208e6c6baa936d9fa5ec7166e8e",
+}
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 0])
 def test_random_cubic_cones(p):
     # seeded random cubics with 3-6 of the 10 cubic monomials: each one
     # classifies, replays, and keeps its type under a random linear change
-    # followed by a unit rescale; nodes and cusps run the singular-locus solve
+    # followed by a unit rescale; nodes and cusps run the singular-locus
+    # solve; both outcomes of every cubic hash to the recorded digest
     rnd = random.Random(f"cubic-cone:{p}")
     ctx = ctx_for(p)
 
     def coefficient(low):
         return ctx.from_int(rnd.randint(low, 3) if p == 0 else rnd.randint(low, p - 1))
 
-    labels = []
+    labels, lines = [], []
     while len(labels) < 40:
         chosen = rnd.sample(CUBIC_MONOMIALS, rnd.randint(3, 6))
         g = TriPoly.make(ctx, {m: coefficient(-3 if p == 0 else 0) for m in chosen})
@@ -150,9 +173,13 @@ def test_random_cubic_cones(p):
         out = classify_cubic_cone(g)
         assert out.replay_matches(g), str(g)
         moved = LinearStep(random_invertible_matrix(rnd, ctx)).apply(g).scale(coefficient(1))
-        assert classify_cubic_cone(moved).branch_label == out.branch_label, (str(g), p)
+        moved_out = classify_cubic_cone(moved)
+        assert moved_out.branch_label == out.branch_label, (str(g), p)
         labels.append(out.branch_label)
+        lines += [str(g), _outcome_line(out), _outcome_line(moved_out)]
     assert {"cone:nodal", "cone:cuspidal"} & set(labels), labels
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == RANDOM_CONE_DIGESTS[p]
 
 
 # the cubic cones of the CI reports that end in F_{5^6} (nodal) and F_{3^6}
@@ -199,15 +226,57 @@ def test_singular_locus_in_the_input_field(p):
     degrees, singular = set(), 0
     for g, nz in _cubics_without_lines(p, 12):
         degrees.add(nz.context.extension_degree)
-        smooth = cubiccone._is_smooth(g)
-        assert smooth == cubiccone._is_smooth(nz.f), str(g)
-        if smooth:
+        points, grown = cubiccone._singular_points(g), cubiccone._singular_points(nz.f)
+        assert (points is None) == (grown is None), str(g)
+        if points is None:
             continue
         singular += 1
-        points = cubiccone._rational_singular_points(nz, g)
-        assert len(points) == 1 and points[0][0].context == nz.context
-        grown = cubiccone._solve_patches(Normalizer(nz.f).f)
-        assert points == cubiccone._distinct_points(grown), str(g)
+        assert len(points) == 1 and points[0][0].context == g.context
+        assert [nz.lift(points[0])] == grown, str(g)
     assert max(degrees) > 1 and singular > 0, (degrees, singular)
     if p in (3, 5):
         assert 6 in degrees  # the CI cubic
+
+
+# singular points written by hand, first nonzero coordinate one; the node of
+# z^3 + L^3 + z L y with L = x - 2y sits where L = z = 0, at [2 : 1 : 0]
+SINGULAR_POINTS = {
+    "z^3+y^3+x*y*z": {p: [(1, 0, 0)] for p in (0, 2, 3, 5, 7)},
+    "x^3+y*z^2": {p: [(0, 1, 0)] for p in (0, 2, 3, 5, 7)},
+    "z^3+(x-2*y)*(x-2*y)*(x-2*y)+z*(x-2*y)*y": {
+        0: [(1, "1/2", 0)], 2: [(0, 1, 0)], 3: [(1, 2, 0)], 5: [(1, 3, 0)], 7: [(1, 4, 0)]},
+    "x^3+y^3+x*y*z": {p: [(0, 0, 1)] for p in (0, 2, 3, 5, 7)},
+    "x^3+y^3+z^3": {p: None for p in (0, 2, 5, 7)},
+    "x^3+2*y^3+4*z^3-6*x*y*z": {0: []},
+}
+
+
+@pytest.mark.parametrize("text", SINGULAR_POINTS)
+def test_singular_points_on_the_chart_and_at_infinity(text):
+    # points on the line z = 0 come from the gcd there, [1:0:0] from the
+    # pure powers of x, [0:0:1] from the chart basis; a smooth cubic gives
+    # None and the conjugate triangle over Q no rational point
+    for p, expected in SINGULAR_POINTS[text].items():
+        got = cubiccone._singular_points(poly(text, p))
+        if expected is not None:
+            expected = [tuple(str(c) for c in P) for P in expected]
+            got = [tuple(str(c) for c in P) for P in got]
+        assert got == expected, (text, p)
+
+
+def test_singular_locus_takes_one_elimination(monkeypatch):
+    # one lex basis on the chart z = 1 and no height computation, smooth or not
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("order"))
+        return groebner_basis(*args, **kwargs)
+
+    groebner_basis = cubiccone.groebner_basis
+    monkeypatch.setattr(cubiccone, "groebner_basis", counted)
+    assert not hasattr(cubiccone, "ideal_height_of")
+    for text, expected in SINGULAR_POINTS.items():
+        for p in expected:
+            calls.clear()
+            cubiccone._singular_points(poly(text, p))
+            assert calls == ["lex"], (text, p)

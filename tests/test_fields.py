@@ -282,6 +282,17 @@ def test_is_prime_small():
     assert not any(is_prime(c) for c in composites)
 
 
+PSI_12 = 399165290221 * 798330580441  # the bases up to 37 all pass it
+PSI_13 = 1287836182261 * 2575672364521  # the bases up to 41 all pass it
+
+
+def test_is_prime_is_exact_below_psi_13():
+    assert PSI_12 == 318665857834031151167461 and not is_prime(PSI_12)
+    assert is_prime(2**61 - 1) and is_prime(2**79 - 67)
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        is_prime(PSI_13)
+
+
 # -- the extension-field kernel against a naive reference -----------------
 
 
