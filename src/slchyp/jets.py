@@ -553,13 +553,16 @@ def _arc_equations(f: TriPoly, m: int, first: int, layout: _Layout) -> List[Pack
     """f^(0), ..., f^(m), packed: the coefficients of t^0..t^m in f evaluated
     on the arc whose i-th coordinate is the sum of x_i^(j) t^j over
     first <= j <= m, the level-j coordinate of variable i at index 3*j + i.
-    Over Q f is first scaled to integer coefficients.  Each coordinate's
-    powers are expanded once and shared by the monomials."""
+    Over Q f is first scaled to integer coefficients.  A monomial of total
+    degree d is O(t^(first*d)) on the arc, so only those with first*d <= m
+    are expanded, and each coordinate's powers are expanded once, up to its
+    largest exponent among them, and shared by the monomials."""
     ctx = f.context
     if not ctx.is_rational and ctx.extension_degree != 1:
         raise ValueError("the jet oracle is restricted to prime fields and Q")
     field = _coefficients(ctx)
     add_mul, zero = field.add_mul, field.zero
+    terms = {mono: c for mono, c in field.load(f.terms).items() if first * sum(mono) <= m}
     one: List[Packed] = [{} for _ in range(m + 1)]
     one[0] = {0: field.one}
     powers = []
@@ -567,10 +570,10 @@ def _arc_equations(f: TriPoly, m: int, first: int, layout: _Layout) -> List[Pack
         arc = [{layout.variable(3 * j + i): field.one} if j >= first else {}
                for j in range(m + 1)]
         powers.append([one])
-        for _ in range(max((mono[i] for mono in f.terms), default=0)):
+        for _ in range(max((mono[i] for mono in terms), default=0)):
             powers[i].append(_series_mul(powers[i][-1], arc, m, field))
     levels: List[Packed] = [{} for _ in range(m + 1)]
-    for mono, coeff in field.load(f.terms).items():
+    for mono, coeff in terms.items():
         factors = [powers[i][e] for i, e in enumerate(mono) if e] or [one]
         term = factors[0]
         for factor in factors[1:]:

@@ -150,11 +150,6 @@ class UniPoly:
             a, b = b, a
         return _poly(self.context, [add(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
 
-    def __neg__(self) -> "UniPoly":
-        ops = self.context.ops
-        zero, sub = ops.zero, ops.sub
-        return UniPoly(self.context, tuple([sub(zero, c) for c in self.cs]))
-
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         ops = self._ops(other)
         zero, sub = ops.zero, ops.sub

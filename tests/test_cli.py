@@ -90,6 +90,20 @@ def test_exit_code_syntax_error():
     assert "grammar" in json.loads(proc.stdout)
 
 
+@pytest.mark.parametrize("text", ["x^\u0663+y^2", "\u0662*x^2", "x^\u00b2",
+                                  "(" * 101 + "x" + ")" * 101, "(" * 10000 + "x" + ")" * 10000])
+def test_malformed_input_is_an_input_error(capsys, text):
+    # non-ASCII digits, and nesting past the parser's bound, which once ran
+    # into the recursion limit
+    import slchyp.cli as cli_mod
+
+    start = time.perf_counter()
+    code = cli_mod.run(["mld", "--char", "0", "--poly", text])
+    assert time.perf_counter() - start < 1
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and set(out) == {"error", "grammar"} and out["error"].startswith("at position ")
+
+
 def test_exit_code_zero_polynomial():
     proc = run_cli("mld", "--char", "2", "--poly", "2*x")
     assert proc.returncode == 2
@@ -512,6 +526,15 @@ def test_jet_level_in_its_range_still_answers(capsys, poly, level):
     code = cli_mod.run(["jet-profile", "--char", "7", "--poly", poly, "--m", level])
     entries = json.loads(capsys.readouterr().out)["verdict"]["entries"]
     assert code == 0 and len(entries) == int(level)
+
+
+def test_jet_profile_does_not_grow_with_an_exponent(capsys):
+    import slchyp.cli as cli_mod
+
+    start = time.perf_counter()
+    code = cli_mod.run(["jet-profile", "--char", "7", "--poly", "x^2+y^3+z^1000000000", "--m", "3"])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(capsys.readouterr().out)["verdict"]["entries"] == [[1, 2], [2, 1], [3, 1]]
 
 
 @pytest.mark.parametrize("degree", [0, -1])

@@ -241,6 +241,18 @@ def test_profiles_pinned(text, p, m_max, entries):
     assert mld_profile(poly(text, p), m_max).profile.entries == entries
 
 
+@pytest.mark.parametrize("exponent", [10, 1000, 100000])
+def test_profile_expands_only_the_monomials_its_levels_see(monkeypatch, exponent):
+    # on arcs through the origin z^e is O(t^e): above the top level it adds
+    # nothing, and its powers of the arc are never expanded
+    calls = []
+    series_mul = jets._series_mul
+    monkeypatch.setattr(jets, "_series_mul", lambda *a: calls.append(1) or series_mul(*a))
+    prof = mld_profile(poly(f"x^2+y^3+z^{exponent}", 7), 3)
+    assert prof.profile.entries == [(0, 3, 2), (1, 3, 1), (2, 4, 1)]
+    assert len(calls) == 2
+
+
 # -- Groebner engine internals -------------------------------------------------
 
 

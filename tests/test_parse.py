@@ -4,6 +4,7 @@ import random
 import pytest
 
 from slchyp import RATIONALS, PolySyntaxError, parse_poly, prime_field
+from slchyp.parse import MAX_NESTING
 from slchyp.fields import CoefficientError, extension_field
 
 ANY_TOKEN = ("+", "-", "*", "/", "^", "(", ")", "integer", "x", "y", "z")
@@ -73,3 +74,24 @@ def test_random_strings():
         lines += [_outcome(text, ctx) for ctx in fields]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == RANDOM_PARSE_DIGEST
+
+
+@pytest.mark.parametrize("text,position", [("x^\u0663+y^2", 2), ("\u0662*x^2", 0), ("x^\u00b2", 2),
+                                           ("1\u0663", 1)])
+def test_only_ascii_digits_make_an_integer(text, position):
+    # Arabic-Indic three and two, and superscript two: str.isdigit accepts
+    # them, the grammar does not
+    with pytest.raises(PolySyntaxError) as err:
+        parse_poly(text, RATIONALS)
+    assert (err.value.position, err.value.expected, err.value.found) == (
+        position, ANY_TOKEN, repr(text[position]))
+
+
+def test_nesting_is_bounded():
+    nested = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_poly(nested, RATIONALS).terms == {(1, 0, 0): 1}
+    for depth in (MAX_NESTING + 1, 10000):
+        with pytest.raises(PolySyntaxError) as err:
+            parse_poly("(" * depth + "x" + ")" * depth, RATIONALS)
+        assert (err.value.position, err.value.found) == (MAX_NESTING, "(")
+        assert f"at most {MAX_NESTING} nested parentheses" in str(err.value)
