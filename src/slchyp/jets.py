@@ -549,14 +549,31 @@ def _series_mul(a: List[Packed], b: List[Packed], m: int,
     return out
 
 
+def _series_powers(arc: List[Packed], exponents, m: int,
+                   field: _Coefficients) -> Dict[int, List[Packed]]:
+    """arc^e through t^m for each e in `exponents`, by squaring: arc^e comes
+    from arc^(e // 2), so an exponent costs O(log e) products, and the
+    exponents share the powers on their way."""
+    powers = {1: arc}
+
+    def power(e):
+        if e not in powers:
+            half = power(e // 2)
+            square = _series_mul(half, half, m, field)
+            powers[e] = _series_mul(square, arc, m, field) if e % 2 else square
+        return powers[e]
+
+    return {e: power(e) for e in exponents}
+
+
 def _arc_equations(f: TriPoly, m: int, first: int, layout: _Layout) -> List[Packed]:
     """f^(0), ..., f^(m), packed: the coefficients of t^0..t^m in f evaluated
     on the arc whose i-th coordinate is the sum of x_i^(j) t^j over
     first <= j <= m, the level-j coordinate of variable i at index 3*j + i.
     Over Q f is first scaled to integer coefficients.  A monomial of total
     degree d is O(t^(first*d)) on the arc, so only those with first*d <= m
-    are expanded, and each coordinate's powers are expanded once, up to its
-    largest exponent among them, and shared by the monomials."""
+    are expanded, and each coordinate's powers are expanded once, for the
+    exponents that occur among them, and shared by the monomials."""
     ctx = f.context
     if not ctx.is_rational and ctx.extension_degree != 1:
         raise ValueError("the jet oracle is restricted to prime fields and Q")
@@ -569,9 +586,7 @@ def _arc_equations(f: TriPoly, m: int, first: int, layout: _Layout) -> List[Pack
     for i in range(3):
         arc = [{layout.variable(3 * j + i): field.one} if j >= first else {}
                for j in range(m + 1)]
-        powers.append([one])
-        for _ in range(max((mono[i] for mono in terms), default=0)):
-            powers[i].append(_series_mul(powers[i][-1], arc, m, field))
+        powers.append(_series_powers(arc, {mono[i] for mono in terms if mono[i]}, m, field))
     levels: List[Packed] = [{} for _ in range(m + 1)]
     for mono, coeff in terms.items():
         factors = [powers[i][e] for i, e in enumerate(mono) if e] or [one]

@@ -26,7 +26,12 @@ The normalization stages share one toolkit from here:
     supply (rational roots over Q, all roots over F_q), `all_roots` the
     full multiset and `root_of` the first root, both strict over Q;
   - `Normalizer.lift`: carries an element, a polynomial or a point computed
-    before a root call into the field that call may have enlarged.
+    before a root call into the field that call may have enlarged;
+  - `field_nth_root` and `Normalizer.adopt`: an n-th root computed without
+    touching the Normalizer, and the same root taken in its field;
+  - `try_assignments`: when several assignments of factors to variables
+    are possible, probes each on scalars for the root it needs and applies
+    the first that has one, so f moves once and nothing is rolled back.
 """
 
 from __future__ import annotations
@@ -409,19 +414,6 @@ class Normalizer:
             raise ValueError("value is not over a field of this run")
         return value
 
-    # rollback support for trying alternative normalizations over Q (no
-    # extensions ever happen there, so restoring is a plain state reset)
-
-    def checkpoint(self):
-        return (self.f, tuple(self.steps), len(self._embs))
-
-    def restore(self, cp) -> None:
-        f, steps, n_embs = cp
-        if len(self._embs) != n_embs:
-            raise RuntimeError("cannot roll back across a field extension")
-        self.f = f
-        self.steps = list(steps)
-
     # -- deterministic root access ------------------------------------------
 
     def _roots(self, g: UniPoly, allow_extension: bool):
@@ -452,7 +444,12 @@ class Normalizer:
         return roots[0][0]
 
     def nth_root_of(self, a: FieldElement, n: int) -> FieldElement:
-        root, emb = nth_root(a, n, allow_extension=not self.context.is_rational)
+        return self.adopt(field_nth_root(a, n))
+
+    def adopt(self, found: Tuple[FieldElement, FieldEmbedding]) -> FieldElement:
+        """The root of a `field_nth_root` result taken in the current field,
+        the field enlarged by the result's embedding when that grows it."""
+        root, emb = found
         if emb.target != self.context:
             self.extend(emb)
         return root
@@ -505,25 +502,28 @@ def absorb_squares(nz: Normalizer, halves: Sequence[Monomial]) -> None:
     nz.shift(0, addend)
 
 
-def try_assignments(nz: "Normalizer", assignments, attempt):
-    """Run `attempt` on each assignment until one completes.
+def field_nth_root(a: FieldElement, n: int) -> Tuple[FieldElement, FieldEmbedding]:
+    """`nth_root` of a as a stage takes it: strict over Q, enlarging F_q."""
+    return nth_root(a, n, allow_extension=not a.context.is_rational)
 
-    Over the rationals an assignment that demands an irrational root is
-    rolled back and the next is tried (different choices of which factor goes
-    where can need different roots); over a finite field the first assignment
-    succeeds because extensions are silent.
+
+def try_assignments(assignments, probe, apply):
+    """apply(assign, probe(assign)) for the first assignment whose probe
+    does not raise NeedsAlgebraicExtension, else the last probe's failure.
+
+    A probe computes the root its assignment needs from scalars and leaves
+    the Normalizer alone, so f moves once.  Over Q different assignments can
+    need different roots; over F_q the first probe succeeds, enlarging the
+    field as needed.
     """
-    rational = nz.context.is_rational
     last = None
     for assign in assignments:
-        cp = nz.checkpoint() if rational else None
         try:
-            return attempt(assign)
+            found = probe(assign)
         except NeedsAlgebraicExtension as exc:
-            if not rational:
-                raise
             last = exc
-            nz.restore(cp)
+            continue
+        return apply(assign, found)
     if last is None:
         raise ValueError("no assignments supplied")
     raise last

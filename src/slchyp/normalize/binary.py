@@ -55,6 +55,19 @@ def factor_binary(nz: Normalizer, F: TriPoly, first: int, second: int,
     return sorted(factors, key=lambda fm: (-fm[1], tuple(c.sort_key() for c in fm[0])))
 
 
+def pair_image(L1: LinearPair, L2: LinearPair, L: LinearPair) -> LinearPair:
+    """The coefficients (alpha, beta) that the form L has once pair_change
+    sends L1 and L2 to the first and second variables: L = alpha*L1 + beta*L2."""
+    a1, b1 = L1
+    a2, b2 = L2
+    a, b = L
+    det = a1 * b2 - b1 * a2
+    if det.is_zero():
+        raise ValueError("factors are proportional")
+    inv = det.inverse()
+    return (a * b2 - b * a2) * inv, (b * a1 - a * b1) * inv
+
+
 def pair_change(nz: Normalizer, L1: LinearPair, L2: LinearPair,
                 first: int, second: int) -> None:
     """Apply the substitution on (first, second) with L1 -> first-variable and

@@ -22,10 +22,11 @@ from .auto import (
     NormalizationOutcome,
     absorb_squares,
     complete_square,
+    field_nth_root,
     run_stage,
     try_assignments,
 )
-from .binary import factor_binary, pair_change, single_change
+from .binary import factor_binary, pair_change, pair_image, single_change
 from .steps import W1, W2, _mono, _x2
 
 W211 = Weight(2, 1, 1)
@@ -147,7 +148,8 @@ def _quartic_odd(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
     complete_square(nz, [(0, 1, 1), (0, 2, 0), (0, 0, 2)])
     if _deep(nz):
         return "q:deep", {}
-    factors = factor_binary(nz, _hpart(nz).in_w(W211), 1, 2, 4)
+    quartic = _hpart(nz).in_w(W211)
+    factors = factor_binary(nz, quartic, 1, 2, 4)
     mults = [m for _, m in factors]
     if mults == [4]:
         single_change(nz, factors[0][0], 1, 2)
@@ -167,54 +169,62 @@ def _quartic_odd(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
         nz.scale(1, nz.nth_root_of(c.inverse(), 2))
         _expect_tail(nz, [((0, 2, 2), 1)])
         return "q:y2z2", {}
+    # factor_binary's lines are y or z - r*y, so the quartic is their product
+    # times its coefficient at the top power of z; an assignment of lines to
+    # y and z is probed on the images of the other lines under pair_change,
+    # and only the first whose 4-th root exists is applied to f
+    top = max(m[2] for m in quartic.terms)
+    unit = nz.lift(quartic.coefficient((0, 4 - top, top)))
     if mults == [2, 1, 1]:
         L1 = factors[0][0]
         simples = [factors[1][0], factors[2][0]]
 
-        def attempt_212(order):
-            pair_change(nz, L1, order[0], 1, 2)
-            cy = nz.f.coefficient((0, 3, 1))   # c * alpha  on y^3 z
-            cz = nz.f.coefficient((0, 2, 2))   # c * beta   on y^2 z^2
+        def probe_212(order):
+            # L1 -> y and order[0] -> z make the quartic c y^2 z (alpha y + beta z)
+            alpha, beta = pair_image(L1, order[0], order[1])
+            cy, cz = unit * alpha, unit * beta  # on y^3 z and y^2 z^2
             if cy.is_zero() or cz.is_zero():
                 raise AssertionError("third line is not in general position")
             # scale (y, z) -> (g y, (cy/cz) g z) and pick g killing the unit
             ratio = cy / cz
-            g = nz.nth_root_of((cy * ratio).inverse(), 4)
-            ratio = nz.lift(ratio)
+            return field_nth_root((cy * ratio).inverse(), 4), ratio
+
+        def apply_212(order, found):
+            root, ratio = found
+            pair_change(nz, L1, order[0], 1, 2)
+            g = nz.adopt(root)
             nz.scale(1, g)
-            nz.scale(2, ratio * g)
+            nz.scale(2, nz.lift(ratio) * g)
             _expect_tail(nz, [((0, 3, 1), 1), ((0, 2, 2), 1)])
             return "q:y2z-y+z", {}
 
         return try_assignments(
-            nz, [tuple(simples), tuple(reversed(simples))], attempt_212
+            [tuple(simples), tuple(reversed(simples))], probe_212, apply_212
         )
-    # four distinct lines: send two of them to y and z, re-factor the rest
+    # four distinct lines: send lines i and j to y and z; the quartic becomes
+    # y z Q2(y, z), Q2 split by the images of the other two
     lines = [fac for fac, _ in factors]
 
-    def attempt_4lines(assign):
+    def probe_4lines(assign):
         i, j, third = assign
-        pair_change(nz, lines[i], lines[j], 1, 2)
-        infm = _hpart(nz).in_w(W211)
-        # now C4 = y z Q2(y, z) with Q2 split by the remaining two lines
-        # (expressed in the current coordinates)
-        q2poly = (
-            _mono(nz, (0, 2, 0), infm.coefficient((0, 3, 1)))
-            + _mono(nz, (0, 1, 1), infm.coefficient((0, 2, 2)))
-            + _mono(nz, (0, 0, 2), infm.coefficient((0, 1, 3)))
-        )
-        fs2 = factor_binary(nz, q2poly, 1, 2, 2)
-        (a3c, b3c) = fs2[third][0]
-        (a4c, b4c) = fs2[1 - third][0]
-        if any(c.is_zero() for c in (a3c, b3c, a4c, b4c)):
+        (a3, b3), (a4, b4) = (pair_image(lines[i], lines[j], L)
+                              for k, L in enumerate(lines) if k not in (i, j))
+        if any(c.is_zero() for c in (a3, b3, a4, b4)):
             raise AssertionError("remaining lines are not in general position")
-        c_y3z = nz.lift(infm.coefficient((0, 3, 1)))
-        zeta = a3c / b3c
-        # y^3 z picks up g^3 * (zeta * g) under y -> g y, z -> zeta g z
-        g = nz.nth_root_of((c_y3z * zeta).inverse(), 4)
-        zeta = nz.lift(zeta)
+        # zeta is the third-th ratio alpha/beta in sort_key order, the order
+        # in which factor_binary(Q2) would give the lines (alpha/beta, 1)
+        zeta = sorted((a3 / b3, a4 / b4), key=lambda r: r.sort_key())[third]
+        # y^3 z has coefficient c*a3*a4 and picks up g^3 * (zeta * g) under
+        # y -> g y, z -> zeta g z
+        return field_nth_root((unit * a3 * a4 * zeta).inverse(), 4), zeta
+
+    def apply_4lines(assign, found):
+        i, j, _ = assign
+        root, zeta = found
+        pair_change(nz, lines[i], lines[j], 1, 2)
+        g = nz.adopt(root)
         nz.scale(1, g)
-        nz.scale(2, zeta * g)
+        nz.scale(2, nz.lift(zeta) * g)
         tail = _hpart(nz).in_w(W211)
         if not tail.coefficient((0, 3, 1)).is_one():
             raise AssertionError("four-line normalization failed")
@@ -236,7 +246,7 @@ def _quartic_odd(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
         if i != j
         for t in (0, 1)
     ]
-    return try_assignments(nz, triples, attempt_4lines)
+    return try_assignments(triples, probe_4lines, apply_4lines)
 
 
 def _expect_tail(nz: Normalizer, int_terms) -> None:

@@ -20,6 +20,7 @@ from .auto import (
     NormalizationOutcome,
     absorb_squares,
     complete_square,
+    field_nth_root,
     run_stage,
     try_assignments,
 )
@@ -197,9 +198,11 @@ def _stage_w6_odd(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
     if len(candidates) == 2 and candidates[0] == candidates[1]:
         candidates = candidates[:1]
 
-    def attempt(alpha):
-        gamma = nz.nth_root_of(alpha.inverse(), 2)
-        nz.scale(2, gamma)
+    def probe(alpha):
+        return field_nth_root(alpha.inverse(), 2)
+
+    def apply(alpha, found):
+        nz.scale(2, nz.adopt(found))
         delta = nz.f.coefficient((0, 1, 4))
         one = nz.context.one()
         expected = (
@@ -217,7 +220,7 @@ def _stage_w6_odd(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
         )
         return label, {"delta": delta}
 
-    return try_assignments(nz, candidates, attempt)
+    return try_assignments(candidates, probe, apply)
 
 
 # ---------------------------------------------------------------------------

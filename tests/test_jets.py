@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -72,6 +74,36 @@ def test_build_jets_square_coefficients():
     m_x0x2[6] = 1  # 2 x^(0) x^(2)
     assert f2[tuple(m_x1x1)] == ctx.one()
     assert f2[tuple(m_x0x2)] == ctx.from_int(2)
+
+
+def test_build_jets_large_exponent():
+    # a coordinate's powers come by squaring the truncated series: z^e at
+    # e = 10^5 costs O(log e) products, not e, and carries the binomial
+    # coefficients of (z0 + z1 t + z2 t^2)^e mod 7
+    e = 10 ** 5
+    f = poly(f"x^2+y^3+z^{e}", 7)
+    ctx = f.context
+    start = time.perf_counter()
+    gens = _elements(ctx, build_jets(f, 2).generators)
+    assert time.perf_counter() - start < 0.1
+
+    def terms(*pairs):
+        out = {}
+        for c, exps in pairs:
+            mono = [0] * 9
+            for index, k in exps.items():
+                mono[index] = k
+            if c % 7:
+                out[tuple(mono)] = ctx.from_int(c)
+        return out
+
+    # variable layout 3j + i: x_j, y_j, z_j at 3j, 3j + 1, 3j + 2
+    assert gens[3:] == [
+        terms((1, {0: 2}), (1, {1: 3}), (1, {2: e})),
+        terms((2, {0: 1, 3: 1}), (3, {1: 2, 4: 1}), (e, {2: e - 1, 5: 1})),
+        terms((1, {3: 2}), (2, {0: 1, 6: 1}), (3, {1: 1, 4: 2}), (3, {1: 2, 7: 1}),
+              (math.comb(e, 2), {2: e - 2, 5: 2}), (e, {2: e - 1, 8: 1})),
+    ]
 
 
 def test_build_jets_keeps_rational_coefficients():
@@ -244,13 +276,14 @@ def test_profiles_pinned(text, p, m_max, entries):
 @pytest.mark.parametrize("exponent", [10, 1000, 100000])
 def test_profile_expands_only_the_monomials_its_levels_see(monkeypatch, exponent):
     # on arcs through the origin z^e is O(t^e): above the top level it adds
-    # nothing, and its powers of the arc are never expanded
+    # nothing, and its powers of the arc are never expanded; the one series
+    # product is the square of x's arc
     calls = []
     series_mul = jets._series_mul
     monkeypatch.setattr(jets, "_series_mul", lambda *a: calls.append(1) or series_mul(*a))
     prof = mld_profile(poly(f"x^2+y^3+z^{exponent}", 7), 3)
     assert prof.profile.entries == [(0, 3, 2), (1, 3, 1), (2, 4, 1)]
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 # -- Groebner engine internals -------------------------------------------------
