@@ -46,12 +46,10 @@ from .classifier import (
 )
 from .jets import (
     GroebnerBudget,
-    JetSystem,
     OracleOverflow,
     ProfileSummary,
     SmProfile,
     build_jets,
-    ideal_height,
     mld_profile,
     s_m,
 )
@@ -67,7 +65,6 @@ __all__ = [
     "FieldElement",
     "FPurityCertificate",
     "GroebnerBudget",
-    "JetSystem",
     "MldValue",
     "Monomial",
     "NeedsAlgebraicExtension",
@@ -93,7 +90,6 @@ __all__ = [
     "extension_field",
     "fedder_is_fpure",
     "find_roots",
-    "ideal_height",
     "is_squarefree",
     "mld_profile",
     "normalize_quadric",

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 from .fields import FieldContext, prime_field
 from .frobenius import FPurityCertificate, fedder_is_fpure
 from .parse import parse_poly
-from .poly import TriPoly, Weight, is_squarefree
+from .poly import TriPoly, Weight, is_squarefree, squarefree_excess
 from .toricdiv import DiscrepancyReport, discrepancy
 from .normalize.auto import Automorphism, Normalizer
 from .normalize.cubiccone import stage_cone
@@ -389,11 +389,13 @@ def classify_mld(f: TriPoly, char: Optional[int] = None) -> Verdict:
 
 def settle_slc(f: TriPoly, verdict: Verdict) -> Verdict:
     """Fill in the slc claim of f's mld verdict: not applicable to a
-    non-reduced f, whose trace then ends in "non-reduced", and otherwise
-    true exactly when the mld is finite."""
+    non-reduced germ, whose trace then ends in "non-reduced", and otherwise
+    true exactly when the mld is finite.  The germ is reduced when f is
+    squarefree or its repeated factors, those of gcd(f, f_x, f_y, f_z), are
+    units at the origin."""
     if not f.coefficient((0, 0, 0)).is_zero():
         raise ValueError("slc classification needs f in the maximal ideal")
-    if not is_squarefree(f):
+    if not is_squarefree(f) and squarefree_excess(f).coefficient((0, 0, 0)).is_zero():
         verdict.slc = SLC_NOT_APPLICABLE
         verdict.branch_trace.append("non-reduced")
     else:

@@ -45,11 +45,13 @@ def monomial_outside_pth_powers(g: TriPoly, p: int) -> Optional[Monomial]:
 def fedder_is_fpure(f: TriPoly) -> FPurityCertificate:
     """F-purity of (A, (f)) at the origin via the f^(p-1) membership test.
 
-    Requires positive characteristic and f in the maximal ideal.
+    Requires positive characteristic and a nonzero f in the maximal ideal.
     """
     p = f.context.characteristic
     if p == 0:
         raise CharZero("F-purity is a positive-characteristic notion")
+    if f.is_zero():
+        raise ValueError("Fedder's test needs a nonzero f")
     if not f.coefficient((0, 0, 0)).is_zero():
         raise ValueError("f must vanish at the origin")
     power = f ** (p - 1)

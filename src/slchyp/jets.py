@@ -10,15 +10,15 @@ of variables minus a minimum hitting set of the leading monomials' supports
 (bitmasks, only the minimal ones kept), found by branching on the smallest
 support not yet hit and pruning at the best size found so far.
 
-`mld_profile` expands the arc equations once, at its top level, on arcs
-through the origin (x^(0), y^(0), z^(0) are generators, so the ideal is the
-same), and carries one Groebner basis from level to level: f^(m) lives on
-the coordinates of levels <= m, so level m adds it to the basis of level
-m - 1 and only the new pairs are formed.  Heights are read from the leading
-monomials of the carried basis, which span the leading-term ideal whether or
-not the basis is inter-reduced; `ideal_height_of` reads them the same way,
-from a basis it never inter-reduces.  `build_jets` and `ideal_height` keep
-the per-level computation on full arcs as the reference.
+There is one arc expansion: f on arcs through the origin, whose level-0
+coordinates are zero (x^(0), y^(0), z^(0) are generators, so the ideal is
+the same).  `mld_profile` expands it once, at its top level, and carries one
+Groebner basis from level to level: f^(m) lives on the coordinates of
+levels <= m, so level m adds it to the basis of level m - 1 and only the
+new pairs are formed.  Heights are read from the leading monomials of the
+carried basis, which span the leading-term ideal whether or not the basis
+is inter-reduced.  `s_m` reads one entry of that table, and `build_jets`
+gives the generators of one level as `NPoly`s.
 
 The Buchberger engine is generic over the exact coefficient fields and also
 serves the cubic-cone classifier (lex order for elimination).  Each basis
@@ -72,8 +72,8 @@ engine's coefficients as they are):
   over its gcd with the cancelled one.  Remainders are positive multiples
   of the monic ones, so the same leading monomials arise.
 
-At the edges (the input and output of `groebner_basis`, the generators of
-`build_jets`, and `ideal_height_of`) a polynomial is an `NPoly`: a dict from
+At the edges (the input and output of `groebner_basis` and the generators
+of `build_jets`) a polynomial is an `NPoly`: a dict from
 exponent tuples to the field's payloads, the coefficients `TriPoly` and
 `UniPoly` store too (a Fraction over Q, an int mod p, a coefficient tuple
 over F_{p^n}).  A payload does not carry its field, so those functions take
@@ -433,22 +433,6 @@ class _Buchberger:
         return out
 
 
-def _buchberger(ctx: FieldContext, gens: Sequence[NPoly], order: str,
-                budget: GroebnerBudget) -> Optional[_Buchberger]:
-    """The Buchberger state run on the nonzero gens over ctx to a Groebner
-    basis, or None when there are none."""
-    gens = [g for g in gens if g]
-    if not gens:
-        return None
-    nvars = len(next(iter(gens[0])))
-    top = max(max(m) for g in gens for m in g) if nvars else 0
-    layout = _Layout(nvars, order, _width(top))
-    state = _Buchberger(layout, ctx, budget)
-    load = state.field.load
-    state.add([{layout.pack(m): c for m, c in load(g).items()} for g in gens])
-    return state
-
-
 def groebner_basis(
     ctx: FieldContext,
     gens: Sequence[NPoly],
@@ -457,8 +441,16 @@ def groebner_basis(
 ) -> List[NPoly]:
     """Reduced Groebner basis of gens over ctx by Buchberger's algorithm
     with the normal selection strategy and the coprimality criterion."""
-    state = _buchberger(ctx, gens, order, budget)
-    return state.reduced() if state else []
+    gens = [g for g in gens if g]
+    if not gens:
+        return []
+    nvars = len(next(iter(gens[0])))
+    top = max(max(m) for g in gens for m in g) if nvars else 0
+    layout = _Layout(nvars, order, _width(top))
+    state = _Buchberger(layout, ctx, budget)
+    load = state.field.load
+    state.add([{layout.pack(m): c for m, c in load(g).items()} for g in gens])
+    return state.reduced()
 
 
 def quotient_dimension(leading_monomials: Sequence[NMonomial], nvars: int) -> int:
@@ -495,34 +487,8 @@ def quotient_dimension(leading_monomials: Sequence[NMonomial], nvars: int) -> in
     return nvars - best
 
 
-def _height(leading_monomials: Sequence[NMonomial], nvars: int) -> int:
-    """Height of an ideal on nvars variables from the leading monomials of a
-    Groebner basis; the unit ideal has the whole ring's height by convention."""
-    dim = quotient_dimension(leading_monomials, nvars)
-    return nvars if dim < 0 else nvars - dim
-
-
-def ideal_height_of(ctx: FieldContext, gens: Sequence[NPoly], nvars: int,
-                    budget: GroebnerBudget = GroebnerBudget()) -> int:
-    """Height of the ideal of gens over ctx on nvars variables, read from
-    the leading monomials of a grevlex Groebner basis that is not
-    inter-reduced: they span the same leading-term ideal as the reduced
-    basis."""
-    state = _buchberger(ctx, gens, "grevlex", budget)
-    leads = [state.layout.unpack(lm) for lm in state.leads] if state else []
-    return _height(leads, nvars)
-
-
 # ---------------------------------------------------------------------------
 # truncated arc equations
-
-
-@dataclass
-class JetSystem:
-    m: int
-    nvars: int
-    context: FieldContext
-    generators: List[NPoly]  # x^(0), y^(0), z^(0), f^(0), ..., f^(m), on payloads
 
 
 def _series_mul(a: List[Packed], b: List[Packed], m: int,
@@ -566,25 +532,29 @@ def _series_powers(arc: List[Packed], exponents, m: int,
     return {e: power(e) for e in exponents}
 
 
-def _arc_equations(f: TriPoly, m: int, first: int, layout: _Layout) -> List[Packed]:
-    """f^(0), ..., f^(m), packed: the coefficients of t^0..t^m in f evaluated
-    on the arc whose i-th coordinate is the sum of x_i^(j) t^j over
-    first <= j <= m, the level-j coordinate of variable i at index 3*j + i.
+def _arc_equations(f: TriPoly, m: int) -> Tuple[_Layout, List[Packed]]:
+    """The grevlex layout on the coordinates of levels 0..m, the level-j
+    coordinate of variable i at index 3*j + i, and f^(0), ..., f^(m) packed
+    in it: the coefficients of t^0..t^m in f evaluated on the arc through the
+    origin whose i-th coordinate is the sum of x_i^(j) t^j over 1 <= j <= m.
     Over Q f is first scaled to integer coefficients.  A monomial of total
-    degree d is O(t^(first*d)) on the arc, so only those with first*d <= m
-    are expanded, and each coordinate's powers are expanded once, for the
-    exponents that occur among them, and shared by the monomials."""
+    degree d is O(t^d) on the arc, so only those with d <= m are expanded,
+    and each coordinate's powers are expanded once, for the exponents that
+    occur among them, and shared by the monomials."""
     ctx = f.context
     if not ctx.is_rational and ctx.extension_degree != 1:
         raise ValueError("the jet oracle is restricted to prime fields and Q")
+    if f.is_zero():
+        raise ValueError("the jet oracle needs a nonzero polynomial")
+    layout = _Layout(3 * (m + 1), "grevlex", _width(max(f.total_degree(), 1)))
     field = _coefficients(ctx)
     add_mul, zero = field.add_mul, field.zero
-    terms = {mono: c for mono, c in field.load(f.terms).items() if first * sum(mono) <= m}
+    terms = {mono: c for mono, c in field.load(f.terms).items() if sum(mono) <= m}
     one: List[Packed] = [{} for _ in range(m + 1)]
     one[0] = {0: field.one}
     powers = []
     for i in range(3):
-        arc = [{layout.variable(3 * j + i): field.one} if j >= first else {}
+        arc = [{layout.variable(3 * j + i): field.one} if j else {}
                for j in range(m + 1)]
         powers.append(_series_powers(arc, {mono[i] for mono in terms if mono[i]}, m, field))
     levels: List[Packed] = [{} for _ in range(m + 1)]
@@ -600,45 +570,32 @@ def _arc_equations(f: TriPoly, m: int, first: int, layout: _Layout) -> List[Pack
                     level.pop(t, None)
                 else:
                     level[t] = v
-    return levels
+    return layout, levels
 
 
-def _jet_layout(f: TriPoly, nvars: int) -> _Layout:
-    return _Layout(nvars, "grevlex", _width(max(f.total_degree(), 1)))
-
-
-def build_jets(f: TriPoly, m: int) -> JetSystem:
-    """Arc-equation generators of f through level m, over a prime field or Q.
-
-    Variable layout: index 3*j + i is the level-j coordinate of variable i.
-    """
+def build_jets(f: TriPoly, m: int) -> List[NPoly]:
+    """The generators x^(0), y^(0), z^(0), f^(0), ..., f^(m) of the level-m
+    ideal of `mld_profile`, on the field's payloads, over a prime field or
+    Q; index 3*j + i is the level-j coordinate of variable i."""
     if m < 0:
         raise ValueError("level must be >= 0")
-    nvars = 3 * (m + 1)
-    layout = _jet_layout(f, nvars)
-    levels = _arc_equations(f, m, 0, layout)
+    layout, levels = _arc_equations(f, m)
     ctx = f.context
-    if ctx.is_rational and f.terms:
+    if ctx.is_rational:
         # the arcs were expanded for an integer multiple of f
         mono, c = next(iter(f.terms.items()))
         scale = _coefficients(ctx).load(f.terms)[mono] / c
         levels = [{t: v / scale for t, v in level.items()} for level in levels]
     origin = [{layout.variable(i): ctx.ops.one} for i in range(3)]
-    gens = [{layout.unpack(t): v for t, v in g.items()} for g in origin + levels]
-    return JetSystem(m, nvars, ctx, gens)
-
-
-def ideal_height(system: JetSystem,
-                 budget: GroebnerBudget = GroebnerBudget()) -> int:
-    """Height of (x^(0), y^(0), z^(0), f^(0), ..., f^(m))."""
-    return ideal_height_of(system.context, system.generators, system.nvars, budget)
+    return [{layout.unpack(t): v for t, v in g.items()} for g in origin + levels]
 
 
 def s_m(f: TriPoly, m: int, budget: GroebnerBudget = GroebnerBudget()) -> int:
     """2(m+1) minus the dimension of the level-m jet scheme of V(f) over the
-    origin (equivalently, the ideal height minus m+1)."""
-    system = build_jets(f, m)
-    return ideal_height(system, budget) - (m + 1)
+    origin (equivalently, the ideal height minus m+1): the level-m entry of
+    `mld_profile`, whose budget bounds the basis carried through levels
+    0..m."""
+    return mld_profile(f, m + 1, budget=budget).profile.entries[m][2]
 
 
 @dataclass
@@ -703,14 +660,15 @@ def mld_profile(
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    layout = _jet_layout(f, 3 * m_max)
-    levels = _arc_equations(f, m_max - 1, 1, layout)
+    layout, levels = _arc_equations(f, m_max - 1)
     state = _Buchberger(layout, f.context, budget)
     origin = [{layout.variable(i): state.field.one} for i in range(3)]
     entries = []
     for m, fm in enumerate(levels):
         state.add(origin + [fm] if m == 0 else [fm])
-        h = _height([state.layout.unpack(lm) for lm in state.leads], 3 * (m + 1))
+        nvars = 3 * (m + 1)
+        dim = quotient_dimension([state.layout.unpack(lm) for lm in state.leads], nvars)
+        h = nvars if dim < 0 else nvars - dim  # the unit ideal has the whole ring's height
         entries.append((m, h, h - (m + 1)))
     profile = SmProfile(entries)
     values = [v for _, v in profile.contact_entries()]

@@ -60,6 +60,24 @@ def test_spec_examples_slc():
     assert tuple(v.witness.weight) == (10, 5, 4)
 
 
+# reducedness is of the germ: a repeated factor that is a unit at the origin
+# leaves it reduced, one through the origin or a p-th power does not
+REDUCEDNESS = [
+    ("x*y+2*x^2*y+x^3*y", 0, True),  # x*y*(1+x)^2
+    ("x*y*z*(1+y)*(1+y)", 0, True),
+    ("(x*y+z^3)*(1+x)*(1+x)", 5, True),
+    ("x^2*y*(1+z)", 0, SLC_NOT_APPLICABLE),
+    ("x^5+y^10", 5, SLC_NOT_APPLICABLE),  # (x+y^2)^5
+]
+
+
+@pytest.mark.parametrize("text,p,slc", REDUCEDNESS)
+def test_slc_reads_reducedness_of_the_germ(text, p, slc):
+    v = classify_slc(poly(text, p), p)
+    assert v.slc == slc
+    assert (v.branch_trace[-1] == "non-reduced") == (slc == SLC_NOT_APPLICABLE)
+
+
 def test_slc_rejects_units():
     with pytest.raises(ValueError):
         classify_slc(poly("1+x", 0), 0)

@@ -17,6 +17,7 @@ GOLDEN_INVOCATIONS = {
     "mld_nodal_cone_p2.json": ["mld", "--char", "2", "--poly", "x^3+y^3+x*y*z"],
     "slc_triangle_p5.json": ["slc", "--char", "5", "--poly", "x*y*z"],
     "mld_nonreduced_q.json": ["mld", "--char", "0", "--poly", "x^2"],
+    "slc_unit_square_q.json": ["slc", "--char", "0", "--poly", "x*y*z*(1+y)*(1+y)"],
 }
 
 
@@ -107,6 +108,13 @@ def test_malformed_input_is_an_input_error(capsys, text):
 def test_exit_code_zero_polynomial():
     proc = run_cli("mld", "--char", "2", "--poly", "2*x")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("command", ["fpure", "jet-profile"])
+def test_zero_polynomial_is_an_input_error(command):
+    proc = run_cli(command, "--char", "7", "--poly", "0")
+    assert proc.returncode == 2
+    assert "nonzero" in json.loads(proc.stdout)["error"]
 
 
 def test_exit_code_char_not_prime():

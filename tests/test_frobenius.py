@@ -49,6 +49,12 @@ def test_char_zero_raises():
         fedder_is_fpure(poly("x^2+y^3"))
 
 
+def test_zero_polynomial_raises():
+    # k[[x,y,z]]/(0) is regular, hence F-pure; Fedder's test needs f != 0
+    with pytest.raises(ValueError):
+        fedder_is_fpure(TriPoly.zero(ctx_for(7)))
+
+
 def test_unit_required_to_vanish():
     with pytest.raises(ValueError):
         fedder_is_fpure(poly("1+x", 2))

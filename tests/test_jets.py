@@ -16,7 +16,6 @@ from slchyp import (
     build_jets,
     classify_mld,
     extension_field,
-    ideal_height,
     mld_profile,
     s_m,
 )
@@ -42,67 +41,129 @@ def _payload_type(ctx):
     return Fraction if ctx.is_rational else int if ctx.extension_degree == 1 else tuple
 
 
+# -- an independent reference: full arcs, plain series products ---------------
+
+
+def _monomial(nvars, exps):
+    mono = [0] * nvars
+    for index, k in exps.items():
+        mono[index] = k
+    return tuple(mono)
+
+
+def _series_product(ctx, a, b, m):
+    """a * b through t^m, each series a list of dicts from exponent tuples
+    to FieldElements."""
+    out = [{} for _ in range(m + 1)]
+    for i, ai in enumerate(a):
+        for j in range(m + 1 - i):
+            for m1, c1 in ai.items():
+                for m2, c2 in b[j].items():
+                    t = tuple(u + v for u, v in zip(m1, m2))
+                    out[i + j][t] = out[i + j].get(t, ctx.zero()) + c1 * c2
+    return [{t: c for t, c in o.items() if not c.is_zero()} for o in out]
+
+
+def full_arc_jets(f, m):
+    """x^(0), y^(0), z^(0), f^(0), ..., f^(m) with f^(j) the coefficient of
+    t^j in f on the full generic arc, the level-j coordinate of variable i
+    at index 3*j + i: each monomial by repeated products with the arcs, in
+    FieldElement arithmetic."""
+    ctx, nvars = f.context, 3 * (m + 1)
+    arcs = [[{_monomial(nvars, {3 * j + i: 1}): ctx.one()} for j in range(m + 1)]
+            for i in range(3)]
+    levels = [{} for _ in range(m + 1)]
+    for mono, c in f.sorted_terms():
+        term = [{(0,) * nvars: c}] + [{} for _ in range(m)]
+        for i, e in enumerate(mono):
+            for _ in range(e):
+                term = _series_product(ctx, term, arcs[i], m)
+        for level, part in zip(levels, term):
+            for t, v in part.items():
+                level[t] = level.get(t, ctx.zero()) + v
+    origin = [{_monomial(nvars, {i: 1}): ctx.one()} for i in range(3)]
+    return origin + [{t: v for t, v in level.items() if not v.is_zero()} for level in levels]
+
+
+def through_origin(gens):
+    """The full-arc generators with the level-0 coordinates of f's levels
+    set to zero: the arc equations on arcs through the origin."""
+    return gens[:3] + [{t: v for t, v in g.items() if not any(t[:3])} for g in gens[3:]]
+
+
+def reference_entries(f, m_max):
+    """(m, height, height - (m + 1)) for m < m_max, each height from the
+    reduced basis of the full-arc generators of that level alone."""
+    entries = []
+    for m in range(m_max):
+        nvars = 3 * (m + 1)
+        basis = groebner_basis(f.context, _payload_dicts(full_arc_jets(f, m)))
+        dim = quotient_dimension([next(iter(g)) for g in basis], nvars)
+        h = nvars if dim < 0 else nvars - dim
+        entries.append((m, h, h - (m + 1)))
+    return entries
+
+
 def test_build_jets_product_rule():
+    # on arcs through the origin f^(0) = f^(1) = 0, f^(2) = x1 y1 and
+    # f^(3) = x1 y2 + x2 y1  (variable layout: 3j + i)
     f = poly("x*y")
     ctx = f.context
-    gens = _elements(ctx, build_jets(f, 1).generators)
+    gens = _elements(ctx, build_jets(f, 3))
     one = ctx.one()
-    # f^(0) = x0 y0, f^(1) = x0 y1 + x1 y0  (variable layout: 3j + i)
-    f0 = {(1, 1, 0, 0, 0, 0): one}
-    f1 = {(1, 0, 0, 0, 1, 0): one, (0, 1, 0, 1, 0, 0): one}
-    assert gens[3] == f0
-    assert gens[4] == f1
+    assert gens[3:] == [
+        {},
+        {},
+        {_monomial(12, {3: 1, 4: 1}): one},
+        {_monomial(12, {3: 1, 7: 1}): one, _monomial(12, {6: 1, 4: 1}): one},
+    ]
+    assert gens == through_origin(full_arc_jets(f, 3))
 
 
 def test_build_jets_linear():
     f = poly("x")
-    gens = _elements(f.context, build_jets(f, 2).generators)
-    for j in range(3):
-        mono = [0] * 9
-        mono[3 * j] = 1
-        assert gens[3 + j] == {tuple(mono): f.context.one()}
+    one = f.context.one()
+    # x0, y0, z0, then f^(0) = 0, f^(1) = x1, f^(2) = x2
+    assert _elements(f.context, build_jets(f, 2)) == (
+        [{_monomial(9, {i: 1}): one} for i in range(3)]
+        + [{}] + [{_monomial(9, {3 * j: 1}): one} for j in (1, 2)])
 
 
 def test_build_jets_square_coefficients():
+    # f^(3) = 2 x1 x2 + y1^3 and f^(4) = x2^2 + 2 x1 x3 + 3 y1^2 y2
     f = poly("x^2+y^3+z^5")
     ctx = f.context
-    f2 = _elements(ctx, build_jets(f, 2).generators)[5]
-    m_x1x1 = [0] * 9
-    m_x1x1[3] = 2  # (x^(1))^2
-    m_x0x2 = [0] * 9
-    m_x0x2[0] = 1
-    m_x0x2[6] = 1  # 2 x^(0) x^(2)
-    assert f2[tuple(m_x1x1)] == ctx.one()
-    assert f2[tuple(m_x0x2)] == ctx.from_int(2)
+    gens = _elements(ctx, build_jets(f, 4))
+    assert gens[6] == {_monomial(15, {3: 1, 6: 1}): ctx.from_int(2),
+                       _monomial(15, {4: 3}): ctx.one()}
+    assert gens[7] == {_monomial(15, {6: 2}): ctx.one(),
+                       _monomial(15, {3: 1, 9: 1}): ctx.from_int(2),
+                       _monomial(15, {4: 2, 7: 1}): ctx.from_int(3)}
 
 
 def test_build_jets_large_exponent():
-    # a coordinate's powers come by squaring the truncated series: z^e at
-    # e = 10^5 costs O(log e) products, not e, and carries the binomial
-    # coefficients of (z0 + z1 t + z2 t^2)^e mod 7
+    # on arcs through the origin z^e is O(t^e): at e = 10^5 it adds nothing
+    # through level 2 and is never expanded.  Below the level a coordinate's
+    # powers come by squaring the truncated series and carry the binomial
+    # coefficients of (z1 t + z2 t^2 + ...)^e mod 7.
     e = 10 ** 5
     f = poly(f"x^2+y^3+z^{e}", 7)
     ctx = f.context
     start = time.perf_counter()
-    gens = _elements(ctx, build_jets(f, 2).generators)
+    gens = _elements(ctx, build_jets(f, 2))
     assert time.perf_counter() - start < 0.1
-
-    def terms(*pairs):
-        out = {}
-        for c, exps in pairs:
-            mono = [0] * 9
-            for index, k in exps.items():
-                mono[index] = k
-            if c % 7:
-                out[tuple(mono)] = ctx.from_int(c)
-        return out
-
-    # variable layout 3j + i: x_j, y_j, z_j at 3j, 3j + 1, 3j + 2
-    assert gens[3:] == [
-        terms((1, {0: 2}), (1, {1: 3}), (1, {2: e})),
-        terms((2, {0: 1, 3: 1}), (3, {1: 2, 4: 1}), (e, {2: e - 1, 5: 1})),
-        terms((1, {3: 2}), (2, {0: 1, 6: 1}), (3, {1: 1, 4: 2}), (3, {1: 2, 7: 1}),
-              (math.comb(e, 2), {2: e - 2, 5: 2}), (e, {2: e - 1, 8: 1})),
+    assert gens[3:] == [{}, {}, {_monomial(9, {3: 2}): ctx.one()}]
+    g = poly("x^2+y^3+z^5", 7)
+    gens = _elements(ctx, build_jets(g, 7))
+    assert gens == through_origin(full_arc_jets(g, 7))
+    # the terms in z alone of f^(5), f^(6), f^(7): z1^5, 5 z1^4 z2 and
+    # 5 z1^4 z3 + 10 z1^3 z2^2
+    in_z = [{t: c for t, c in level.items() if not any(t[i] for i in range(24) if i % 3 != 2)}
+            for level in gens[8:]]
+    assert in_z == [
+        {_monomial(24, {5: 5}): ctx.one()},
+        {_monomial(24, {5: 4, 8: 1}): ctx.from_int(5)},
+        {_monomial(24, {5: 4, 11: 1}): ctx.from_int(5), _monomial(24, {5: 3, 8: 2}): ctx.from_int(10)},
     ]
 
 
@@ -111,19 +172,25 @@ def test_build_jets_keeps_rational_coefficients():
     f = poly("x^2+3*y^3+x*y*z")
     ctx = f.context
     third = ctx.from_fraction(-1, 3)
-    scaled = _elements(ctx, build_jets(f.scale(third), 2).generators[3:])
-    for g, h in zip(scaled, _elements(ctx, build_jets(f, 2).generators[3:])):
+    gens = build_jets(f, 3)
+    assert all(type(c) is Fraction for g in gens for c in g.values())
+    assert _elements(ctx, gens) == through_origin(full_arc_jets(f, 3))
+    scaled = _elements(ctx, build_jets(f.scale(third), 3)[3:])
+    assert scaled[3]
+    for g, h in zip(scaled, _elements(ctx, gens[3:])):
         assert g == {m: c * third for m, c in h.items()}
 
 
 def test_series_consistency_random_arcs(rng):
-    # evaluating f on a random truncated arc agrees with the jet equations
+    # evaluating f on a random truncated arc through the origin agrees with
+    # the jet equations, and they are the reference's with x0, y0, z0 = 0
     for p in (5, 7):
         ctx = ctx_for(p)
         f = random_poly(rng, ctx, max_terms=4, max_exp=3)
         m = 3
-        generators = _elements(ctx, build_jets(f, m).generators)
-        arc = [[ctx.from_int(rng.randint(0, p - 1)) for _ in range(m + 1)]
+        generators = _elements(ctx, build_jets(f, m))
+        assert generators == through_origin(full_arc_jets(f, m))
+        arc = [[ctx.zero()] + [ctx.from_int(rng.randint(0, p - 1)) for _ in range(m)]
                for _ in range(3)]
 
         def poly_eval_series():
@@ -160,11 +227,12 @@ def test_series_consistency_random_arcs(rng):
 
 
 def test_ideal_height_examples():
-    assert ideal_height(build_jets(poly("x*y"), 2)) == 4
-    for m in (0, 1, 2, 3):
-        assert ideal_height(build_jets(poly("x"), m)) == m + 3
+    heights = [h for _m, h, _s in mld_profile(poly("x*y"), 3).profile.entries]
     # level 0 with f^(0) already inside (x0,y0,z0)
-    assert ideal_height(build_jets(poly("x*y"), 0)) == 3
+    assert heights == [3, 3, 4]
+    assert [h for _m, h, _s in mld_profile(poly("x"), 4).profile.entries] == [3, 4, 5, 6]
+    for text in ("x*y", "x"):
+        assert mld_profile(poly(text), 4).profile.entries == reference_entries(poly(text), 4)
 
 
 def test_s_m_examples():
@@ -188,25 +256,36 @@ def test_mld_profile_examples():
 
 def test_height_monotone_in_level():
     for text, p in [("x*y", 0), ("x^2+y^2*z", 5), ("x^2+y^3", 2)]:
-        f = poly(text, p)
-        heights = [ideal_height(build_jets(f, m)) for m in range(4)]
+        heights = [h for _m, h, _s in mld_profile(poly(text, p), 4).profile.entries]
         assert all(a <= b for a, b in zip(heights, heights[1:]))
 
 
 def test_oracle_rejects_extension_coefficients():
-    from slchyp import extension_field, TriPoly
-
     F4 = extension_field(2, 2)
     f = TriPoly.monomial(F4, (1, 1, 0), F4.generator())
     with pytest.raises(ValueError):
         build_jets(f, 1)
+    with pytest.raises(ValueError):
+        mld_profile(f, 2)
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_oracle_refuses_the_zero_polynomial(p):
+    # no hypersurface, no contact table: every level would read 2 - m
+    zero = TriPoly(ctx_for(p), {})
+    with pytest.raises(ValueError):
+        mld_profile(zero, 3)
+    with pytest.raises(ValueError):
+        s_m(zero, 1)
+    with pytest.raises(ValueError):
+        build_jets(zero, 2)
 
 
 def test_budget_overflow_is_loud():
     f = poly("x^2+y^3+z^5", 7)
     with pytest.raises(OracleOverflow):
         mld_profile(f, 3, budget=GroebnerBudget(max_basis=1))
-    gens = build_jets(f, 1).generators
+    gens = build_jets(f, 2)
     for order in ("grevlex", "lex"):
         with pytest.raises(OracleOverflow):
             groebner_basis(f.context, gens, order, GroebnerBudget(max_basis=1))
@@ -224,28 +303,28 @@ def _random_singular_poly(rnd, ctx):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 0])
 def test_incremental_profile_matches_per_level_heights(p):
     # mld_profile carries one basis over arcs through the origin; the
-    # reference rebuilds the full arc equations and the basis at every level
+    # reference expands f on full arcs by plain series products and reduces
+    # each level's generators on their own, sharing no arc expansion with it
     rnd = random.Random(f"profile:{p}")
     ctx = ctx_for(p)
     for _ in range(23):
         f = _random_singular_poly(rnd, ctx)
-        reference = []
-        for m in range(4):
-            h = ideal_height(build_jets(f, m))
-            reference.append((m, h, h - (m + 1)))
-        assert mld_profile(f, 4).profile.entries == reference, str(f)
+        assert mld_profile(f, 4).profile.entries == reference_entries(f, 4), str(f)
 
 
 def test_budget_counts_the_carried_basis():
-    # every level's own basis stays within 15 elements, but the basis carried
-    # through level 5 holds 16, and the budget bounds the carried one
+    # the basis carried through level 4 holds at most 15 elements, through
+    # level 5 it holds 16, and the budget bounds the carried one, in s_m too
     f = poly("y*(y^2+x*z)")
     budget = GroebnerBudget(max_basis=15)
-    heights = [ideal_height(build_jets(f, m), budget) for m in range(6)]
-    assert heights == [3, 3, 3, 4, 5, 6]
+    entries = mld_profile(f, 6).profile.entries
+    assert [h for _m, h, _s in entries] == [3, 3, 3, 4, 5, 6]
+    assert mld_profile(f, 5, budget=budget).profile.entries == entries[:5]
+    assert s_m(f, 4, budget) == entries[4][2]
     with pytest.raises(OracleOverflow):
         mld_profile(f, 6, budget=budget)
-    assert [h for _m, h, _s in mld_profile(f, 6).profile.entries] == heights
+    with pytest.raises(OracleOverflow):
+        s_m(f, 5, budget)
 
 
 # contact tables of scripts/run_jet_profiles.py, two level-6 fixtures and a
@@ -422,7 +501,7 @@ def test_groebner_basis_matches_reference(rng, q, order):
     ctx = extension_field(3, 2) if q == 9 else ctx_for(q)
     cases = [_random_ideal(rng, ctx, rng.randint(2, 4)) for _ in range(25)]
     if q != 9:
-        jet_gens = build_jets(poly("x^2+y^3+x*y*z", q), 1).generators
+        jet_gens = build_jets(poly("x^2+y^3+x*y*z", q), 3)
         assert all(type(c) is _payload_type(ctx) for g in jet_gens for c in g.values())
         cases.append(_elements(ctx, jet_gens))
     for gens in cases:
@@ -431,27 +510,32 @@ def test_groebner_basis_matches_reference(rng, q, order):
 
 @pytest.mark.parametrize("q", [5, 0, 9])
 def test_ideal_height_reads_the_unreduced_basis(rng, q, monkeypatch):
-    # heights need only leading monomials, which the basis has before any
-    # inter-reduction; the reference reads them from the reduced basis
+    # heights need only leading monomials: the minimal ones of the basis
+    # before any inter-reduction are those of the reduced basis (the
+    # reference's), so they give the same height.  mld_profile reads its
+    # heights that way and never inter-reduces.
     ctx = extension_field(3, 2) if q == 9 else ctx_for(q)
-    cases = []
     for _ in range(25):
         nvars = rng.randint(2, 4)
-        cases.append((_random_ideal(rng, ctx, nvars), nvars))
+        gens = [g for g in _random_ideal(rng, ctx, nvars) if g]
+        layout = jets._Layout(nvars, "grevlex", jets._width(2))
+        state = jets._Buchberger(layout, ctx, GroebnerBudget())
+        load = state.field.load
+        state.add([{layout.pack(m): c for m, c in load(g).items()} for g in _payload_dicts(gens)])
+        leads = {state.layout.unpack(lm) for lm in state.leads}
+        minimal = {m for m in leads
+                   if not any(o != m and all(a <= b for a, b in zip(o, m)) for o in leads)}
+        reduced = reference_groebner(gens, grevlex_key)
+        assert minimal == {_lead(g, grevlex_key)[0] for g in reduced}, gens
     if q != 9:
-        cases.append((_elements(ctx, build_jets(poly("x^2+y^3+x*y*z", q), 1).generators), 6))
-    expected = []
-    for gens, nvars in cases:
-        leads = [_lead(g, grevlex_key)[0] for g in reference_groebner(gens, grevlex_key)]
-        dim = quotient_dimension(leads, nvars)
-        expected.append(nvars if dim < 0 else nvars - dim)
+        f = poly("x^2+y^3+x*y*z", q)
+        expected = reference_entries(f, 4)
 
-    def no_inter_reduction(self):
-        raise AssertionError("ideal_height_of inter-reduced its basis")
+        def no_inter_reduction(self):
+            raise AssertionError("mld_profile inter-reduced its basis")
 
-    monkeypatch.setattr(jets._Buchberger, "reduced", no_inter_reduction)
-    assert [jets.ideal_height_of(ctx, _payload_dicts(gens), nvars)
-            for gens, nvars in cases] == expected
+        monkeypatch.setattr(jets._Buchberger, "reduced", no_inter_reduction)
+        assert mld_profile(f, 4).profile.entries == expected
 
 
 @pytest.mark.parametrize("order", ["grevlex", "lex"])
