@@ -7,7 +7,7 @@ import pytest
 
 from conftest import ctx_for, poly, random_invertible_matrix
 
-from slchyp import TriPoly, classify_cubic_cone, discrepancy
+from slchyp import RATIONALS, TriPoly, classify_cubic_cone, discrepancy, extension_field, prime_field
 from slchyp.normalize import cubiccone
 from slchyp.normalize.auto import LinearStep, Normalizer
 from slchyp.poly import is_squarefree
@@ -280,3 +280,62 @@ def test_singular_locus_takes_one_elimination(monkeypatch):
             calls.clear()
             cubiccone._singular_points(poly(text, p))
             assert calls == ["lex"], (text, p)
+
+
+# the fields of the cone differential, by name
+DIFFERENTIAL_FIELDS = {
+    "F_2": (2, 1), "F_3": (3, 1), "F_5": (5, 1), "F_7": (7, 1), "F_11": (11, 1),
+    "F_13": (13, 1), "F_4": (2, 2), "F_9": (3, 2), "Q": (0, 1),
+}
+
+
+def _differential_context(name):
+    p, n = DIFFERENTIAL_FIELDS[name]
+    return RATIONALS if p == 0 else extension_field(p, n) if n > 1 else prime_field(p)
+
+
+# sha256 of the outcome lines of test_cone_differential, recorded while
+# every squarefree cubic ran the full line search
+CONE_DIFFERENTIAL_DIGESTS = {
+    "F_2": "24325aec0b9901bbd584fdaf2d5b42b3c23cec578c87cb2d1afbc45375e1985e",
+    "F_3": "a240b32ca110181972f269f0f16c85e288d08032ccd71e022fcd67a36f45aa3c",
+    "F_5": "9e25d71209ba9d47c529238a7b52f4cca746a61a7548b357e3c3554e9c5674d5",
+    "F_7": "4461bd4a9aff4ccc2a0726618015c7dd0763c20de54a6dd4770f0b2455c6d7df",
+    "F_11": "2b48fb1dcd06f8a966736ed88f8b2e1b5d635c569410c1472220f6dc985b4b60",
+    "F_13": "9ef5d2630fb0d46abd373a815d7c3cc7a3b4248b9e7673fc9bcb912420660070",
+    "F_4": "7249a177fe70f2311c9e9d2b9fcf0d703dbf274d6584f16d65d00aa8e3bec8ac",
+    "F_9": "323e46ad87e1331de09f16acd0f1375e2b4742296cdb3ddecabb283e48767f70",
+    "Q": "d441284acb944347fb7141633f24a022448b0dd154cb4e49745d2d6a1a52a3ae",
+}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_FIELDS)
+def test_cone_differential(name):
+    # seeded cubics, half on any support and half on supports singular at
+    # [0:0:1], about 60% moved by a random linear change: the outcome of
+    # each, label, normal form, automorphism and final field, hashes to the
+    # recorded digest
+    ctx = _differential_context(name)
+    rnd = random.Random(f"cone-differential:{name}")
+
+    def coefficient():
+        if ctx.is_rational:
+            return ctx.from_int(rnd.choice([-3, -2, -1, 1, 2, 3]))
+        while True:
+            c = ctx.from_vector([rnd.randrange(ctx.characteristic)
+                                 for _ in range(ctx.extension_degree)])
+            if not c.is_zero():
+                return c
+
+    lines = []
+    while len(lines) < 60:
+        support = CUBIC_MONOMIALS if len(lines) % 2 else SINGULAR_AT_Z
+        chosen = rnd.sample(support, rnd.randint(2, len(support)))
+        g = TriPoly.make(ctx, {m: coefficient() for m in chosen})
+        if rnd.random() < 0.6:
+            g = LinearStep(random_invertible_matrix(rnd, ctx)).apply(g)
+        if g.is_zero():
+            continue
+        lines.append(str(g) + " " + _outcome_line(classify_cubic_cone(g)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CONE_DIFFERENTIAL_DIGESTS[name]
