@@ -18,16 +18,24 @@ search complete; over the rationals only rational lines are found and the
 conjugate configurations are told apart by rank and singular-point data.
 
 `stage_cone` runs on the whole germ: its steps are linear, so the cubic
-initial form moves with f and is read as `nz.f.in_w(W1)`.  A cubic with
-no line is tested for smoothness, and its singular point found, on that
-form as it entered, over the input field, however far the line search grew
-the field: one lex basis of (g, g_x, g_y, g_z) on the chart z = 1 and one
-gcd of those forms on the line z = 0 decide both, and neither changes
-under field extension.  Over a finite field a cubic with no line in
-a field where every restriction splits is absolutely irreducible, so it has
-at most one singular point; Frobenius fixes that point, so it is rational
-over g's field, and it is carried into the grown field by the run's
-embeddings.
+initial form moves with f and is read as `nz.f.in_w(W1)`.  A squarefree
+cubic with no coordinate line is tested for smoothness, and its singular
+points found, on that form as it entered, over the input field, before
+any line search: one lex basis of (g, g_x, g_y, g_z) on the chart z = 1
+and one gcd of those forms on the line z = 0 decide both, and neither
+changes under field extension.  From them `_absolutely_irreducible`
+decides whether g is irreducible over the closure: smooth, or one rational
+double point P such that, with P at [0:0:1] and g = z q + c, the tangent
+cone q and c have no common factor.  Such a g has no line, so the search
+could only grow the field: `_grow_as_the_line_search` grows it the same
+way, by each restriction's splitting degree (the lcm of its distinct-degree
+block degrees) through the same extension pairs, and skips the roots,
+candidate lines and trial divisions, so the outcome is the search's.  Every
+other squarefree cubic runs the search.  Over a finite field a cubic with
+no line in a field where every restriction splits is absolutely
+irreducible, so it has at most one singular point; Frobenius fixes that
+point, so it is rational over g's field, and it is carried into the grown
+field by the run's embeddings.
 """
 
 from __future__ import annotations
@@ -43,7 +51,14 @@ from ..poly import (
     is_squarefree,
     squarefree_excess,
 )
-from ..unipoly import UniPoly, _poly, find_roots
+from ..unipoly import (
+    UniPoly,
+    _poly,
+    _squarefree_part,
+    extend_context,
+    find_roots,
+    splitting_field_degree,
+)
 from .auto import (
     Normalizer,
     NormalizationOutcome,
@@ -78,14 +93,23 @@ def stage_cone(nz: Normalizer) -> StageResult:
     g = nz.f.in_w(W1)
     if not is_squarefree(g):
         return _repeated_line(nz, g)
-    quotient, lines = _linear_factors(nz, g)
+    if all(any(m[v] == 0 for m in g.terms) for v in range(3)):
+        # no coordinate line: an absolutely irreducible g has no line at
+        # all, so of the line search only its field growth is run
+        points = _singular_points(g)
+        if _absolutely_irreducible(g, points):
+            _grow_as_the_line_search(nz, g)
+            return _no_rational_lines(nz, g, points)
+        quotient, lines = _linear_factors(nz, g)
+        if not lines:
+            return _no_rational_lines(nz, g, points)
+    else:
+        quotient, lines = _linear_factors(nz, g)
     if len(lines) == 3:
         return _three_lines(nz, lines)
     if len(lines) == 1:
         return _conic_and_line(nz, lines[0], quotient)
-    if len(lines) != 0:
-        raise AssertionError("impossible linear factor count for a cubic")
-    return _no_rational_lines(nz, g)
+    raise AssertionError("impossible linear factor count for a cubic")
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +167,21 @@ def _try_divide(h: TriPoly, L: TriPoly) -> Optional[TriPoly]:
         return None
 
 
-def _binary_restriction_points(nz: Normalizer, h: TriPoly, drop: int):
-    """Distinct projective zeros of h restricted to {x_drop = 0}, as point
-    triples.  Finite fields are enlarged until the restriction splits; over
-    the rationals only rational zeros are returned."""
+def _restriction(h: TriPoly, drop: int):
+    """(keep, coeffs): the other two coordinates and the coefficients of h
+    restricted to {x_drop = 0}, as a binary form in them."""
     keep = [i for i in range(3) if i != drop]
     rest = h.restrict_to_pair(tuple(keep))
     if rest.is_zero():
         raise AssertionError("coordinate-line factor should be handled earlier")
-    coeffs = binary_form_coefficients(rest, keep[0], keep[1], rest.total_degree())
+    return keep, binary_form_coefficients(rest, keep[0], keep[1], rest.total_degree())
+
+
+def _binary_restriction_points(nz: Normalizer, h: TriPoly, drop: int):
+    """Distinct projective zeros of h restricted to {x_drop = 0}, as point
+    triples.  Finite fields are enlarged until the restriction splits; over
+    the rationals only rational zeros are returned."""
+    keep, coeffs = _restriction(h, drop)
     points = _binary_zeros(nz, coeffs)
     zero = nz.context.zero()
     out = []
@@ -330,17 +360,61 @@ def _conic_transverse(nz: Normalizer, b0, b1, b2) -> StageResult:
 # irreducible cubics
 
 
-def _no_rational_lines(nz: Normalizer, g: TriPoly) -> StageResult:
-    """g is nz.f's initial form over the input field; nz is in the field
-    where the line search ended.
+def _absolutely_irreducible(g: TriPoly, points: Optional[List[Line]]) -> bool:
+    """Whether the squarefree cubic g, with `_singular_points` `points`, is
+    irreducible over the algebraic closure of its field, Q or F_q.
 
-    Over a finite field `_linear_factors` has already enlarged the field
-    until every line on g is rational, and found none, so g is absolutely
-    irreducible and has at most one singular point.  The Frobenius of g's
-    field permutes the singular points, so it fixes that one, which is
-    therefore rational over g's field: the solve needs no field extension,
-    and a second point would contradict the argument."""
-    points = _singular_points(g)
+    A smooth g is.  A singular one is when it has one rational singular
+    point P and, with P moved to [0:0:1] so that g = z q + c for binary
+    forms q and c in x, y, the tangent cone q is nonzero and gcd(q, c) = 1.
+    A line on such a g through P would divide both q and c; a line not
+    through P would leave a conic with a double point at P, a pair of
+    lines through P.  Conversely an absolutely irreducible g has at most
+    one singular point, fixed by every automorphism of the closure over g's
+    field and so rational (Q and F_q are perfect), of multiplicity two, and
+    no line through it."""
+    if points is None:
+        return True
+    if len(points) != 1:
+        return False
+    probe = Normalizer(g)
+    probe.move_to_z(points[0])
+    h = probe.f
+    q = [h.coefficient((2 - i, i, 1)) for i in range(3)]
+    c = [h.coefficient((3 - i, i, 0)) for i in range(4)]
+    if all(a.is_zero() for a in q) or (q[0].is_zero() and c[0].is_zero()):
+        return False  # a triple point, or y divides both forms
+    # the common factors other than y are those of q(t, 1) and c(t, 1)
+    return _gcd(g.context, [((2 - i, a.payload) for i, a in enumerate(q)),
+                            ((3 - i, a.payload) for i, a in enumerate(c))]).degree() == 0
+
+
+def _grow_as_the_line_search(nz: Normalizer, g: TriPoly) -> None:
+    """Enlarge nz's field as `_linear_factors` does on the cubic g with no
+    coordinate line when it finds no line: for each coordinate line in
+    turn, by the degree over the current field of the splitting field of
+    g's restriction there, through the same `extend_context` pairs.  The
+    rationals never grow."""
+    if nz.context.is_rational:
+        return
+    for drop in (2, 1, 0):
+        u = UniPoly.make(nz.context, nz.lift(tuple(_restriction(g, drop)[1][::-1])))
+        if u.degree() >= 1:
+            degree = splitting_field_degree(_squarefree_part(u))
+            if degree > 1:
+                nz.extend(extend_context(nz.context, degree)[1])
+
+
+def _no_rational_lines(nz: Normalizer, g: TriPoly, points: Optional[List[Line]]) -> StageResult:
+    """g is nz.f's initial form over the input field, with no rational line,
+    and `points` its `_singular_points`; nz is in the field where the line
+    search ended, or would have.
+
+    Over a finite field g is then absolutely irreducible: either
+    `_absolutely_irreducible` said so, or the line search enlarged the
+    field until every line on g was rational and found none.  So g has at
+    most one singular point, rational over g's field: the solve needed no
+    field extension, and a second point would contradict the argument."""
     if points is None:
         return "cone:smooth", {}
     if not g.context.is_rational and len(points) > 1:

@@ -24,7 +24,8 @@ t^(q^e) mod w, _frobenius_blocks, which yields the distinct-degree blocks of
 a squarefree w lazily (distinct-degree factorization, von zur Gathen-Gerhard,
 Modern Computer Algebra 14.2).  Root finding takes the squarefree part of g;
 when the field may grow, it moves to the extension of degree the lcm of the
-block degrees, where equal-degree splitting (Cantor-Zassenhaus) takes the
+block degrees (splitting_field_degree, which the cubic cone's field growth
+also reads), where equal-degree splitting (Cantor-Zassenhaus) takes the
 squarefree part apart with no further root search; otherwise the roots in
 the field are the degree-1 block, split the same way.  Over a field of odd
 order a quadratic, whether g itself or a piece of a split, is solved in
@@ -801,6 +802,13 @@ def _frobenius_blocks(sf: UniPoly) -> Iterator[Tuple[int, UniPoly]]:
         yield sf.degree(), sf
 
 
+def splitting_field_degree(sf: UniPoly) -> int:
+    """The degree over its finite field of the least field where the
+    squarefree sf splits: the lcm of the degrees of its distinct-degree
+    blocks, each irreducible factor of degree e splitting in degree e."""
+    return math.lcm(*(e for e, _ in _frobenius_blocks(sf)))
+
+
 @dataclass(frozen=True)
 class RootResult:
     """Roots of a polynomial together with the (possibly enlarged) field."""
@@ -870,11 +878,11 @@ def find_roots(g: UniPoly, allow_extension: bool) -> RootResult:
     emb = identity_embedding(ctx)
     sf = _squarefree_part(g)
     if allow_extension:
-        # every factor of sf splits in the field of degree lcm over ctx, and
-        # sf stays squarefree there, so it is split without a root search
-        lcm = math.lcm(*(e for e, _ in _frobenius_blocks(sf)))
-        if lcm > 1:
-            ctx, emb = extend_context(ctx, lcm)
+        # sf splits in the field of this degree over ctx and stays
+        # squarefree there, so it is split without a root search
+        degree = splitting_field_degree(sf)
+        if degree > 1:
+            ctx, emb = extend_context(ctx, degree)
             g = g.map_coefficients(emb, ctx)
             sf = sf.map_coefficients(emb, ctx)
         distinct = sorted(_split_linear(sf))

@@ -1,13 +1,22 @@
 import hashlib
 import json
 import random
+import sys
 from itertools import product
 
 import pytest
 
 from conftest import ctx_for, poly, random_invertible_matrix
 
-from slchyp import RATIONALS, TriPoly, classify_cubic_cone, discrepancy, extension_field, prime_field
+from slchyp import (
+    RATIONALS,
+    TriPoly,
+    classify_cubic_cone,
+    discrepancy,
+    extension_field,
+    prime_field,
+    unipoly,
+)
 from slchyp.normalize import cubiccone
 from slchyp.normalize.auto import LinearStep, Normalizer
 from slchyp.poly import is_squarefree
@@ -309,14 +318,9 @@ CONE_DIFFERENTIAL_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", DIFFERENTIAL_FIELDS)
-def test_cone_differential(name):
-    # seeded cubics, half on any support and half on supports singular at
-    # [0:0:1], about 60% moved by a random linear change: the outcome of
-    # each, label, normal form, automorphism and final field, hashes to the
-    # recorded digest
-    ctx = _differential_context(name)
-    rnd = random.Random(f"cone-differential:{name}")
+def _random_cubic(rnd, ctx, support):
+    """A seeded cubic on a random part of `support` with nonzero
+    coefficients, moved by a random linear change about 60% of the time."""
 
     def coefficient():
         if ctx.is_rational:
@@ -327,15 +331,93 @@ def test_cone_differential(name):
             if not c.is_zero():
                 return c
 
+    chosen = rnd.sample(support, rnd.randint(2, len(support)))
+    g = TriPoly.make(ctx, {m: coefficient() for m in chosen})
+    if rnd.random() < 0.6:
+        g = LinearStep(random_invertible_matrix(rnd, ctx)).apply(g)
+    return g
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_FIELDS)
+def test_cone_differential(name):
+    # seeded cubics, half on any support and half on supports singular at
+    # [0:0:1], about 60% moved by a random linear change: the outcome of
+    # each, label, normal form, automorphism and final field, hashes to the
+    # recorded digest
+    ctx = _differential_context(name)
+    rnd = random.Random(f"cone-differential:{name}")
     lines = []
     while len(lines) < 60:
-        support = CUBIC_MONOMIALS if len(lines) % 2 else SINGULAR_AT_Z
-        chosen = rnd.sample(support, rnd.randint(2, len(support)))
-        g = TriPoly.make(ctx, {m: coefficient() for m in chosen})
-        if rnd.random() < 0.6:
-            g = LinearStep(random_invertible_matrix(rnd, ctx)).apply(g)
+        g = _random_cubic(rnd, ctx, CUBIC_MONOMIALS if len(lines) % 2 else SINGULAR_AT_Z)
         if g.is_zero():
             continue
         lines.append(str(g) + " " + _outcome_line(classify_cubic_cone(g)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == CONE_DIFFERENTIAL_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_FIELDS)
+def test_irreducibility_matches_the_line_search(name):
+    # over a finite field a squarefree cubic is absolutely irreducible
+    # exactly when the complete line search finds no line; over Q, where
+    # the search finds only rational lines, irreducible implies none found
+    ctx = _differential_context(name)
+    rnd = random.Random(f"irreducible-cubics:{name}")
+    answers = []
+    while len(answers) < 30:
+        g = _random_cubic(rnd, ctx, CUBIC_MONOMIALS if len(answers) % 2 else SINGULAR_AT_Z)
+        if g.is_zero() or not is_squarefree(g):
+            continue
+        irreducible = cubiccone._absolutely_irreducible(g, cubiccone._singular_points(g))
+        nz = Normalizer(g)
+        no_line = not cubiccone._linear_factors(nz, nz.f)[1]
+        if ctx.is_rational:
+            assert no_line or not irreducible, str(g)
+        else:
+            assert irreducible == no_line, str(g)
+        answers.append(irreducible)
+    assert set(answers) == {True, False}, name
+
+
+# the CI cubics that end in F_{5^6} and F_{3^6}, and a smooth cubic over F_5
+# whose restrictions also split in F_{5^6}
+IRREDUCIBLE_CUBICS = GROWN_FIELD_CUBICS + [
+    ("4*x^3+x^2*y+4*x^2*z+4*x*y^2+4*x*y*z+x*z^2+y^3+3*y*z^2+3*z^3", 5),
+]
+
+
+def test_irreducible_cubics_skip_the_line_search(monkeypatch):
+    # until the stage turns to the singular point, an irreducible cubic
+    # finds no restriction zeros, tries no division and splits no root
+    # search in the grown field, which still grows as the search grew it;
+    # a cubic with a line shows that the spies see the search
+    state = {"searching": False, "calls": []}
+
+    def spy(module, name, counted=lambda: True):
+        original = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            if state["searching"] and counted():
+                state["calls"].append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(cubiccone, "_binary_restriction_points")
+    spy(cubiccone, "_try_divide")
+    # equal-degree splitting called by find_roots in the grown field, not
+    # the in-field roots of the singular-point solve or a new embedding's
+    spy(unipoly, "_split_linear", lambda: sys._getframe(2).f_code.co_name == "find_roots")
+    no_rational_lines = cubiccone._no_rational_lines
+
+    def reached(*args):
+        state["searching"] = False
+        return no_rational_lines(*args)
+    monkeypatch.setattr(cubiccone, "_no_rational_lines", reached)
+
+    for text, p in IRREDUCIBLE_CUBICS + [("y*(y^2+x*z)", 5)]:
+        state.update(searching=True, calls=[])
+        out = classify_cubic_cone(poly(text, p))
+        if text.startswith("y*"):
+            assert {"_binary_restriction_points", "_try_divide"} <= set(state["calls"])
+        else:
+            assert state["calls"] == [] and out.context.extension_degree == 6, text
