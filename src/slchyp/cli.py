@@ -29,7 +29,6 @@ from typing import Optional
 
 from .classifier import (
     Verdict,
-    ZeroPolynomial,
     build_verdict,
     check_conjecture_bounds,
     classify_mld,
@@ -47,10 +46,10 @@ from .fields import (
     is_prime,
     prime_field,
 )
-from .frobenius import CharZero, fedder_is_fpure
+from .frobenius import fedder_is_fpure
 from .jets import OracleOverflow, mld_profile
-from .parse import PolySyntaxError, parse_poly
-from .poly import NonLocalSubstitution, TriPoly
+from .parse import parse_poly
+from .poly import TriPoly
 from .toricdiv import witness_search
 from .normalize.auto import automorphism_from_json
 
@@ -185,7 +184,11 @@ def run(argv) -> int:
         if args.command == "jet-profile" and not 1 <= args.m <= MAX_JET_LEVEL:
             raise ValueError(f"--m must be in 1..{MAX_JET_LEVEL}")
         ctx = _context_for(args.char)
-        f = parse_poly(args.poly, ctx)
+        try:
+            f = parse_poly(args.poly, ctx)
+        except ValueError as exc:  # a syntax or coefficient error in --poly
+            _emit({"error": str(exc), "grammar": GRAMMAR}, False)
+            return EXIT_INPUT
         report = _base_report(args.poly, args.command, ctx)
         if args.command in ("classify", "slc"):
             verdict = classify_slc(f, args.char)
@@ -210,11 +213,7 @@ def run(argv) -> int:
                 search.to_json() if search else None
             )
             report["verdict"] = payload
-    except (PolySyntaxError, CoefficientError, ZeroPolynomial,
-            NonLocalSubstitution, ValueError) as exc:
-        _emit({"error": str(exc), "grammar": GRAMMAR}, False)
-        return EXIT_INPUT
-    except CharZero as exc:
+    except ValueError as exc:  # a range check, --char, or f unfit for the command
         _emit({"error": str(exc)}, False)
         return EXIT_INPUT
     except NeedsAlgebraicExtension as exc:

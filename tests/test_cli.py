@@ -112,14 +112,33 @@ def test_exit_code_zero_polynomial():
 
 @pytest.mark.parametrize("command", ["fpure", "jet-profile"])
 def test_zero_polynomial_is_an_input_error(command):
+    # f parses, so the report carries no grammar
     proc = run_cli(command, "--char", "7", "--poly", "0")
     assert proc.returncode == 2
-    assert "nonzero" in json.loads(proc.stdout)["error"]
+    assert set(json.loads(proc.stdout)) == {"error"} and "nonzero" in json.loads(proc.stdout)["error"]
 
 
 def test_exit_code_char_not_prime():
     proc = run_cli("mld", "--char", "6", "--poly", "x")
     assert proc.returncode == 2
+    assert "grammar" not in json.loads(proc.stdout)
+
+
+def test_only_errors_in_the_polynomial_carry_the_grammar(capsys):
+    # a syntax error and a denominator divisible by p come from reading
+    # --poly; Fedder's nonzero check and the zero polynomial do not
+    import slchyp.cli as cli_mod
+
+    for argv, grammar in [(["mld", "--char", "0", "--poly", "x^"], True),
+                          (["mld", "--char", "5", "--poly", "1/5*x"], True),
+                          (["fpure", "--char", "7", "--poly", "0"], False),
+                          (["mld", "--char", "7", "--poly", "0"], False),
+                          (["slc", "--char", "0", "--poly", "x-x"], False)]:
+        code = cli_mod.run(argv)
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2 and ("grammar" in out) == grammar, argv
+        if grammar:
+            assert out["grammar"] == cli_mod.GRAMMAR
 
 
 @pytest.mark.parametrize("char, error", [
@@ -505,7 +524,7 @@ def test_max_weight_outside_its_range_fails_fast(capsys, bound):
     code = cli_mod.run(["bounds", "--char", "7", "--poly", "x^2+y^3+z^5", "--max-weight", bound])
     assert time.perf_counter() - start < 1
     out = json.loads(capsys.readouterr().out)
-    assert code == 2 and "--max-weight" in out["error"] and out["grammar"] == cli_mod.GRAMMAR
+    assert code == 2 and "--max-weight" in out["error"] and "grammar" not in out
 
 
 def test_max_weight_at_its_bound_still_answers(capsys):
@@ -524,7 +543,7 @@ def test_jet_level_outside_its_range_fails_fast(capsys, level):
     code = cli_mod.run(["jet-profile", "--char", "7", "--poly", "x^2+y^3+z^5", "--m", level])
     assert time.perf_counter() - start < 1
     out = json.loads(capsys.readouterr().out)
-    assert code == 2 and "--m" in out["error"] and out["grammar"] == cli_mod.GRAMMAR
+    assert code == 2 and "--m" in out["error"] and "grammar" not in out
 
 
 @pytest.mark.parametrize("poly,level", [("x^2+y^3+z^5", "3"), ("x", "7")])
