@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,8 +6,23 @@ from hypothesis import given, strategies as st
 
 from conftest import ctx_for, poly, random_poly
 
-from slchyp import CharZero, TriPoly, fedder_is_fpure
+from slchyp import CharZero, TriPoly, extension_field, fedder_is_fpure, parse_poly, prime_field
+from slchyp.fields import is_prime
 from slchyp.frobenius import monomial_outside_pth_powers
+
+PRIMES_BELOW_40 = [p for p in range(40) if is_prime(p)]
+PRIMES_BELOW_200 = [p for p in range(200) if is_prime(p)]
+
+# the fixed models the classifier runs Fedder's test on
+MODELS = ("x*y", "x^2+y^2*z^2", "x^3+y^3+x*y*z", "x*y*z", "x*y*z+y^3")
+
+# supports of the weighted-homogeneous initial forms the classifier tests:
+# weight (3,2,1) and degree 6, and weight (2,1,1) and degree 4; the x*l(y,z)
+# cross terms are the second and third (W6) or second to fourth (W211)
+W6_SUPPORT = ((2, 0, 0), (1, 1, 1), (1, 0, 3),
+              (0, 3, 0), (0, 2, 2), (0, 1, 4), (0, 0, 6))
+W211_SUPPORT = ((2, 0, 0), (1, 2, 0), (1, 1, 1), (1, 0, 2),
+                (0, 4, 0), (0, 3, 1), (0, 2, 2), (0, 1, 3), (0, 0, 4))
 
 
 def dense_power(f, e):
@@ -22,6 +38,48 @@ def dense_power(f, e):
                 out[m] = out[m] + c if m in out else c
         acc = {m: c for m, c in out.items() if not c.is_zero()}
     return TriPoly.make(ctx, acc)
+
+
+def reduced_power(f, p):
+    """f^(p-1) modulo (x^p, y^p, z^p) as a dict of FieldElements: the full
+    expansion by repeated naive products, dropping after each product the
+    monomials with an exponent >= p (they stay in the monomial ideal)."""
+    base = [(m, c) for m, c in f.sorted_terms() if max(m) < p]
+    acc = {(0, 0, 0): f.context.one()}
+    for _ in range(p - 1):
+        out = {}
+        for m1, c1 in acc.items():
+            for m2, c2 in base:
+                m = tuple(a + b for a, b in zip(m1, m2))
+                if max(m) < p:
+                    out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+        acc = {m: c for m, c in out.items() if not c.is_zero()}
+    return acc
+
+
+def reference_witness(f):
+    """Lexicographically least monomial of f^(p-1) with every exponent at
+    most p-1, from the expansion above; None when f^(p-1) is in m^[p]."""
+    hits = reduced_power(f, f.context.characteristic)
+    return min(hits) if hits else None
+
+
+def random_element(rnd, ctx, nonzero=False):
+    while True:
+        c = ctx.from_vector([rnd.randrange(ctx.characteristic)
+                             for _ in range(ctx.extension_degree)])
+        if not (nonzero and c.is_zero()):
+            return c
+
+
+def random_form(rnd, ctx, support):
+    """A form on `support` with a nonzero x^2 coefficient; each other
+    coefficient is zero with probability 1/4, so smaller supports occur."""
+    terms = {support[0]: random_element(rnd, ctx, nonzero=True)}
+    for m in support[1:]:
+        if rnd.random() < 0.75:
+            terms[m] = random_element(rnd, ctx)
+    return TriPoly.make(ctx, terms)
 
 
 def brute_membership(g, p):
@@ -122,3 +180,60 @@ def test_frobenius_consistency(seed):
     assert power == f ** p
     # f^p has only exponents divisible by p
     assert all(all(e % p == 0 for e in m) for m in power.terms)
+
+
+def assert_matches_reference(f):
+    cert = fedder_is_fpure(f)
+    expected = reference_witness(f)
+    assert cert.p == f.context.characteristic
+    assert cert.witness_monomial == expected, str(f)
+    assert cert.is_fpure == (expected is not None)
+
+
+@pytest.mark.parametrize("p", PRIMES_BELOW_40)
+def test_models_match_the_expansion(p):
+    for text in MODELS:
+        assert_matches_reference(parse_poly(text, prime_field(p)))
+
+
+@pytest.mark.parametrize("p", PRIMES_BELOW_40)
+def test_weighted_forms_match_the_expansion(p):
+    rnd = random.Random(p)
+    for ctx in (prime_field(p), extension_field(p, 2)):
+        for support in (W6_SUPPORT, W211_SUPPORT):
+            assert_matches_reference(random_form(rnd, ctx, support))
+
+
+def test_weighted_forms_over_f343_match_the_expansion():
+    rnd = random.Random(343)
+    ctx = extension_field(7, 3)
+    for _ in range(8):
+        for support in (W6_SUPPORT, W211_SUPPORT):
+            assert_matches_reference(random_form(rnd, ctx, support))
+
+
+def hasse_legendre(lam, p):
+    """sum_i C(m,i)^2 lam^i mod p, m = (p-1)/2: zero exactly when the
+    Legendre curve y^2 = x(x-1)(x-lam) is supersingular."""
+    m = (p - 1) // 2
+    return sum(math.comb(m, i) ** 2 * pow(lam, i, p) for i in range(m + 1)) % p
+
+
+@pytest.mark.parametrize("p", PRIMES_BELOW_200)
+def test_closed_forms(p):
+    """Fedder's verdict against closed forms: the Hasse invariant of the
+    Legendre family, and the two diagonal forms with weights summing to
+    their degree (one multinomial index, integral iff 6 | p-1, 4 | p-1)."""
+    ctx = prime_field(p)
+    assert fedder_is_fpure(parse_poly("x^2+y^3+z^6", ctx)).is_fpure == (p % 3 == 1)
+    assert fedder_is_fpure(parse_poly("x^2+y^4+z^4", ctx)).is_fpure == (p % 4 == 1)
+    if p == 2:
+        return
+    rnd = random.Random(p)
+    roots = [lam for lam in range(p) if hasse_legendre(lam, p) == 0]
+    others = [lam for lam in range(p) if hasse_legendre(lam, p) != 0]
+    for lam in rnd.sample(roots, min(2, len(roots))) + rnd.sample(others, 2):
+        f = parse_poly(f"x^2+y*(y-z^2)*(y-{lam}*z^2)", ctx)
+        cert = fedder_is_fpure(f)
+        assert cert.is_fpure == (hasse_legendre(lam, p) != 0), lam
+        assert cert.witness_monomial == ((p - 1,) * 3 if cert.is_fpure else None)
