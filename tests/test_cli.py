@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import pathlib
 import subprocess
@@ -562,6 +563,35 @@ def test_jet_profile_does_not_grow_with_an_exponent(capsys):
     code = cli_mod.run(["jet-profile", "--char", "7", "--poly", "x^2+y^3+z^1000000000", "--m", "3"])
     assert time.perf_counter() - start < 1
     assert code == 0 and json.loads(capsys.readouterr().out)["verdict"]["entries"] == [[1, 2], [2, 1], [3, 1]]
+
+
+# Fedder's certificate once expanded f^(p-1) in full, about p^4 work: mld
+# took 62 s on x^2+y^3+x*y*z at p = 211, and did not finish on the first
+# input at p = 65537; verify rebuilt the same certificate
+@pytest.mark.parametrize("char,poly", [(65537, "x^2+y^2*z^2+3*z^7+y^5"),
+                                       (211, "x^2+y^3+x*y*z"), (1009, "x^2+y^3+x*y*z")])
+def test_large_characteristic_report_verifies_fast(capsys, monkeypatch, char, poly):
+    import slchyp.cli as cli_mod
+
+    start = time.perf_counter()
+    assert cli_mod.run(["mld", "--char", str(char), "--poly", poly]) == 0
+    assert time.perf_counter() - start < 1
+    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    start = time.perf_counter()
+    code = cli_mod.run(["verify", "-"])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(capsys.readouterr().out) == {"verified": True}
+
+
+def test_fpure_at_a_huge_prime_answers_at_once(capsys):
+    import slchyp.cli as cli_mod
+
+    p = 1000000007
+    start = time.perf_counter()
+    code = cli_mod.run(["fpure", "--char", str(p), "--poly", "x^2+y^2*z^2"])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(capsys.readouterr().out)["verdict"] == {
+        "is_fpure": True, "p": p, "witness_monomial": [p - 1] * 3}
 
 
 @pytest.mark.parametrize("degree", [0, -1])

@@ -6,7 +6,10 @@ from hypothesis import given, strategies as st
 
 from conftest import ctx_for, poly, random_poly
 
-from slchyp import CharZero, TriPoly, extension_field, fedder_is_fpure, parse_poly, prime_field
+from slchyp import (CharZero, TriPoly, classify_slc, extension_field, fedder_is_fpure,
+                    parse_poly, prime_field)
+from slchyp import frobenius
+from slchyp.classifier import BRANCHES, Fedder
 from slchyp.fields import is_prime
 from slchyp.frobenius import monomial_outside_pth_powers
 
@@ -15,6 +18,10 @@ PRIMES_BELOW_200 = [p for p in range(200) if is_prime(p)]
 
 # the fixed models the classifier runs Fedder's test on
 MODELS = ("x*y", "x^2+y^2*z^2", "x^3+y^3+x*y*z", "x*y*z", "x*y*z+y^3")
+
+# forms no closed route decides: a quasi-homogeneous cubic without a squared
+# variable and dependent exponents, and three that are not quasi-homogeneous
+OTHER_FORMS = ("x^3+y^3+z^3+x*y*z", "x^2+y^3", "x^2+y^3+z^5", "x*y+z^3")
 
 # supports of the weighted-homogeneous initial forms the classifier tests:
 # weight (3,2,1) and degree 6, and weight (2,1,1) and degree 4; the x*l(y,z)
@@ -41,19 +48,20 @@ def dense_power(f, e):
 
 
 def reduced_power(f, p):
-    """f^(p-1) modulo (x^p, y^p, z^p) as a dict of FieldElements: the full
+    """f^(p-1) modulo (x^p, y^p, z^p), on raw coefficient payloads: the full
     expansion by repeated naive products, dropping after each product the
     monomials with an exponent >= p (they stay in the monomial ideal)."""
-    base = [(m, c) for m, c in f.sorted_terms() if max(m) < p]
-    acc = {(0, 0, 0): f.context.one()}
+    ops = f.context.ops
+    base = [(m, c) for m, c in f.terms.items() if max(m) < p]
+    acc = {(0, 0, 0): ops.one}
     for _ in range(p - 1):
         out = {}
-        for m1, c1 in acc.items():
-            for m2, c2 in base:
-                m = tuple(a + b for a, b in zip(m1, m2))
+        for (a1, b1, c1), u in acc.items():
+            for (a2, b2, c2), v in base:
+                m = (a1 + a2, b1 + b2, c1 + c2)
                 if max(m) < p:
-                    out[m] = out[m] + c1 * c2 if m in out else c1 * c2
-        acc = {m: c for m, c in out.items() if not c.is_zero()}
+                    out[m] = ops.add(out[m], ops.mul(u, v)) if m in out else ops.mul(u, v)
+        acc = {m: c for m, c in out.items() if c != ops.zero}
     return acc
 
 
@@ -80,6 +88,10 @@ def random_form(rnd, ctx, support):
         if rnd.random() < 0.75:
             terms[m] = random_element(rnd, ctx)
     return TriPoly.make(ctx, terms)
+
+
+def unit_of_support(f):
+    return tuple(int(any(m[i] for m in f.terms)) for i in range(3))
 
 
 def brute_membership(g, p):
@@ -197,6 +209,12 @@ def test_models_match_the_expansion(p):
 
 
 @pytest.mark.parametrize("p", PRIMES_BELOW_40)
+def test_other_forms_match_the_expansion(p):
+    for text in OTHER_FORMS:
+        assert_matches_reference(parse_poly(text, prime_field(p)))
+
+
+@pytest.mark.parametrize("p", PRIMES_BELOW_40)
 def test_weighted_forms_match_the_expansion(p):
     rnd = random.Random(p)
     for ctx in (prime_field(p), extension_field(p, 2)):
@@ -237,3 +255,83 @@ def test_closed_forms(p):
         cert = fedder_is_fpure(f)
         assert cert.is_fpure == (hasse_legendre(lam, p) != 0), lam
         assert cert.witness_monomial == ((p - 1,) * 3 if cert.is_fpure else None)
+
+
+# rows of the fixture table whose verdict carries a Fedder certificate, one
+# or more for every branch with a Fedder step
+FEDDER_ROWS = [
+    ("x^2+y^2", 3, "quadric:rank2"), ("x^2+y^2", 7, "quadric:rank2"),
+    ("x^2+x*y", 2, "quadric:rank2"), ("x^2+x*y+x*z+y*z", 2, "quadric:rank2"),
+    ("x^2+y*z", 2, "quadric:rank3"),
+    ("x^2+y^3+x*y*z", 2, "w6:fpure"),
+    ("x^2+y^2*(y-z^2)", 3, "w6:delta-special"), ("x^2+y^2*(y-z^2)", 7, "w6:delta-special"),
+    ("x^2+y*(y-z^2)*(y-z^2)", 5, "w6:delta-special"),
+    ("x^2+y^2*z^2", 3, "q:y2z2"), ("x^2+y^2*z^2", 5, "q:y2z2"), ("x^2+y^2*z^2", 7, "q:y2z2"),
+    ("x^2+y^2*z*(y+z)", 5, "q:y2z-y+z"),
+    ("x^2+x*y*z+y^4", 2, "q:fpure"),
+    ("x*y*z", 2, "cone:triangle"), ("x*y*z", 5, "cone:triangle"),
+    ("x^3+y^3+x*y*z", 2, "cone:nodal"), ("x^3+y^3+x*y*z", 5, "cone:nodal"),
+    ("y*(y^2+x*z)", 3, "cone:conic-transverse"),
+]
+
+
+def test_classifier_certificates_take_a_closed_route(monkeypatch):
+    """No polynomial product or power runs inside the classifier's Fedder
+    tests (at p = 2 the expansion of f^(p-1) is f itself)."""
+    import slchyp.classifier as classifier
+
+    inside = []
+    product, power = TriPoly.__mul__, TriPoly.__pow__
+
+    def guarded(original):
+        def call(*args):
+            assert not inside, "f^(p-1) expanded"
+            return original(*args)
+        return call
+
+    def spied(f):
+        inside.append(f)
+        try:
+            return fedder_is_fpure(f)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(TriPoly, "__mul__", guarded(product))
+    monkeypatch.setattr(TriPoly, "__pow__", guarded(power))
+    monkeypatch.setattr(classifier, "fedder_is_fpure", spied)
+    with_fedder = {label for label, branch in BRANCHES.items()
+                   if any(isinstance(step, Fedder)
+                          for recipe in (branch.recipe, *branch.by_char.values())
+                          for step in recipe)}
+    assert {label for _, _, label in FEDDER_ROWS} == with_fedder
+    for text, p, label in FEDDER_ROWS:
+        verdict = classify_slc(parse_poly(text, prime_field(p)), p)
+        assert verdict.branch_trace[-1] == label
+        certs = [c.fedder for c in verdict.certificates if c.fedder is not None]
+        assert certs, (text, p)
+        for cert in certs:
+            assert cert.witness_monomial in (None, (p - 1, p - 1, p - 1), (p - 1, p - 1, 0))
+
+
+@given(st.integers(min_value=0, max_value=2**31))
+def test_non_quasi_homogeneous_input_matches_the_full_expansion(seed):
+    rnd = random.Random(seed)
+    p = rnd.choice([2, 3, 5])
+    ctx = ctx_for(p)
+    f = random_poly(rnd, ctx, max_terms=4, max_exp=3)
+    f = f - TriPoly.constant(f.coefficient((0, 0, 0)))
+    if f.is_zero() or frobenius._is_quasi_homogeneous(f, unit_of_support(f)):
+        return
+    expected = monomial_outside_pth_powers(dense_power(f, p - 1), p)
+    assert fedder_is_fpure(f).witness_monomial == expected
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("x", True), ("x*y", True), ("x^2+y^2", True), ("x^2+y^2*z^2", True),
+    ("x*y*z+y^3", True), ("x^3+y^3+z^3+x*y*z", True), ("x^2+y^3+x*y*z", True),
+    ("x^2", False), ("x^2+y^3", False), ("x^2*y", False), ("x^2+y^3+z^5", False),
+    ("x*y+z", False), ("x*y+z^3", False), ("x^2*y+z^3", True),
+])
+def test_quasi_homogeneity(text, expected):
+    f = poly(text, 7)
+    assert frobenius._is_quasi_homogeneous(f, unit_of_support(f)) == expected
