@@ -39,6 +39,7 @@ For p = 2 that expansion is f itself, read with no product.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -85,7 +86,7 @@ def fedder_is_fpure(f: TriPoly) -> FPurityCertificate:
         raise CharZero("F-purity is a positive-characteristic notion")
     if f.is_zero():
         raise ValueError("Fedder's test needs a nonzero f")
-    if not f.coefficient((0, 0, 0)).is_zero():
+    if (0, 0, 0) in f.terms:
         raise ValueError("f must vanish at the origin")
     unit = tuple(1 if e else 0 for e in map(max, zip(*f.terms)))  # 1_S
     if p > 2 and _is_quasi_homogeneous(f, unit):
@@ -180,7 +181,8 @@ def _power_coefficient(ops: Payloads, g: Dict[int, Payload], e: int, k: int,
     With g = s^r (a_0 + a_1 s + ... + a_d s^d), a_0 != 0, the coefficients
     P_j of the second factor's e-th power obey J.C.P. Miller's recurrence
     j a_0 P_j = sum_{i=1..min(d,j)} ((e+1) i - j) a_i P_{j-i}, from
-    P' a = e a' P; every j <= k < p is a unit mod p."""
+    P' a = e a' P; every j <= k < p is a unit mod p.  Only the last d
+    values are kept, so memory does not grow with p."""
     zero = ops.zero
     g = {i: c for i, c in g.items() if c != zero}
     if not g:
@@ -194,15 +196,17 @@ def _power_coefficient(ops: Payloads, g: Dict[int, Payload], e: int, k: int,
     mul, add, from_int = ops.mul, ops.add, ops.from_int
     inv_a0 = ops.inverse(a[0])
     terms = [(i, a[i]) for i in range(1, d + 1) if a[i] != zero]
-    power = [payload_power(ops, a[0], e)]
+    window = [payload_power(ops, a[0], e)]  # P_max(0,j-d) .. P_(j-1)
     for j in range(1, k + 1):
         acc = zero
         for i, ai in terms:
             if i > j:
                 break
-            acc = add(acc, mul(from_int((e + 1) * i - j), mul(ai, power[j - i])))
-        power.append(mul(acc, mul(inv_a0, from_int(pow(j, -1, p)))))
-    return power[k]
+            acc = add(acc, mul(from_int((e + 1) * i - j), mul(ai, window[-i])))
+        window.append(mul(acc, mul(inv_a0, from_int(pow(j, -1, p)))))
+        if len(window) > d:
+            del window[0]
+    return window[-1]
 
 
 def _reduced_power(f: TriPoly, p: int) -> TriPoly:
@@ -217,7 +221,7 @@ def _reduced_power(f: TriPoly, p: int) -> TriPoly:
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def _cross(a: Sequence[int], b: Sequence[int]) -> List[int]:

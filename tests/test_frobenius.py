@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -234,7 +233,11 @@ def hasse_legendre(lam, p):
     """sum_i C(m,i)^2 lam^i mod p, m = (p-1)/2: zero exactly when the
     Legendre curve y^2 = x(x-1)(x-lam) is supersingular."""
     m = (p - 1) // 2
-    return sum(math.comb(m, i) ** 2 * pow(lam, i, p) for i in range(m + 1)) % p
+    total, c = 0, 1  # c = C(m, i) mod p
+    for i in range(m + 1):
+        total = (total + c * c * pow(lam, i, p)) % p
+        c = c * (m - i) * pow(i + 1, -1, p) % p
+    return total
 
 
 @pytest.mark.parametrize("p", PRIMES_BELOW_200)
@@ -335,3 +338,21 @@ def test_non_quasi_homogeneous_input_matches_the_full_expansion(seed):
 def test_quasi_homogeneity(text, expected):
     f = poly(text, 7)
     assert frobenius._is_quasi_homogeneous(f, unit_of_support(f)) == expected
+
+
+def test_recurrence_memory_does_not_grow_with_p():
+    """The Legendre form needs the O(p) recurrence; it keeps only the last
+    deg g coefficients, so p ~ 10^4 allocates a few kilobytes, not one
+    payload per step."""
+    import tracemalloc
+
+    p = 10007
+    f = parse_poly("x^2+y*(y-z^2)*(y-3*z^2)", prime_field(p))
+    tracemalloc.start()
+    try:
+        cert = fedder_is_fpure(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.is_fpure == (hasse_legendre(3, p) != 0)
+    assert peak < 100_000
