@@ -17,17 +17,24 @@ Groebner basis from level to level: f^(m) lives on the coordinates of
 levels <= m, so level m adds it to the basis of level m - 1 and only the
 new pairs are formed.  Heights are read from the leading monomials of the
 carried basis, which span the leading-term ideal whether or not the basis
-is inter-reduced.  `s_m` reads one entry of that table, and `build_jets`
-gives the generators of one level as `NPoly`s.
+is inter-reduced: the engine keeps each one's support as guard bits, and
+the hitting-set search runs on those.  `s_m` reads one entry of that
+table, and `build_jets` gives the generators of one level as `NPoly`s.
 
 The Buchberger engine is generic over the exact coefficient fields and also
 serves the cubic-cone classifier (lex order for elimination).  Each basis
 element's leading monomial is computed once, when it joins the basis;
 pending pairs sit in a heap keyed by their lcm (the normal selection
-strategy, ties broken by the indices of the pair), and pairs with coprime
-leading monomials are never queued.  A reduction pops the remainder's
-leading monomial from a heap and subtracts the first basis element (in basis
-order) whose leading monomial divides it, term by term.  The reduced basis
+strategy, ties broken by the indices of the pair), with a set of the same
+pairs beside it.  Two criteria skip S-polynomials that reduce to zero
+(Buchberger, EUROSAM 1979, LNCS 72): pairs with coprime leading monomials
+are never queued (the coprimality criterion), and a popped pair (i, j) is
+dropped when some other element k has a leading monomial dividing their
+lcm and neither (i, k) nor (j, k) is still pending (the chain criterion,
+tested when the pair is popped; a coprime pair counts as done).  A
+reduction pops the remainder's leading monomial from a heap and subtracts
+the first basis element (in basis order) whose leading monomial divides
+it, term by term.  The reduced basis
 is unique, so none of this changes a result.  The engine never truncates: if
 a basis exceeds the configured budget (for `mld_profile`, the basis carried
 through all levels so far) the computation aborts with OracleOverflow.
@@ -322,6 +329,7 @@ class _Buchberger:
         self.divisors: list = []  # (lm, lc, tail) per basis element
         self.supports: List[int] = []
         self.pairs: list = []  # heap of (lcm, i, j) with j < i
+        self.pending: set = set()  # the (i, j) in the heap
 
     @property
     def leads(self) -> List[int]:
@@ -337,10 +345,24 @@ class _Buchberger:
             raise OracleOverflow(f"basis exceeded {self.budget.max_basis} elements")
         support = layout.support(lm)
         supports.append(support)
-        lcm, pairs = layout.lcm, self.pairs
+        lcm, pairs, pending = layout.lcm, self.pairs, self.pending
         for j in range(k):
             if supports[j] & support:  # coprime leading monomials reduce to zero
                 heappush(pairs, (lcm(lm, divisors[j][0]), k, j))
+                pending.add((k, j))
+
+    def _chained(self, lcm: int, i: int, j: int) -> bool:
+        """Buchberger's chain criterion for the popped pair (i, j): some
+        other leading monomial divides their lcm and neither of its pairs
+        with i and j is still pending, so the S-polynomial of (i, j) is a
+        combination of those of (i, k) and (j, k), both treated already."""
+        guard, pending = self.layout.guard, self.pending
+        for k, (lm, _lc, _tail) in enumerate(self.divisors):
+            if (not (lcm - lm) & guard and k != i and k != j
+                    and (max(i, k), min(i, k)) not in pending
+                    and (max(j, k), min(j, k)) not in pending):
+                return True
+        return False
 
     def _run(self, gens: Sequence[Packed]) -> None:
         divisors, pairs, field = self.divisors, self.pairs, self.field
@@ -355,9 +377,13 @@ class _Buchberger:
             if r:
                 self._join(r)
         mul, add_mul, ratio, zero = field.mul, field.add_mul, field.ratio, field.zero
+        pending, chained = self.pending, self._chained
         while pairs:
             # normal strategy: smallest lcm of the leading monomials
             lcm, i, j = heappop(pairs)
+            pending.discard((i, j))
+            if chained(lcm, i, j):
+                continue
             mi, ci, ti = divisors[i]
             mj, cj, tj = divisors[j]
             a, nb = ratio(ci, cj)  # a*ci + nb*cj == 0 cancels the lcm term
@@ -440,7 +466,8 @@ def groebner_basis(
     budget: GroebnerBudget = GroebnerBudget(),
 ) -> List[NPoly]:
     """Reduced Groebner basis of gens over ctx by Buchberger's algorithm
-    with the normal selection strategy and the coprimality criterion."""
+    with the normal selection strategy, the coprimality criterion and the
+    chain criterion."""
     gens = [g for g in gens if g]
     if not gens:
         return []
@@ -457,10 +484,14 @@ def quotient_dimension(leading_monomials: Sequence[NMonomial], nvars: int) -> in
     """Krull dimension of k[x_1..x_n]/I from the leading-monomial ideal:
     nvars minus the fewest variables meeting every leading monomial's
     support (a minimum hitting set), or -1 when I is the unit ideal."""
-    supports = sorted(
-        {sum(1 << i for i, e in enumerate(m) if e) for m in leading_monomials},
-        key=int.bit_count,
-    )
+    return _support_dimension(
+        [sum(1 << i for i, e in enumerate(m) if e) for m in leading_monomials], nvars)
+
+
+def _support_dimension(supports: Sequence[int], nvars: int) -> int:
+    """`quotient_dimension` from the leading monomials' supports as
+    bitmasks, one bit per variable (at any positions)."""
+    supports = sorted(set(supports), key=int.bit_count)
     if supports and supports[0] == 0:
         return -1  # ideal contains a unit: empty spectrum
     minimal: List[int] = []
@@ -653,10 +684,10 @@ def mld_profile(
     generator of level m lives on the coordinates of levels <= m.  Because
     x^(0), y^(0), z^(0) are generators, f is expanded on arcs through the
     origin (level-0 coordinates zero), which generates the same ideal.  Each
-    height is read from the leading monomials of the carried basis, which
-    span the leading-term ideal with or without inter-reduction, so the
-    basis is never reduced.  The budget bounds the carried basis, which is
-    cumulative over the levels.
+    height is read from the supports of the carried basis's leading
+    monomials, which span the leading-term ideal with or without
+    inter-reduction, so the basis is never reduced.  The budget bounds the
+    carried basis, which is cumulative over the levels.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -667,7 +698,7 @@ def mld_profile(
     for m, fm in enumerate(levels):
         state.add(origin + [fm] if m == 0 else [fm])
         nvars = 3 * (m + 1)
-        dim = quotient_dimension([state.layout.unpack(lm) for lm in state.leads], nvars)
+        dim = _support_dimension(state.supports, nvars)
         h = nvars if dim < 0 else nvars - dim  # the unit ideal has the whole ring's height
         entries.append((m, h, h - (m + 1)))
     profile = SmProfile(entries)

@@ -204,19 +204,24 @@ def _quartic_odd(nz: Normalizer) -> Tuple[str, Dict[str, object]]:
     # four distinct lines: send lines i and j to y and z; the quartic becomes
     # y z Q2(y, z), Q2 split by the images of the other two
     lines = [fac for fac, _ in factors]
+    images = {}  # (i, j) -> (c*a3*a4, the ratios alpha/beta in sort_key order)
 
     def probe_4lines(assign):
         i, j, third = assign
-        (a3, b3), (a4, b4) = (pair_image(lines[i], lines[j], L)
-                              for k, L in enumerate(lines) if k not in (i, j))
-        if any(c.is_zero() for c in (a3, b3, a4, b4)):
-            raise AssertionError("remaining lines are not in general position")
-        # zeta is the third-th ratio alpha/beta in sort_key order, the order
-        # in which factor_binary(Q2) would give the lines (alpha/beta, 1)
-        zeta = sorted((a3 / b3, a4 / b4), key=lambda r: r.sort_key())[third]
+        if (i, j) not in images:
+            (a3, b3), (a4, b4) = (pair_image(lines[i], lines[j], L)
+                                  for k, L in enumerate(lines) if k not in (i, j))
+            if any(c.is_zero() for c in (a3, b3, a4, b4)):
+                raise AssertionError("remaining lines are not in general position")
+            # factor_binary(Q2) would give the lines (alpha/beta, 1) in
+            # sort_key order
+            images[i, j] = (unit * a3 * a4,
+                            sorted((a3 / b3, a4 / b4), key=lambda r: r.sort_key()))
+        lead, ratios = images[i, j]
+        zeta = ratios[third]
         # y^3 z has coefficient c*a3*a4 and picks up g^3 * (zeta * g) under
         # y -> g y, z -> zeta g z
-        return field_nth_root((unit * a3 * a4 * zeta).inverse(), 4), zeta
+        return field_nth_root((lead * zeta).inverse(), 4), zeta
 
     def apply_4lines(assign, found):
         i, j, _ = assign

@@ -347,7 +347,17 @@ PINNED_PROFILES = [
 ]
 
 
-@pytest.mark.parametrize("text,p,m_max,entries", PINNED_PROFILES)
+# profiles that rerun wider from a starting width that just fits the input
+# (found by a seeded search over random_poly inputs of order >= 2,
+# random.Random("widening profiles")); their entries are pinned with the
+# others and are those of the per-level reference
+WIDENING_PROFILES = [
+    ("x^2*y+2*z^3+x*y^3", 3, 5, [(0, 3, 2), (1, 3, 1), (2, 3, 0), (3, 4, 0), (4, 5, 0)]),
+    ("z^2+4*x^2*z", 5, 5, [(0, 3, 2), (1, 3, 1), (2, 4, 1), (3, 4, 0), (4, 5, 0)]),
+]
+
+
+@pytest.mark.parametrize("text,p,m_max,entries", PINNED_PROFILES + WIDENING_PROFILES)
 def test_profiles_pinned(text, p, m_max, entries):
     assert mld_profile(poly(text, p), m_max).profile.entries == entries
 
@@ -558,9 +568,19 @@ def test_packed_monomials_match_exponent_tuples(rng, order):
 
 
 # binomial ideals whose bases, in both orders, reach an exponent above four
-# times the largest one of the input (found by a seeded search)
+# times the largest one of the input: the first, kept from before the chain
+# criterion, then the first, second and fourth hits of a seeded search over
+# exponents 0..9 (random.Random("widening binomials")); the third hit's
+# textbook reference takes 15 s under grevlex
 WIDENING_BINOMIALS = [
     [((1, 7, 1), (0, 0, 8)), ((9, 8, 9), (7, 2, 3))],
+    [((6, 8, 2), (5, 1, 6)), ((8, 1, 1), (0, 4, 8))],
+    [((2, 0, 5), (3, 7, 0)), ((7, 3, 7), (7, 6, 1))],
+    [((9, 5, 1), (9, 6, 9)), ((3, 9, 0), (2, 0, 8))],
+]
+# binomial ideals that widened only while the pairs the chain criterion now
+# skips were still reduced; kept as reference checks
+FORMERLY_WIDENING_BINOMIALS = [
     [((3, 5, 6), (5, 0, 1)), ((6, 6, 7), (3, 2, 7))],
     [((7, 1, 5), (2, 9, 1)), ((6, 3, 2), (0, 2, 8))],
     [((7, 8, 5), (3, 1, 8)), ((8, 3, 9), (1, 1, 4))],
@@ -583,6 +603,8 @@ def test_exponents_beyond_the_packed_width_rerun_wider(monkeypatch, p, order):
             super().__init__(nvars, order, width)
 
     monkeypatch.setattr(jets, "_Layout", Layout)
+    for pair in FORMERLY_WIDENING_BINOMIALS:
+        _check_against_reference([{a: one, b: -two} for a, b in pair], order, ctx)
     cases = [[{a: one, b: -two} for a, b in pair] for pair in WIDENING_BINOMIALS]
     big = [{(200, 0, 0): one, (0, 1, 0): -one}, {(0, 130, 1): one, (1, 0, 0): -one}]
     if order == "lex":
@@ -639,7 +661,7 @@ def test_profile_rerun_wider_keeps_the_carried_heights(monkeypatch):
     monkeypatch.setattr(jets, "_Layout", Layout)
     monkeypatch.setattr(jets, "_width", int.bit_length)
     widened = []
-    for text, p, m_max, entries in PINNED_PROFILES[:9]:
+    for text, p, m_max, entries in PINNED_PROFILES[:9] + WIDENING_PROFILES:
         widths.clear()
         assert mld_profile(poly(text, p), m_max).profile.entries == entries, text
         if len(widths) > 1:
@@ -657,6 +679,45 @@ def brute_monomial_dimension(lms, nvars):
             if all(not sup <= s for sup in supports):
                 best = max(best, size)
     return best
+
+
+@pytest.mark.parametrize("q", [7, 9, 0])
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_chain_criterion_keeps_the_reduced_basis(monkeypatch, q, order):
+    # the pairs the chain criterion skips would reduce to zero: the reduced
+    # basis is the textbook one (every pair reduced) on seeded random ideals
+    # with enough generators for the criterion to fire
+    ctx = extension_field(3, 2) if q == 9 else ctx_for(q)
+    rnd = random.Random(f"chain criterion:{q}:{order}")
+    skipped = []
+    chained = jets._Buchberger._chained
+    monkeypatch.setattr(jets._Buchberger, "_chained",
+                        lambda *a: chained(*a) and not skipped.append(a[1:]))
+    for _ in range(25):
+        nvars = rnd.randint(2, 3)
+        gens = _random_ideal(rnd, ctx, nvars) + _random_ideal(rnd, ctx, nvars)
+        _check_against_reference([g for g in gens if g], order, ctx)
+    assert skipped
+
+
+# np_reduce calls of mld_profile with the chain criterion (77, 76 and 1,568
+# without it); a profile that needs more has lost the criterion
+REDUCTION_BOUNDS = [
+    ("y*(y^2+x*z)", 0, 6, 31),
+    ("y*(y^2+x*z)", 3, 6, 30),
+    ("x^2+y^3+z^5", 7, 7, 250),
+]
+
+
+@pytest.mark.parametrize("text,p,m_max,bound", REDUCTION_BOUNDS)
+def test_profile_reductions_stay_bounded(monkeypatch, text, p, m_max, bound):
+    calls = []
+    reduce = jets.np_reduce
+    monkeypatch.setattr(jets, "np_reduce", lambda *a: calls.append(1) or reduce(*a))
+    # the level-6 profile of y*(y^2+x*z) over Q is its profile over F_3 too
+    pinned = next(e for t, _q, m, e in PINNED_PROFILES if (t, m) == (text, m_max))
+    assert mld_profile(poly(text, p), m_max).profile.entries == pinned
+    assert len(calls) <= bound, len(calls)
 
 
 def test_monomial_dimension_against_brute_force(rng):
